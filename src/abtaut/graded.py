@@ -169,7 +169,10 @@ class GradedRing:
             exps = [0] * self.ngens
             for factor in body.split("*"):
                 if _COEFF_RE.match(factor):
-                    coeff *= Fraction(factor)
+                    try:
+                        coeff *= Fraction(factor)
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {factor!r} in polynomial text {text!r}") from None
                     continue
                 m = _NAME_RE.match(factor)
                 if m is None or m.group(1) not in index:

@@ -1,19 +1,31 @@
-"""The graded quotient of Q[l1..lg] by the duality relation.
+"""The graded quotient R_g of Q[l1..lg] by the duality relation.
 
-The ring is presented by the homogeneous components of
-(1 + l1 + ... + lg)(1 - l1 + l2 - ... + (-1)^g lg) - 1.  Normal forms are
-obtained by exact row reduction degree by degree, with the square-free
-monomials l_a = prod_{i in a} l_i designated as the quotient basis.  The
-designation is *verified* during construction: if the square-free monomials
-of some degree fail to be a basis modulo the relation span, construction
-aborts with :class:`RingConstructionError` instead of patching around it.
+The ring is presented by the homogeneous components rel_d of
+(1 + l1 + ... + lg)(1 - l1 + l2 - ... + (-1)^g lg) - 1.  The odd components
+vanish, and with l_0 = 1 and l_k = 0 for k > g the even ones are
+
+    rel_2i = (-1)^i l_i^2 + 2 sum_{0 <= j < i} (-1)^j l_j l_{2i-j}.
+
+Order monomials by weighted degree, then reverse lexicographically with
+l1 > ... > lg (weighted grevlex).  The leading term of rel_2i is l_i^2, with
+coefficient +-1.  These leading terms are pairwise coprime, so by Buchberger's
+first criterion (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*,
+section 2.9) rel_2, ..., rel_2g form a Groebner basis.  The standard monomials,
+those divisible by no l_i^2, are the square-free l_a = prod_{i in a} l_i: the
+square-free basis of R_g is proven, not found by elimination.  Normal forms
+follow from the integer rewrite
+
+    l_i^2 -> 2 sum_{0 <= j < i} (-1)^{i+j+1} l_j l_{2i-j}.
+
+Construction checks the hypotheses of this argument on the relations it
+actually generates (:func:`rewrite_rules`) and aborts with
+:class:`RingConstructionError` if one fails, instead of patching around it.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import gcd
 from typing import Mapping, Sequence
 
 from .graded import GradedPolynomial, GradedRing
@@ -37,7 +49,7 @@ IntRow = dict[Exponents, int]
 
 
 class RingConstructionError(RuntimeError):
-    """The designated square-free monomial basis failed verification.
+    """The relations fail the leading-term check that proves the square-free basis.
 
     This cannot happen for the relation set actually generated here unless
     the presentation itself is inconsistent; it is a fatal condition, never
@@ -89,127 +101,49 @@ def _lambda_ring(g: int) -> GradedRing:
     return GradedRing(tuple(f"l{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), None)
 
 
-def _subset_of(exps: Exponents) -> Subset:
-    return tuple(i + 1 for i, e in enumerate(exps) if e)
+def _grevlex_key(exps: Exponents) -> tuple:
+    """Weighted grevlex with l1 > ... > lg: weighted degree first, then the
+    smaller exponent of the last differing generator wins."""
+    return sum(i * e for i, e in enumerate(exps, start=1)), tuple(-e for e in reversed(exps))
 
 
-def _as_int_row(row: Mapping[Exponents, object]) -> IntRow:
-    """Clear denominators and divide out the integer content."""
-    denominator = 1
-    for c in row.values():
-        c = Fraction(c)
-        denominator = denominator * c.denominator // gcd(denominator, c.denominator)
-    out = {e: int(Fraction(c) * denominator) for e, c in row.items() if c}
-    return _primitive(out)
+def rewrite_rules(g: int, components: Mapping[int, GradedPolynomial]) -> list[IntRow]:
+    """The rewrite l_i^2 -> rules[i - 1] for i = 1..g, read off the relation
+    components (degree -> homogeneous part of the relation).
 
-
-def _primitive(row: IntRow) -> IntRow:
-    content = 0
-    for v in row.values():
-        content = gcd(content, v)
-        if content == 1:
-            return row
-    if content > 1:
-        for e in row:
-            row[e] //= content
-    return row
-
-
-def _eliminate(row: IntRow, pivots: dict[Exponents, IntRow]) -> None:
-    """Eliminate every pivot monomial from ``row`` in place (fraction-free).
-
-    Pivot rows are kept fully back-substituted, so each elimination only
-    introduces non-pivot monomials and a single pass suffices.
+    Raises :class:`RingConstructionError` unless every odd-degree component
+    vanishes and, for each i, the degree-2i component is homogeneous with
+    integer coefficients, weighted-grevlex leading term l_i^2 and leading
+    coefficient +-1: the hypotheses under which the rules are a Groebner basis
+    with the square-free monomials as standard monomials.
     """
-    for m in [m for m in row if m in pivots]:
-        c = row.get(m, 0)
-        if not c:
-            continue
-        q = pivots[m]
-        qp = q[m]
-        common = gcd(c, qp)
-        scale, factor = qp // common, c // common
-        if scale != 1:
-            for e in row:
-                row[e] *= scale
-        for e, v in q.items():
-            w = row.get(e, 0) - factor * v
-            if w:
-                row[e] = w
-            elif e in row:
-                del row[e]
-
-
-def reduce_degree(
-    monomials: Sequence[Exponents],
-    square_free: Sequence[Exponents],
-    rows: Sequence[Mapping[Exponents, object]],
-    degree: int,
-) -> dict[Exponents, IntRow]:
-    """Row-reduce the span of ``rows`` and verify that ``square_free`` is a
-    basis of the quotient.
-
-    Returns the pivot rows in fully back-substituted echelon form, keyed by
-    their (non-square-free) pivot monomial; each row is a primitive integer
-    vector whose pivot entry is positive.
-    """
-    sf_set = set(square_free)
-    pivots: dict[Exponents, IntRow] = {}
-    # column -> pivot keys whose rows carry that column (off the diagonal),
-    # so back-substitution touches only the rows it changes
-    containing: dict[Exponents, set[Exponents]] = {}
-    for row in rows:
-        row = dict(row) if all(isinstance(v, int) for v in row.values()) else _as_int_row(row)
-        _eliminate(row, pivots)
-        if not row:
-            continue
-        row = _primitive(row)
-        candidates = [m for m in row if m not in sf_set]
-        if not candidates:
+    for d, part in components.items():
+        if d % 2 and part:
+            raise RingConstructionError(f"odd-degree relation component at degree {d}")
+    rules: list[IntRow] = []
+    for i in range(1, g + 1):
+        part = components.get(2 * i)
+        if not part or not part.is_homogeneous_of(2 * i):
+            raise RingConstructionError(f"degree {2 * i}: the relation component is zero or not homogeneous")
+        lead = max(part.terms, key=_grevlex_key)
+        if lead != tuple(2 if j == i else 0 for j in range(1, g + 1)):
             raise RingConstructionError(
-                f"degree {degree}: a relation collapses onto the square-free monomials; "
-                "the designated basis is dependent"
+                f"degree {2 * i}: the relation's leading term is {part.ring.monomial(lead)}, not l{i}^2"
             )
-        pivot = max(candidates)
-        if row[pivot] < 0:
-            for e in row:
-                row[e] = -row[e]
-        np = row[pivot]
-        for key in list(containing.get(pivot, ())):
-            other = pivots[key]
-            c = other[pivot]
-            common = gcd(c, np)
-            scale, factor = np // common, c // common
-            if scale != 1:
-                for e in other:
-                    other[e] *= scale
-            for e, v in row.items():
-                w = other.get(e, 0) - factor * v
-                if w:
-                    if e not in other:
-                        containing.setdefault(e, set()).add(key)
-                    other[e] = w
-                elif e in other:
-                    del other[e]
-                    containing[e].discard(key)
-            _primitive(other)
-        pivots[pivot] = row
-        for e in row:
-            if e != pivot:
-                containing.setdefault(e, set()).add(pivot)
-    for m in monomials:
-        if m not in sf_set and m not in pivots:
-            raise RingConstructionError(
-                f"degree {degree}: monomial with exponents {m} does not reduce to the "
-                "square-free basis; the designated basis does not span"
-            )
-    return pivots
+        c = part.terms[lead]
+        if c not in (1, -1):
+            raise RingConstructionError(f"degree {2 * i}: the leading coefficient of l{i}^2 is {c}, not +-1")
+        if any(v.denominator != 1 for v in part.terms.values()):
+            raise RingConstructionError(f"degree {2 * i}: the relation has a non-integer coefficient")
+        rules.append({e: int(-c * v) for e, v in part.terms.items() if e != lead})
+    return rules
 
 
 class TautRing:
     """Normal forms, dimensions and the duality pairing for a fixed genus.
 
-    Construction is a one-time cost; the resulting object is immutable and
+    Construction tabulates the integer normal form of every monomial up to
+    the socle degree, a one-time cost; the resulting object is immutable and
     safe for concurrent queries.
     """
 
@@ -219,11 +153,13 @@ class TautRing:
         self.genus = g
         self.socle_degree = g * (g + 1) // 2
         self.ring = _lambda_ring(g)
-        self.relation_components = self._relation_components()
+        components = self._relation_components()
+        rules = rewrite_rules(g, components)
+        self.relation_components = {d: p for d, p in components.items() if d % 2 == 0}
         self._monomials: list[list[Exponents]] = []
         self._square_free: list[list[Exponents]] = []
-        self._reduce: list[dict[Exponents, dict[Subset, Fraction]]] = []
-        self._build()
+        self._reduce: list[dict[Exponents, dict[Subset, int]]] = []
+        self._build(rules)
 
     def _relation_components(self) -> dict[int, GradedPolynomial]:
         gens = self.ring.gens()
@@ -233,46 +169,60 @@ class TautRing:
             total = total + x
             dual = dual + x * ((-1) ** i)
         rel = total * dual - 1
-        components: dict[int, GradedPolynomial] = {}
-        for d in range(1, 2 * self.genus + 1):
-            part = rel.homogeneous_part(d)
-            if d % 2 == 1:
-                if part:
-                    raise RingConstructionError(f"odd-degree relation component at degree {d}")
-                continue
-            components[d] = part
-        return components
+        return {d: rel.homogeneous_part(d) for d in range(1, 2 * self.genus + 1)}
 
-    def _build(self) -> None:
+    def _build(self, rules: list[IntRow]) -> None:
+        # Each monomial's row is the row of its parent (the monomial with one
+        # factor l_k removed, of an earlier degree) times l_k, through the
+        # memoized basis-by-generator products NF(l_a * l_k).
+        tails = [
+            [(tuple(k for k, e in enumerate(exps, start=1) for _ in range(e)), c) for exps, c in rule.items()]
+            for rule in rules
+        ]
+        products: dict[tuple[Subset, int], dict[Subset, int]] = {}
+
+        def times(row: Mapping[Subset, int], k: int, out: dict[Subset, int] | None = None) -> dict[Subset, int]:
+            """NF(row * l_k), added into ``out`` if given."""
+            out = {} if out is None else out
+            for a, c in row.items():
+                p = products.get((a, k))
+                for b, v in (product(a, k) if p is None else p).items():
+                    w = out.get(b, 0) + c * v
+                    if w:
+                        out[b] = w
+                    else:
+                        del out[b]
+            return out
+
+        def product(a: Subset, k: int) -> dict[Subset, int]:
+            # l_a * l_k is square-free unless k is in a; then it is
+            # l_{a - k} times the rewrite of l_k^2, whose terms are smaller in
+            # the term order, so the recursion terminates.
+            if k not in a:
+                out = {tuple(sorted(a + (k,))): 1}
+            else:
+                rest = tuple(i for i in a if i != k)
+                out = {}
+                for factors, c in tails[k - 1]:
+                    row = {rest: c}
+                    for f in factors[:-1]:
+                        row = times(row, f)
+                    times(row, factors[-1], out)
+            products[(a, k)] = out
+            return out
+
         g = self.genus
-        # The degree-d slice of the ideal is spanned by the monomial multiples
-        # m * rel_{2k} with deg m = d - 2k, which equals the span of
-        # {l_i * v : v in the degree-(d-i) slice} together with rel_d itself.
-        # Multiplying the already-reduced pivot rows keeps incoming rows close
-        # to reduced echelon form.
-        ideal_rows: list[list[IntRow]] = []
         for d in range(self.socle_degree + 1):
-            monomials = self.ring.monomials_of_degree(d)
-            square_free = [m for m in monomials if all(e <= 1 for e in m)]
-            rows: list[IntRow] = []
-            for i in range(1, g + 1):
-                if d - i < 2:
-                    continue
-                for row in ideal_rows[d - i]:
-                    rows.append({tuple(e + (1 if j == i - 1 else 0) for j, e in enumerate(m)): c for m, c in row.items()})
-            if d % 2 == 0 and 2 <= d <= 2 * g:
-                rows.append(dict(self.relation_components[d].terms))
-            pivots = reduce_degree(monomials, square_free, rows, d)
-            reduce_map: dict[Exponents, dict[Subset, Fraction]] = {}
-            for m in square_free:
-                reduce_map[m] = {_subset_of(m): Fraction(1)}
-            for pivot, row in pivots.items():
-                lead = row[pivot]
-                reduce_map[pivot] = {_subset_of(e): Fraction(-c, lead) for e, c in row.items() if e != pivot}
+            table: dict[Exponents, dict[Subset, int]] = {(0,) * g: {(): 1}} if d == 0 else {}
+            # each monomial once: its parent uses only l_1..l_k
+            for k in range(1, min(d, g) + 1):
+                for parent, row in self._reduce[d - k].items():
+                    if not any(parent[k:]):
+                        table[parent[: k - 1] + (parent[k - 1] + 1,) + parent[k:]] = times(row, k)
+            monomials = sorted(table)  # ascending lex, as GradedRing.monomials_of_degree
             self._monomials.append(monomials)
-            self._square_free.append(square_free)
-            self._reduce.append(reduce_map)
-            ideal_rows.append([pivots[k] for k in sorted(pivots)])
+            self._square_free.append([m for m in monomials if all(e <= 1 for e in m)])
+            self._reduce.append(table)
 
     # -- queries ---------------------------------------------------------
 
@@ -339,7 +289,7 @@ class TautRing:
             row = []
             for b in right:
                 product = tuple(x + y for x, y in zip(a, b))
-                row.append(top[product].get(full, Fraction(0)))
+                row.append(Fraction(top[product].get(full, 0)))
             matrix.append(row)
         return matrix
 

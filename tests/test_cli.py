@@ -83,6 +83,9 @@ def test_reduce_bad_monomial(capsys):
     code, out, err = run_cli(capsys, "reduce", "--g", "2", "--monomial", "l9")
     assert code == 2
     assert "l9" in err
+    code, out, err = run_cli(capsys, "reduce", "--g", "3", "--monomial", "1/0")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "zero denominator" in err
 
 
 # -- verify ------------------------------------------------------------------

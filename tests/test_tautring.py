@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abtaut import RingConstructionError, build_ring, determinant
-from abtaut.tautring import MAX_GENUS_ENV, reduce_degree
+from abtaut.tautring import MAX_GENUS_ENV, rewrite_rules
+from rowreduce_oracle import reduce_degree, reduce_maps
 
 
 # -- relation components ----------------------------------------------------
@@ -120,6 +124,32 @@ def test_normal_form_idempotent(ring_cache):
             assert r.normal_form(nf.to_polynomial(r.ring)) == nf
 
 
+@pytest.mark.parametrize("g", list(range(1, 8)))
+def test_normal_forms_match_row_reduction(g, ring_cache):
+    r = ring_cache(g)
+    for d, oracle in enumerate(reduce_maps(r)):
+        square_free = [m for m in r.ring.monomials_of_degree(d) if all(e <= 1 for e in m)]
+        assert r.basis_monomials(d) == [r.ring.monomial(m) for m in square_free]
+        for exps, coords in oracle.items():
+            assert r.normal_form(r.ring.monomial(exps)).coordinates == coords, (g, exps)
+
+
+def _polynomials(ring):
+    exponents = st.tuples(*[st.integers(0, 3)] * ring.ngens)
+    coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return st.dictionaries(exponents, coefficients, max_size=4).map(ring.from_terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), g=st.integers(1, 5))
+def test_normal_form_is_multiplicative(data, g, ring_cache):
+    r = ring_cache(g)
+    a = data.draw(_polynomials(r.ring))
+    b = data.draw(_polynomials(r.ring))
+    reduced = r.normal_form(a).to_polynomial(r.ring) * r.normal_form(b).to_polynomial(r.ring)
+    assert r.normal_form(a * b) == r.normal_form(reduced)
+
+
 def test_normal_form_wrong_alphabet(ring_cache):
     from abtaut import GradedRing
 
@@ -132,11 +162,26 @@ def test_normal_form_wrong_alphabet(ring_cache):
 # -- socle ratios -------------------------------------------------------------
 
 
+def _degree_lagrangian_grassmannian(g: int) -> Fraction:
+    """deg LG(g, 2g) = N! 2^{g(g-1)/2} prod_{i=1..g} (i-1)!/(2i-1)!, N = g(g+1)/2."""
+    value = Fraction(factorial(g * (g + 1) // 2) * 2 ** (g * (g - 1) // 2))
+    for i in range(1, g + 1):
+        value *= Fraction(factorial(i - 1), factorial(2 * i - 1))
+    return value
+
+
 def test_socle_ratios_hand_examples(ring_cache):
     assert ring_cache(2).socle_ratio(ring_cache(2).ring.parse("l1^3")) == 2
     assert ring_cache(3).socle_ratio(ring_cache(3).ring.parse("l1^6")) == 16
     # g = 4: l1^3 = 2 l1 l2, then multiply by l3 l4
     assert ring_cache(4).socle_ratio(ring_cache(4).ring.parse("l4*l3*l1^3")) == 2
+    # closed form: l1^N pairs to deg LG(g, 2g), since R_g = H*(LG(g, 2g)) with
+    # l1 the hyperplane class (van der Geer 1999)
+    assert [_degree_lagrangian_grassmannian(g) for g in range(1, 6)] == [1, 2, 16, 768, 292864]
+    for g in range(1, 9):
+        r = ring_cache(g)
+        l1 = r.ring.gen(0)
+        assert r.socle_ratio(l1 ** r.socle_degree) == _degree_lagrangian_grassmannian(g), g
 
 
 def test_socle_ratio_rejects_wrong_degree(ring_cache):
@@ -202,6 +247,32 @@ def test_genus_cap_env_override(monkeypatch):
 def test_genus_must_be_positive():
     with pytest.raises(ValueError):
         build_ring(0)
+
+
+def test_rewrite_rules_read_off_relations(ring_cache):
+    r = ring_cache(3)
+    # l1^2 -> 2 l2, l2^2 -> 2 l1 l3, l3^2 -> 0
+    assert rewrite_rules(3, r.relation_components) == [{(0, 1, 0): 2}, {(1, 0, 1): 2}, {}]
+
+
+@pytest.mark.parametrize(
+    "degree, bad, message",
+    [
+        (4, "l1*l3", "leading term is l1\\*l3"),
+        (4, "l2^2 - l1^4", "leading term is l1\\^4"),
+        (2, "2*l2 - 2*l1^2", "leading coefficient"),
+        (6, "3*l3^2", "leading coefficient"),
+        (4, "l2^2 - 1/2*l1*l3", "non-integer"),
+        (4, "0", "zero or not homogeneous"),
+        (3, "l1*l2", "odd-degree"),
+    ],
+)
+def test_rewrite_rules_guard(degree, bad, message, ring_cache):
+    r = ring_cache(3)
+    components = dict(r.relation_components)
+    components[degree] = r.ring.parse(bad)
+    with pytest.raises(RingConstructionError, match=message):
+        rewrite_rules(3, components)
 
 
 def test_reduce_degree_detects_dependent_basis():
