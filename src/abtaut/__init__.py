@@ -28,10 +28,12 @@ from .charclass import (
 )
 from .tautring import (
     RingConstructionError,
+    RingReport,
     TautRing,
     TautRingElement,
     build_ring,
     determinant,
+    ring_report,
 )
 from .boundary import (
     BinomialExpansionReport,
@@ -85,6 +87,8 @@ __all__ = [
     "build_ring",
     "determinant",
     "RingConstructionError",
+    "ring_report",
+    "RingReport",
     "BoundaryClass",
     "PushforwardResult",
     "pushforward",

@@ -113,51 +113,11 @@ def _cmd_reduce(args) -> list[dict]:
     return [_envelope("reduce", "info", payload)]
 
 
-def _verify_grr(g: int) -> dict:
-    report = boundary.grr_report(g)
-    status = "pass" if report.magnitude_ok else "fail"
-    return _envelope("verify", status, {"check": "grr", **report.as_payload()})
-
-
-def _verify_borel_serre(g: int) -> dict:
-    report = charclass.borel_serre_check(g)
-    status = "pass" if report.ok else "fail"
-    return _envelope("verify", status, {"check": "borel-serre", **report.as_payload()})
-
-
-def _verify_ring(g: int) -> dict:
-    ring = tautring.build_ring(g)
-    dims = ring.dimension_profile()
-    lam_g_sq = ring.ring.monomial(tuple(0 if i < g - 1 else 2 for i in range(g)))
-    relation = ring.ring.one
-    for part in ring.relation_components.values():
-        relation = relation + part
-    one = ring.ring.one
-    checks = {
-        "total_dimension_2^g": sum(dims) == 2 ** g,
-        "palindromic_profile": dims == dims[::-1],
-        "one_dimensional_socle": dims[-1] == 1,
-        "top_chern_squares_to_zero": not ring.normal_form(lam_g_sq),
-        "relation_product_reduces_to_one": ring.normal_form(relation) == ring.normal_form(one),
-        "pairing_nonsingular_all_degrees": all(
-            tautring.determinant(ring.pairing_matrix(d)) != 0 for d in range(ring.socle_degree + 1)
-        ),
-    }
-    status = "pass" if all(checks.values()) else "fail"
-    return _envelope("verify", status, {"check": "ring", "g": g, "dims": dims, **checks})
-
-
-def _verify_recursion(g: int) -> dict:
-    report = satake.recursion_check(g)
-    status = "pass" if report.ok else "fail"
-    return _envelope("verify", status, {"check": "recursion", **report.as_payload()})
-
-
 _CHECKS = {
-    "grr": _verify_grr,
-    "borel-serre": _verify_borel_serre,
-    "ring": _verify_ring,
-    "recursion": _verify_recursion,
+    "grr": boundary.grr_report,
+    "borel-serre": charclass.borel_serre_check,
+    "ring": tautring.ring_report,
+    "recursion": satake.recursion_check,
 }
 
 
@@ -179,11 +139,15 @@ def _cmd_verify(args) -> list[dict]:
     envelopes = []
     for g in genera:
         for name in names:
-            envelopes.append(_CHECKS[name](g))
+            report = _CHECKS[name](g)
+            status = "pass" if report.ok else "fail"
+            envelopes.append(_envelope("verify", status, {"check": name, **report.as_payload()}))
     return envelopes
 
 
 def _cmd_satake(args) -> list[dict]:
+    if args.p is not None and args.format == "csv":
+        raise ValueError("--p cannot be combined with --format csv: the p-rank constant has no stratum columns")
     g = _positive("g", args.g)
     rows = satake.stratum_table(g, args.i)
     envelopes = [_envelope("satake", "info", row) for row in rows]
@@ -253,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("verify", help="run a verification")
-    p.add_argument("--check", choices=["grr", "borel-serre", "ring", "recursion", "all"], required=True)
+    p.add_argument("--check", choices=[*_CHECKS, "all"], required=True)
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--gmax", type=int, default=None, help="run the check for every genus 1..GMAX")
     add_format(p)
@@ -272,6 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse hands an empty list to a valued option given as --opt=--
+    missing = [name for name, value in vars(args).items() if value == []]
+    if missing:
+        print(f"abtaut: error: argument --{missing[0]}: expected a value, got '--'", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
         envelopes = args.handler(args)

@@ -470,20 +470,6 @@ class UnivariateSeries:
     def __neg__(self) -> "UnivariateSeries":
         return UnivariateSeries(tuple(-c for c in self.coefficients))
 
-    def __mul__(self, other: "UnivariateSeries") -> "UnivariateSeries":
-        if not isinstance(other, UnivariateSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coefficients[: order + 1]):
-            if a == 0:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coefficients[j]
-                if b:
-                    out[i + j] += a * b
-        return UnivariateSeries(out)
-
     def reciprocal(self) -> "UnivariateSeries":
         a = self.coefficients
         if a[0] == 0:

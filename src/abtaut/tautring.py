@@ -25,6 +25,7 @@ actually generates (:func:`rewrite_rules`) and aborts with
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -34,10 +35,12 @@ __all__ = [
     "DEFAULT_MAX_GENUS",
     "MAX_GENUS_ENV",
     "RingConstructionError",
+    "RingReport",
     "TautRing",
     "TautRingElement",
     "build_ring",
     "determinant",
+    "ring_report",
 ]
 
 DEFAULT_MAX_GENUS = 8
@@ -343,3 +346,40 @@ def build_ring(g: int, max_genus: int | None = None) -> TautRing:
     if not 1 <= g <= cap:
         raise ValueError(f"genus must satisfy 1 <= g <= {cap} (raise {MAX_GENUS_ENV} to go higher), got {g}")
     return TautRing(g)
+
+
+@dataclass(frozen=True)
+class RingReport:
+    """Structural checks of R_g: the dimension profile and six named verdicts."""
+
+    genus: int
+    ok: bool
+    dims: tuple[int, ...]
+    checks: tuple[tuple[str, bool], ...]
+
+    def as_payload(self) -> dict:
+        return {"g": self.genus, "dims": list(self.dims), **dict(self.checks)}
+
+
+def ring_report(g: int) -> RingReport:
+    """Build R_g (subject to the genus cap) and check its structure: total
+    dimension 2^g, a palindromic profile with one-dimensional socle,
+    lambda_g^2 = 0, c(E)c(E-dual) = 1, and a nonsingular pairing in every degree."""
+    ring = build_ring(g)
+    dims = ring.dimension_profile()
+    lam_g_sq = ring.ring.monomial(tuple(0 if i < g - 1 else 2 for i in range(g)))
+    relation = ring.ring.one
+    for part in ring.relation_components.values():
+        relation = relation + part
+    checks = (
+        ("total_dimension_2^g", sum(dims) == 2 ** g),
+        ("palindromic_profile", dims == dims[::-1]),
+        ("one_dimensional_socle", dims[-1] == 1),
+        ("top_chern_squares_to_zero", not ring.normal_form(lam_g_sq)),
+        ("relation_product_reduces_to_one", ring.normal_form(relation) == ring.normal_form(ring.ring.one)),
+        (
+            "pairing_nonsingular_all_degrees",
+            all(determinant(ring.pairing_matrix(d)) != 0 for d in range(ring.socle_degree + 1)),
+        ),
+    )
+    return RingReport(genus=g, ok=all(flag for _, flag in checks), dims=tuple(dims), checks=checks)

@@ -12,7 +12,7 @@ from abtaut import (
     sum_powers_quotient,
     zeta_negative_odd,
 )
-from abtaut.boundary import boundary_ring
+from abtaut.boundary import _divide_by_minus_2t, boundary_ring
 
 
 def brute_quotient_terms(k):
@@ -73,7 +73,7 @@ def test_quotient_k2_hand_expansion():
     assert q == boundary_ring().parse("3*Pi^2 + 6*Pi*T + 4*T^2")
 
 
-@pytest.mark.parametrize("k", list(range(1, 11)))
+@pytest.mark.parametrize("k", list(range(1, 41)))
 def test_quotient_against_brute_force(k):
     assert sum_powers_quotient(k).poly.terms == brute_quotient_terms(k)
 
@@ -87,6 +87,14 @@ def test_quotient_division_exact_up_to_twenty():
     # the constructor itself verifies the zero remainder; this must not raise
     for k in range(1, 21):
         sum_powers_quotient(k)
+
+
+def test_quotient_division_guard_rejects_inexact():
+    pi, t = boundary_ring().gens()
+    assert _divide_by_minus_2t(pi * t * 4 - t ** 2 * 2) == boundary_ring().parse("-2*Pi + T")
+    for numerator in (pi, pi * t + 1, pi ** 3 + t):
+        with pytest.raises(ArithmeticError):
+            _divide_by_minus_2t(numerator)
 
 
 def test_quotient_rejects_k_zero():
@@ -136,7 +144,7 @@ def test_grr_magnitude_and_sign(g):
 
 def test_grr_report_genus_one():
     report = grr_report(1)
-    assert report.magnitude_ok
+    assert report.magnitude_ok and report.ok
     assert report.sign_matches_zeta
     assert not report.sign_matches_theorem
     assert report.as_payload() == {

@@ -88,6 +88,32 @@ def test_reduce_bad_monomial(capsys):
     assert err.count("\n") == 1 and "zero denominator" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constant", "--g=--"],
+        ["zeta", "--g=--"],
+        ["bernoulli", "--n=--"],
+        ["ring", "--g=--", "--show", "dims"],
+        ["ring", "--g", "2", "--show", "basis", "--degree=--"],
+        ["reduce", "--g=--", "--monomial", "l1"],
+        ["reduce", "--g", "3", "--monomial=--"],
+        ["verify", "--check", "grr", "--g=--"],
+        ["verify", "--check", "grr", "--gmax=--"],
+        ["satake", "--g=--"],
+        ["satake", "--g", "2", "--i=--"],
+        ["satake", "--g", "2", "--p=--"],
+        ["verify", "--check=--", "--g", "2"],
+        ["constant", "--g", "2", "--format=--"],
+    ],
+    ids=" ".join,
+)
+def test_dashdash_as_option_value_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "expected a value" in err
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -172,6 +198,12 @@ def test_satake_rejects_composite_p(capsys):
     code, out, err = run_cli(capsys, "satake", "--g", "3", "--p", "4")
     assert code == 2
     assert "prime" in err
+
+
+def test_satake_csv_rejects_p_rank(capsys):
+    code, out, err = run_cli(capsys, "satake", "--g", "2", "--p", "2", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "--p" in err
 
 
 def test_csv_unavailable_elsewhere(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtaut import RingConstructionError, build_ring, determinant
+from abtaut import RingConstructionError, build_ring, determinant, ring_report
 from abtaut.tautring import MAX_GENUS_ENV, rewrite_rules
 from rowreduce_oracle import reduce_degree, reduce_maps
 
@@ -247,6 +247,27 @@ def test_genus_cap_env_override(monkeypatch):
 def test_genus_must_be_positive():
     with pytest.raises(ValueError):
         build_ring(0)
+
+
+def test_ring_report_genus_two():
+    report = ring_report(2)
+    assert report.ok
+    assert list(report.as_payload().items()) == [
+        ("g", 2),
+        ("dims", [1, 1, 1, 1]),
+        ("total_dimension_2^g", True),
+        ("palindromic_profile", True),
+        ("one_dimensional_socle", True),
+        ("top_chern_squares_to_zero", True),
+        ("relation_product_reduces_to_one", True),
+        ("pairing_nonsingular_all_degrees", True),
+    ]
+
+
+def test_ring_report_respects_cap(monkeypatch):
+    monkeypatch.setenv(MAX_GENUS_ENV, "2")
+    with pytest.raises(ValueError):
+        ring_report(3)
 
 
 def test_rewrite_rules_read_off_relations(ring_cache):
