@@ -18,6 +18,8 @@ from typing import Sequence
 from .graded import (
     GradedPolynomial,
     GradedRing,
+    _Kernel,
+    _packing,
     graded_exp,
     named_series,
     substitute_power_sums,
@@ -219,7 +221,9 @@ def symmetric_to_elementary(p: GradedPolynomial, prefix: str = "c") -> GradedPol
     the elementary symmetrics, by leading-monomial subtraction.
 
     The result lives in the alphabet ``<prefix>1 .. <prefix>g`` with weights
-    1..g and the same truncation bound as the input.
+    1..g and the same truncation bound as the input.  The subtraction runs on
+    integer numerators over the common denominator of ``p``: products of
+    elementary symmetrics have integer coefficients.
     """
     ring = p.ring
     g = ring.ngens
@@ -228,32 +232,42 @@ def symmetric_to_elementary(p: GradedPolynomial, prefix: str = "c") -> GradedPol
     if not is_symmetric(p):
         raise ValueError("input is not symmetric under transpositions of the root variables")
     target = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), ring.bound)
-    elementary = [None] + [elementary_symmetric(ring, k) for k in range(1, g + 1)]
-    expansions: dict[tuple[int, ...], GradedPolynomial] = {(0,) * g: ring.one}
+    # all weights are 1, so no exponent of p or of an expansion exceeds its degree
+    packing = _packing(ring, p.max_degree())
+    elementary = [None] + [packing.pack(elementary_symmetric(ring, k).terms) for k in range(1, g + 1)]
+    expansions: dict[tuple[int, ...], _Kernel] = {(0,) * g: packing.pack(ring.one.terms)}
 
-    def expansion(c_exps: tuple[int, ...]) -> GradedPolynomial:
+    def expansion(c_exps: tuple[int, ...]) -> _Kernel:
         if c_exps in expansions:
             return expansions[c_exps]
         i = max(k for k, e in enumerate(c_exps) if e > 0)
         prev = list(c_exps)
         prev[i] -= 1
-        result = expansion(tuple(prev)) * elementary[i + 1]
+        result = expansion(tuple(prev)).mul(elementary[i + 1], None)
         expansions[c_exps] = result
         return result
 
-    out: dict[tuple[int, ...], Fraction] = {}
-    degree = ring.degree
-    for d in sorted({degree(e) for e in p.terms}):
-        work = p.homogeneous_part(d)
+    numerators = packing.pack(p.terms)
+    out: dict[tuple[int, ...], int] = {}
+    for d, part in sorted(numerators.parts.items()):
+        work = dict(part)
         while work:
-            lead = max(work.terms)
+            # packed keys order like their exponent vectors, lexicographically
+            lead_key = max(work)
+            lead = packing.exponents(lead_key)
             if any(lead[i] < lead[i + 1] for i in range(g - 1)):
                 raise ValueError("leading exponent is not dominant; input is not symmetric")
-            coeff = work.terms[lead]
+            coeff = work[lead_key]
             c_exps = tuple(lead[i] - (lead[i + 1] if i + 1 < g else 0) for i in range(g))
-            work = work - expansion(c_exps) * coeff
-            out[c_exps] = out.get(c_exps, Fraction(0)) + coeff
-    return target.from_terms(out)
+            get = work.get
+            for key, v in expansion(c_exps).parts[d].items():
+                r = get(key, 0) - coeff * v
+                if r:
+                    work[key] = r
+                else:
+                    del work[key]
+            out[c_exps] = out.get(c_exps, 0) + coeff
+    return target.from_terms({e: Fraction(c, numerators.den) for e, c in out.items()})
 
 
 def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPolynomial:
@@ -261,22 +275,24 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
 
     The Chern roots of Lambda^i E-dual are the negated i-fold subset sums of
     the roots of E; the result is re-expressed in the Chern-class alphabet.
+    The sum is accumulated in integer form and converted once at the end.
     """
     if g < 1:
         raise ValueError("exterior_alternating_sum_dual requires g >= 1")
     if bound is None:
         bound = _default_bound(g)
     roots = GradedRing(tuple(f"x{i}" for i in range(1, g + 1)), (1,) * g, bound)
+    packing = _packing(roots, bound)
     xs = roots.gens()
-    total = roots.zero
+    total = packing.pack({})
     for i in range(g + 1):
         sign = (-1) ** i
         for subset in combinations(range(g), i):
             s = roots.zero
             for j in subset:
                 s = s - xs[j]
-            total = total + graded_exp(s) * sign
-    return symmetric_to_elementary(total)
+            total = total.add(packing.pack(s.terms).exp(bound).scaled(sign))
+    return symmetric_to_elementary(GradedPolynomial(roots, packing.unpack(total)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,17 @@ import time
 from . import boundary, charclass, satake, tautring
 from .rationals import bernoulli, boundary_constant, zeta_negative_odd
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "MAX_BERNOULLI_N", "MAX_ZETA_GENUS", "MAX_BOREL_SERRE_GENUS"]
+
+# Input caps, each checked before any work starts.  B_2064 is the first
+# Bernoulli number whose numerator has more digits than Python prints by
+# default (4300), and zeta(1-2g) the same from g = 1032; B_2000 takes about
+# 1.2 s on a 2-CPU x86-64 machine with Python 3.11.  There,
+# borel_serre_check takes about 10 s and 380 MB at genus 6, while genus 7
+# has millions of root monomials.
+MAX_BERNOULLI_N = 2000
+MAX_ZETA_GENUS = 1000
+MAX_BOREL_SERRE_GENUS = 6
 
 
 def _envelope(command: str, status: str, payload: dict) -> dict:
@@ -57,22 +67,29 @@ def _positive(name: str, value: int) -> int:
     return value
 
 
+def _capped(name: str, value: int, cap: int) -> int:
+    if value > cap:
+        raise ValueError(f"--{name} is capped at {cap}, got {value}")
+    return value
+
+
 # -- command handlers ----------------------------------------------------
 
 
 def _cmd_bernoulli(args) -> list[dict]:
     if args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
+    _capped("n", args.n, MAX_BERNOULLI_N)
     return [_envelope("bernoulli", "info", {"n": args.n, "value": str(bernoulli(args.n))})]
 
 
 def _cmd_zeta(args) -> list[dict]:
-    g = _positive("g", args.g)
+    g = _capped("g", _positive("g", args.g), MAX_ZETA_GENUS)
     return [_envelope("zeta", "info", {"g": g, "value": str(zeta_negative_odd(g))})]
 
 
 def _cmd_constant(args) -> list[dict]:
-    g = _positive("g", args.g)
+    g = _capped("g", _positive("g", args.g), MAX_ZETA_GENUS)
     return [_envelope("constant", "info", {"g": g, "value": str(boundary_constant(g))})]
 
 
@@ -136,6 +153,8 @@ def _cmd_verify(args) -> list[dict]:
                 raise ValueError(
                     f"ring construction is capped at genus {cap} (set {tautring.MAX_GENUS_ENV} to raise it), got {g}"
                 )
+    if "borel-serre" in names and genera[-1] > MAX_BOREL_SERRE_GENUS:
+        raise ValueError(f"borel-serre is capped at genus {MAX_BOREL_SERRE_GENUS}, got {genera[-1]}")
     envelopes = []
     for g in genera:
         for name in names:
@@ -177,8 +196,16 @@ def _satake_csv(envelopes: list[dict], out) -> None:
     out.write(buffer.getvalue())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports its own usage errors in one stderr line, as the handlers do;
+    subparsers are built from the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"abtaut: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="abtaut",
         description="Exact computations in the tautological ring of moduli of abelian varieties.",
     )
@@ -218,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification")
     p.add_argument("--check", choices=[*_CHECKS, "all"], required=True)
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--gmax", type=int, default=None, help="run the check for every genus 1..GMAX")
+    genus = p.add_mutually_exclusive_group()
+    genus.add_argument("--g", type=int, default=None)
+    genus.add_argument("--gmax", type=int, default=None, help="run the check for every genus 1..GMAX")
     add_format(p)
     p.set_defaults(handler=_cmd_verify)
 

@@ -5,12 +5,24 @@ l1..lg carry weights 1..g, Chern roots and the two boundary divisors carry
 weight 1.  Polynomials are sparse maps from exponent vectors to Fractions,
 optionally truncated above a weighted-degree bound, and they serialize to a
 canonical graded-lex text form such as ``2*l2 - l1^2``.
+
+``GradedPolynomial.terms`` is the one public representation.  Products,
+powers, ``graded_exp`` and ``graded_log`` run on a private integer kernel
+instead: a common denominator times a map from packed exponent keys to
+integer numerators, grouped by weighted degree (the layout of FLINT's
+``fmpq_mpoly``, with the packed monomials of Monagan–Pearce), so that no
+``Fraction`` is normalised inside a loop.  They convert once on the way in
+and once on the way out.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -35,6 +47,186 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
+
+
+class _Kernel:
+    """Integer form of a polynomial: the sum of ``parts[d][key] / den``.
+
+    ``den`` is a positive common denominator and ``parts`` maps each weighted
+    degree to its packed monomials (see :class:`_Packing`) and their nonzero
+    integer numerators.  Values are never mutated after construction.
+    """
+
+    __slots__ = ("den", "parts")
+
+    def __init__(self, den: int, parts: dict[int, dict[int, int]]):
+        self.den = den
+        self.parts = parts
+
+    @staticmethod
+    def reduced(den: int, parts: dict[int, dict[int, int]]) -> "_Kernel":
+        """Divide out the content that ``den`` shares with the numerators;
+        ``parts`` holds no zero numerator and no empty degree."""
+        common = den
+        for part in parts.values():
+            if common == 1:
+                return _Kernel(den, parts)
+            common = gcd(common, *part.values())
+        if common == 1:
+            return _Kernel(den, parts)
+        return _Kernel(den // common, {d: {k: v // common for k, v in part.items()} for d, part in parts.items()})
+
+    def mul(self, other: "_Kernel", bound: int | None) -> "_Kernel":
+        """The product, without the degrees above ``bound`` (None keeps all)."""
+        out: dict[int, dict[int, int]] = {}
+        right = sorted(other.parts.items())
+        for da, pa in self.parts.items():
+            left = pa.items()
+            for db, pb in right:
+                d = da + db
+                if bound is not None and d > bound:
+                    break
+                acc = out.get(d)
+                if acc is None:
+                    acc = out[d] = {}
+                get = acc.get
+                for kb, cb in pb.items():
+                    for ka, ca in left:
+                        k = ka + kb
+                        acc[k] = get(k, 0) + ca * cb
+        parts = {}
+        for d, acc in out.items():
+            if 0 in acc.values():
+                acc = {k: v for k, v in acc.items() if v}
+            if acc:
+                parts[d] = acc
+        return _Kernel.reduced(self.den * other.den, parts)
+
+    def add(self, other: "_Kernel") -> "_Kernel":
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        if fa == 1:
+            parts = {d: dict(part) for d, part in self.parts.items()}
+        else:
+            parts = {d: {k: v * fa for k, v in part.items()} for d, part in self.parts.items()}
+        for d, part in other.parts.items():
+            acc = parts.get(d)
+            if acc is None:
+                parts[d] = {k: v * fb for k, v in part.items()}
+                continue
+            get = acc.get
+            for k, v in part.items():
+                r = get(k, 0) + v * fb
+                if r:
+                    acc[k] = r
+                else:
+                    del acc[k]
+            if not acc:
+                del parts[d]
+        return _Kernel.reduced(den, parts)
+
+    def scaled(self, num: int, den: int = 1) -> "_Kernel":
+        """The polynomial times num/den, for integers num != 0 and den > 0."""
+        if num == 1:
+            return _Kernel.reduced(self.den * den, self.parts)
+        return _Kernel.reduced(self.den * den, {d: {k: v * num for k, v in part.items()} for d, part in self.parts.items()})
+
+    def exp(self, bound: int) -> "_Kernel":
+        """sum_k self^k / k! up to degree ``bound``, for zero constant term."""
+        result = term = _ONE
+        for k in range(1, bound + 1):
+            term = term.mul(self, bound).scaled(1, k)
+            if not term.parts:
+                break
+            result = result.add(term)
+        return result
+
+    def log1p(self, bound: int) -> "_Kernel":
+        """sum_{k>=1} (-1)^(k+1) self^k / k up to degree ``bound``, for zero
+        constant term."""
+        acc = _ZERO
+        term = _ONE
+        for k in range(1, bound + 1):
+            term = term.mul(self, bound)
+            if not term.parts:
+                break
+            acc = acc.add(term.scaled((-1) ** (k + 1), k))
+        return acc
+
+
+_ZERO = _Kernel(1, {})
+_ONE = _Kernel(1, {0: {0: 1}})
+
+
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+_denominator = attrgetter("denominator")
+
+
+class _Packing:
+    """Packs the exponent vectors of one ring into integer keys.
+
+    Exponent i occupies bits [(n-1-i)w, (n-i)w) of the key, so a monomial
+    product is one integer addition and integer order is the lex order of
+    the exponent vectors.  Callers choose the field width w so that no
+    exponent of a result reaches 2^w; then no field carries into the next.
+    w is 8, 16, 32, ... bits, so that a key of fields up to 64 bits wide
+    decodes in one ``struct`` call.
+    """
+
+    __slots__ = ("weights", "shifts", "exponents")
+
+    def __init__(self, weights: tuple[int, ...], width: int):
+        n = len(weights)
+        self.weights = weights
+        self.shifts = tuple(range(width * (n - 1), -1, -width))
+        code = _FIELD_CODES.get(width)
+        if code is not None:
+            size, unpack = width // 8 * n, struct.Struct(">" + code * n).unpack
+            self.exponents = lambda key: unpack(key.to_bytes(size, "big"))
+        else:
+            mask, shifts = (1 << width) - 1, self.shifts
+            self.exponents = lambda key: tuple([(key >> s) & mask for s in shifts])
+
+    def pack(self, terms: Mapping[Exponents, Fraction]) -> _Kernel:
+        den = lcm(*map(_denominator, terms.values()))
+        parts: dict[int, dict[int, int]] = {}
+        weights, shifts = self.weights, self.shifts
+        for exps, c in terms.items():
+            key = d = 0
+            for e, w, s in zip(exps, weights, shifts):
+                key += e << s
+                d += e * w
+            part = parts.get(d)
+            if part is None:
+                part = parts[d] = {}
+            part[key] = c.numerator * (den // c.denominator)
+        return _Kernel(den, parts)
+
+    def unpack(self, kernel: _Kernel) -> dict[Exponents, Fraction]:
+        den = kernel.den
+        exponents = self.exponents
+        if den == 1:
+            return {exponents(k): Fraction(v) for part in kernel.parts.values() for k, v in part.items()}
+        return {exponents(k): Fraction(v, den) for part in kernel.parts.values() for k, v in part.items()}
+
+
+@lru_cache(maxsize=None)
+def _packing_of_width(weights: tuple[int, ...], width: int) -> _Packing:
+    return _Packing(weights, width)
+
+
+def _packing(ring: "GradedRing", top: int) -> _Packing:
+    """The packing of ``ring``'s exponent vectors whose fields hold every
+    exponent up to ``top``."""
+    width = 8
+    while top >> width:
+        width *= 2
+    return _packing_of_width(ring.weights, width)
+
+
+def _max_exponent(terms: Mapping[Exponents, object]) -> int:
+    # every exponent vector of one ring has the same length, possibly 0
+    return max(map(max, terms)) if terms and next(iter(terms)) else 0
 
 
 class GradedRing:
@@ -280,26 +472,12 @@ class GradedPolynomial:
             return NotImplemented
         self._check_ring(other)
         ring = self.ring
-        bound = ring.bound
-        degree = ring.degree
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        bitems = [(e, c, degree(e)) for e, c in b.items()]
-        out: dict[Exponents, Fraction] = {}
-        get = out.get
-        for ea, ca in a.items():
-            da = degree(ea)
-            for eb, cb, db in bitems:
-                if bound is not None and da + db > bound:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = get(e, Fraction(0)) + ca * cb
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return GradedPolynomial(ring, out)
+        if not self.terms or not other.terms:
+            return ring.zero
+        top = ring.bound if ring.bound is not None else _max_exponent(self.terms) + _max_exponent(other.terms)
+        packing = _packing(ring, top)
+        product = packing.pack(self.terms).mul(packing.pack(other.terms), ring.bound)
+        return GradedPolynomial(ring, packing.unpack(product))
 
     __rmul__ = __mul__
 
@@ -311,15 +489,17 @@ class GradedPolynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers require a non-negative integer exponent")
-        result = self.ring.one
-        base = self
+        ring = self.ring
+        packing = _packing(ring, ring.bound if ring.bound is not None else n * _max_exponent(self.terms))
+        result = _ONE
+        base = packing.pack(self.terms)
         while n:
             if n & 1:
-                result = result * base
+                result = result.mul(base, ring.bound)
             n >>= 1
             if n:
-                base = base * base
-        return result
+                base = base.mul(base, ring.bound)
+        return GradedPolynomial(ring, packing.unpack(result))
 
     def substitute(self, images: Sequence["GradedPolynomial"], ring: GradedRing | None = None) -> "GradedPolynomial":
         """Evaluate with generator i replaced by ``images[i]``.
@@ -410,14 +590,8 @@ def graded_exp(a: GradedPolynomial) -> GradedPolynomial:
     bound = a.ring.bound
     if bound is None:
         raise ValueError("graded_exp requires a truncation bound on the ring")
-    result = a.ring.one
-    term = a.ring.one
-    for k in range(1, bound + 1):
-        term = term * a / k
-        if not term:
-            break
-        result = result + term
-    return result
+    packing = _packing(a.ring, bound)
+    return GradedPolynomial(a.ring, packing.unpack(packing.pack(a.terms).exp(bound)))
 
 
 def graded_log(a: GradedPolynomial) -> GradedPolynomial:
@@ -427,15 +601,8 @@ def graded_log(a: GradedPolynomial) -> GradedPolynomial:
     bound = a.ring.bound
     if bound is None:
         raise ValueError("graded_log requires a truncation bound on the ring")
-    u = a - 1
-    acc = a.ring.zero
-    term = a.ring.one
-    for k in range(1, bound + 1):
-        term = term * u
-        if not term:
-            break
-        acc = acc + term * Fraction((-1) ** (k + 1), k)
-    return acc
+    packing = _packing(a.ring, bound)
+    return GradedPolynomial(a.ring, packing.unpack(packing.pack((a - 1).terms).log1p(bound)))
 
 
 class UnivariateSeries:

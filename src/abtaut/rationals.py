@@ -2,14 +2,16 @@
 
 Every scalar in this package is a ``fractions.Fraction``: arbitrary precision,
 always stored reduced with a positive denominator, and printed as ``num/den``
-(``num`` alone when the denominator is 1).
+(``num`` alone when the denominator is 1).  Bernoulli numbers come from the
+integer tangent numbers (Brent–Harvey, "Fast computation of Bernoulli,
+tangent and secant numbers", 2011); the only rational step is the final
+division of each one.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
 
 __all__ = ["Rational", "bernoulli", "zeta_negative_odd", "boundary_constant"]
 
@@ -19,12 +21,26 @@ _bernoulli_cache: list[Fraction] = [Fraction(1)]
 _bernoulli_lock = threading.Lock()
 
 
+def _tangent_numbers(k_max: int) -> list[int]:
+    """Tangent numbers T_0..T_{k_max} (T_0 = 0), the coefficients of
+    tan t = sum_k T_k t^(2k-1) / (2k-1)!, by Brent–Harvey's integer loop."""
+    t = [0, 1] + [0] * (k_max - 1)
+    for k in range(2, k_max + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, k_max + 1):
+        for j in range(k, k_max + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[: k_max + 1]
+
+
 def bernoulli(n: int) -> Fraction:
     """Return the Bernoulli number B_n under the convention B_1 = -1/2.
 
-    These are the coefficients of t/(e^t - 1) = sum_k B_k t^k / k!.  Values
-    are obtained from the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 and
-    memoised, so repeated calls are O(1).
+    These are the coefficients of t/(e^t - 1) = sum_k B_k t^k / k!.  The even
+    ones are B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) with T_k the tangent
+    numbers; one pass of the tangent loop, O(n^2) small-by-big integer
+    products, fills the memo for every index up to n, so repeated calls are
+    O(1).
 
     >>> bernoulli(12)
     Fraction(-691, 2730)
@@ -33,14 +49,21 @@ def bernoulli(n: int) -> Fraction:
         raise ValueError(f"bernoulli requires n >= 0, got {n}")
     if n >= len(_bernoulli_cache):
         with _bernoulli_lock:
-            while len(_bernoulli_cache) <= n:
-                m = len(_bernoulli_cache)
-                if m > 1 and m % 2 == 1:
-                    # odd Bernoulli numbers above B_1 vanish
-                    _bernoulli_cache.append(Fraction(0))
-                    continue
-                acc = sum(comb(m + 1, k) * _bernoulli_cache[k] for k in range(m))
-                _bernoulli_cache.append(-acc / (m + 1))
+            start = len(_bernoulli_cache)
+            if n >= start:
+                tangent = _tangent_numbers(n // 2)
+                values = []
+                for m in range(start, n + 1):
+                    if m == 1:
+                        values.append(Fraction(-1, 2))
+                    elif m % 2:
+                        # odd Bernoulli numbers above B_1 vanish
+                        values.append(Fraction(0))
+                    else:
+                        k = m // 2
+                        four_k = 4**k
+                        values.append(Fraction((-1) ** (k - 1) * m * tangent[k], four_k * (four_k - 1)))
+                _bernoulli_cache.extend(values)
     return _bernoulli_cache[n]
 
 

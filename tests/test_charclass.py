@@ -225,6 +225,16 @@ def test_symmetric_to_elementary_round_trip():
     assert q.substitute(images, R) == p
 
 
+def test_symmetric_to_elementary_round_trip_mixed_denominators():
+    R = root_ring(3, None)
+    x1, x2, x3 = R.gens()
+    p = (x1 + x2 + x3) ** 3 / 3 - Fraction(5, 7) * x1 * x2 * x3 + Fraction(1, 2)
+    q = symmetric_to_elementary(p)
+    assert q.ring.bound is None
+    images = [elementary_symmetric(R, i) for i in range(1, 4)]
+    assert q.substitute(images, R) == p
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_borel_serre_check(g):
     report = borel_serre_check(g)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from abtaut import build_ring
+from abtaut import build_ring, cli
 from abtaut.cli import main
 
 
@@ -132,6 +132,42 @@ def test_verify_requires_genus(capsys):
     assert "--g" in err
 
 
+def test_verify_genus_options_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--check", "grr", "--g", "3", "--gmax", "2"])
+    captured = capsys.readouterr()
+    assert (excinfo.value.code, captured.out) == (2, "")
+    assert captured.err.count("\n") == 1 and "not allowed with argument --g" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bernoulli", "--n", str(cli.MAX_BERNOULLI_N + 1)],
+        ["zeta", "--g", str(cli.MAX_ZETA_GENUS + 1)],
+        ["constant", "--g", str(cli.MAX_ZETA_GENUS + 1)],
+        ["verify", "--check", "borel-serre", "--g", str(cli.MAX_BOREL_SERRE_GENUS + 2)],
+        ["verify", "--check", "all", "--gmax", str(cli.MAX_BOREL_SERRE_GENUS + 1)],
+    ],
+    ids=" ".join,
+)
+def test_input_caps_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "capped at" in err
+
+
+def test_inputs_at_the_caps_print(capsys):
+    for argv in (
+        ["bernoulli", "--n", str(cli.MAX_BERNOULLI_N)],
+        ["zeta", "--g", str(cli.MAX_ZETA_GENUS)],
+        ["constant", "--g", str(cli.MAX_ZETA_GENUS)],
+    ):
+        code, envs = run_json(capsys, *argv)
+        assert code == 0, argv
+        assert Fraction(envs[0]["payload"]["value"]) != 0
+
+
 def test_verify_ring(capsys):
     code, envs = run_json(capsys, "verify", "--check", "ring", "--g", "4")
     assert code == 0
@@ -210,6 +246,26 @@ def test_csv_unavailable_elsewhere(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["constant", "--g", "2", "--format", "csv"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--g", "3", "--format", "csv"],
+        ["verify", "--check", "bogus", "--g", "2"],
+        ["zeta"],
+        ["bernoulli", "--n", "x"],
+        ["bogus"],
+        [],
+    ],
+    ids=" ".join,
+)
+def test_argparse_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (excinfo.value.code, captured.out) == (2, "")
+    assert captured.err.count("\n") == 1 and captured.err.startswith("abtaut: error: ")
 
 
 # -- output contracts ----------------------------------------------------------

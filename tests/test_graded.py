@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import graded_oracle
 from abtaut import (
     GradedRing,
     UnivariateSeries,
@@ -97,6 +100,60 @@ def test_power_and_scalar_ops():
     assert (x / 2) * 2 == x
     with pytest.raises(ValueError):
         x ** -1
+
+
+@st.composite
+def _rings(draw):
+    n = draw(st.integers(1, 3))
+    weights = draw(st.tuples(*[st.integers(1, 3)] * n))
+    bound = draw(st.one_of(st.none(), st.integers(0, 6)))
+    return GradedRing(tuple(f"x{i}" for i in range(n)), weights, bound)
+
+
+def _polynomials(ring):
+    exponents = st.tuples(*[st.integers(0, 3)] * ring.ngens)
+    # mixed denominators; the empty map is the zero polynomial
+    coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    return st.dictionaries(exponents, coefficients, max_size=5).map(ring.from_terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ring=_rings(), n=st.integers(0, 4))
+def test_kernel_matches_fraction_oracle(data, ring, n):
+    a = data.draw(_polynomials(ring))
+    b = data.draw(_polynomials(ring))
+    for left, right in ((a, b), (a + b, a - b), (a, b - b), (a - a, b)):
+        assert (left * right).terms == graded_oracle.mul(left, right).terms
+    assert (a ** n).terms == graded_oracle.power(a, n).terms
+    if ring.bound is not None:
+        nilpotent = a - a.constant_term
+        assert graded_exp(nilpotent).terms == graded_oracle.exp(nilpotent).terms
+        assert graded_log(nilpotent + 1).terms == graded_oracle.log(nilpotent + 1).terms
+
+
+def test_kernel_cancellation():
+    R = GradedRing(("x", "y"), (1, 1), 3)
+    x, y = R.gens()
+    a, b = x + y / 2, x - y / 2
+    # the cross terms cancel
+    assert (a * b).terms == graded_oracle.mul(a, b).terms == {(2, 0): 1, (0, 2): Fraction(-1, 4)}
+    # every term product lies above the bound
+    assert (x * x * (y * y)).terms == {}
+    assert ((x + y) ** 4).terms == {}
+    assert graded_log(R.one).terms == {}
+
+
+def test_kernel_wide_exponents():
+    # exponent fields of 16, 64 and 128 bits
+    R = GradedRing(("x", "y"), (1, 2), None)
+    x, y = R.gens()
+    for a, b in (
+        (x ** 300 + y, x * y ** 200),
+        (x ** 2 ** 40 - y / 3, x + y ** 2 ** 40),
+        (x ** 2 ** 64 + 1, x - y ** 2 ** 70),
+    ):
+        assert (a * b).terms == graded_oracle.mul(a, b).terms
+        assert (a ** 2).terms == graded_oracle.power(a, 2).terms
 
 
 # -- exp and log -----------------------------------------------------------

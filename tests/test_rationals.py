@@ -1,9 +1,11 @@
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from abtaut import bernoulli, boundary_constant, zeta_negative_odd
+from abtaut import bernoulli, boundary_constant, rationals, zeta_negative_odd
 
 
 def akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -43,9 +45,54 @@ def test_bernoulli_sign_convention():
 
 
 def test_bernoulli_against_independent_triangle():
-    oracle = akiyama_tanigawa(30)
-    for n in range(31):
+    oracle = akiyama_tanigawa(200)
+    for n in range(201):
         assert bernoulli(n) == oracle[n], n
+
+
+def test_tangent_numbers_small():
+    # tan t = t + 2 t^3/3! + 16 t^5/5! + ...
+    assert rationals._tangent_numbers(6) == [0, 1, 2, 16, 272, 7936, 353792]
+
+
+@pytest.fixture
+def cold_bernoulli_memo():
+    """Empty the Bernoulli memo for one test and put it back afterwards."""
+    saved = list(rationals._bernoulli_cache)
+    del rationals._bernoulli_cache[1:]
+    yield
+    rationals._bernoulli_cache[:] = saved
+
+
+def test_bernoulli_memo_order_and_threads(cold_bernoulli_memo):
+    ns = (800, 10, 799, 11, 2)
+    forward = [bernoulli(n) for n in ns]
+    del rationals._bernoulli_cache[1:]
+    backward = [bernoulli(n) for n in reversed(ns)][::-1]
+    assert forward == backward
+    del rationals._bernoulli_cache[1:]
+    # four threads on a cold memo, half asking for B_10 first and half for B_800
+    results: dict[int, list[Fraction]] = {}
+    start = threading.Barrier(4)
+
+    def worker(i):
+        start.wait(timeout=60)
+        results[i] = [bernoulli(n) for n in ns[i % 2 :] + ns[: i % 2]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(4):
+        assert results[i] == forward[i % 2 :] + forward[: i % 2], i
+    assert len(rationals._bernoulli_cache) == 801
 
 
 def test_bernoulli_recurrence_property():
