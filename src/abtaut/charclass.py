@@ -3,23 +3,27 @@
 Two genuinely independent representations are supported: Chern generators
 c_1..c_g of weights 1..g, and formal Chern roots x_1..x_g of weight 1.  The
 cross-check ``borel_serre_check`` compares the alternating Chern character of
-exterior powers of the dual (computed from subset sums of roots) against
-c_g * Td^{-1} (computed from Newton power sums, no roots anywhere).
+exterior powers of the dual against c_g * Td^{-1}.  The first route is the
+root product prod_i (1 - e^{-x_i}), read off on partitions and rewritten in
+the Chern classes through the monomial expansions of products of
+elementary symmetrics, which count 0-1 matrices with given row and column
+sums (Macdonald, Symmetric Functions and Hall Polynomials, I.6).  The
+second comes from Newton power sums and the Todd series, with no roots
+anywhere.  The two routes share no code.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import combinations, groupby
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .graded import (
     GradedPolynomial,
     GradedRing,
-    _Kernel,
-    _packing,
     graded_exp,
     named_series,
     substitute_power_sums,
@@ -216,14 +220,157 @@ def todd_dual(b: BundleClasses, bound: int | None = None) -> GradedPolynomial:
     return _multiplicative_class(b, "log_todd_dual_gen", bound)
 
 
+def _partitions(d: int, g: int) -> list[tuple[int, ...]]:
+    """The partitions of d into at most g parts, as nonincreasing g-tuples
+    padded with zeros, in descending lex order."""
+    out: list[tuple[int, ...]] = []
+    part = [0] * g
+
+    def rec(i: int, remaining: int, largest: int) -> None:
+        if i == g:
+            if remaining == 0:
+                out.append(tuple(part))
+            return
+        for v in range(min(remaining, largest), -1, -1):
+            if v * (g - i) < remaining:
+                break
+            part[i] = v
+            rec(i + 1, remaining - v, v)
+        part[i] = 0
+
+    rec(0, d, d)
+    return out
+
+
+def _pack(lam: tuple[int, ...], width: int) -> int:
+    """A partition as one integer, the first part in the highest of its
+    width-bit fields: integer order is lex order, and raising a column sum
+    adds a power of two."""
+    key = 0
+    for v in lam:
+        key = key << width | v
+    return key
+
+
+def _unpack(key: int, g: int, width: int) -> tuple[int, ...]:
+    mask = (1 << width) - 1
+    return tuple([(key >> (width * i)) & mask for i in range(g - 1, -1, -1)])
+
+
+def _add_row(state: int, r: int, g: int, width: int) -> list[tuple[int, int]]:
+    """The rows of r ones that can be added to a 0-1 matrix whose column sums
+    are one fixed arrangement of the packed partition ``state``: each sorted
+    column sum vector reached, with the number of rows reaching it.  Choosing
+    k_v of the m_v columns of value v gives prod_v C(m_v, k_v) rows, and
+    raising the first k_v columns of each run keeps the vector sorted."""
+    runs = [len(list(run)) for _, run in groupby(_unpack(state, g, width))]
+    partial = [(r, state, 1)]
+    shift = width * g
+    spare = g
+    for m in runs:
+        spare -= m
+        grown = []
+        for left, key, ways in partial:
+            raised = 0
+            for k in range(min(m, left) + 1):
+                if left - k <= spare:
+                    grown.append((left - k, key + raised, ways * comb(m, k)))
+                if k < m:
+                    raised += 1 << (shift - width * (k + 1))
+        partial = grown
+        shift -= width * m
+    return [(key, ways) for _, key, ways in partial]
+
+
+def _elementary_expansions(g: int, top: int, width: int):
+    """Yield the monomial expansion of every product e_mu of elementary
+    symmetrics in g variables with |mu| <= top, by degree and then by the
+    descending lex order of mu's conjugate lam, which has at most g parts.
+
+    Each item is (key of lam, {key of nu: count}), where count is the number
+    of 0-1 matrices with row sums mu and column sums any rearrangement of the
+    partition nu: the coefficient of m_nu in e_mu is count divided by the
+    orbit size of nu.  e_mu is its prefix e_{mu minus its largest part r}
+    times e_r, one forward step over sorted column sums.  The prefix is lam
+    minus one from each of its r parts, r degrees down, so an expansion is
+    kept only while some later one can still be built from it.
+    """
+    ones = [0]
+    for i in range(g - 1, -1, -1):
+        ones.append(ones[-1] + (1 << (width * i)))
+    window: deque[tuple[dict, list]] = deque(maxlen=g)
+    for d in range(top + 1):
+        level: dict[int, dict[int, int]] = {}
+        for lam in _partitions(d, g):
+            key = _pack(lam, width)
+            r = g - lam.count(0)
+            if d == 0:
+                expansion = {key: 1}
+            else:
+                below, steps = window[-r]
+                steps = steps[r]
+                expansion = {}
+                get = expansion.get
+                for state, count in below[key - ones[r]].items():
+                    step = steps.get(state)
+                    if step is None:
+                        step = steps[state] = _add_row(state, r, g, width)
+                    for t, ways in step:
+                        expansion[t] = get(t, 0) + count * ways
+            if d + max(r, 1) <= top:
+                level[key] = expansion
+            yield key, expansion
+        window.append((level, [{} for _ in range(g + 1)]))
+
+
+def _to_elementary(g: int, numerators: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """Rewrite sum_lam numerators[lam] m_lam, over partitions lam with at most
+    g parts, in the elementary symmetrics: {c-exponents: numerator} over the
+    same denominator.
+
+    Leading-partition subtraction, degree by degree: the lex-largest lam left
+    is the leading partition of e_{lam'}, which is c_1^{lam_1 - lam_2} ...
+    c_g^{lam_g}, and its expansion only reaches partitions lex-below lam.
+    """
+    top = max(map(sum, numerators), default=0)
+    width = max(top, 1).bit_length()
+    work: dict[int, int] = {}
+    for lam, v in numerators.items():
+        if any(lam[i] < lam[i + 1] for i in range(g - 1)):
+            raise ValueError("leading exponent is not dominant; input is not symmetric")
+        work[_pack(lam, width)] = v
+    get = work.get
+    out: dict[tuple[int, ...], int] = {}
+    orbits: dict[int, int] = {}
+    for key, expansion in _elementary_expansions(g, top, width):
+        coeff = get(key)
+        if not coeff:
+            continue
+        lam = _unpack(key, g, width)
+        out[tuple(lam[i] - (lam[i + 1] if i + 1 < g else 0) for i in range(g))] = coeff
+        for nu, count in expansion.items():
+            orbit = orbits.get(nu)
+            if orbit is None:
+                orbit = factorial(g)
+                for _, run in groupby(_unpack(nu, g, width)):
+                    orbit //= factorial(len(list(run)))
+                orbits[nu] = orbit
+            work[nu] = get(nu, 0) - coeff * (count // orbit)
+    return out
+
+
+def _elementary_ring(g: int, bound: int | None, prefix: str) -> GradedRing:
+    return GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), bound)
+
+
 def symmetric_to_elementary(p: GradedPolynomial, prefix: str = "c") -> GradedPolynomial:
     """Rewrite a symmetric polynomial in the root variables as a polynomial in
-    the elementary symmetrics, by leading-monomial subtraction.
+    the elementary symmetrics, by leading-partition subtraction.
 
     The result lives in the alphabet ``<prefix>1 .. <prefix>g`` with weights
-    1..g and the same truncation bound as the input.  The subtraction runs on
-    integer numerators over the common denominator of ``p``: products of
-    elementary symmetrics have integer coefficients.
+    1..g and the same truncation bound as the input.  A symmetric polynomial
+    is fixed by its coefficients on partitions, so only those are read; the
+    subtraction runs on integer numerators over their common denominator.
     """
     ring = p.ring
     g = ring.ngens
@@ -231,68 +378,38 @@ def symmetric_to_elementary(p: GradedPolynomial, prefix: str = "c") -> GradedPol
         raise ValueError("symmetric_to_elementary expects a root ring with all weights 1")
     if not is_symmetric(p):
         raise ValueError("input is not symmetric under transpositions of the root variables")
-    target = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), ring.bound)
-    # all weights are 1, so no exponent of p or of an expansion exceeds its degree
-    packing = _packing(ring, p.max_degree())
-    elementary = [None] + [packing.pack(elementary_symmetric(ring, k).terms) for k in range(1, g + 1)]
-    expansions: dict[tuple[int, ...], _Kernel] = {(0,) * g: packing.pack(ring.one.terms)}
-
-    def expansion(c_exps: tuple[int, ...]) -> _Kernel:
-        if c_exps in expansions:
-            return expansions[c_exps]
-        i = max(k for k, e in enumerate(c_exps) if e > 0)
-        prev = list(c_exps)
-        prev[i] -= 1
-        result = expansion(tuple(prev)).mul(elementary[i + 1], None)
-        expansions[c_exps] = result
-        return result
-
-    numerators = packing.pack(p.terms)
-    out: dict[tuple[int, ...], int] = {}
-    for d, part in sorted(numerators.parts.items()):
-        work = dict(part)
-        while work:
-            # packed keys order like their exponent vectors, lexicographically
-            lead_key = max(work)
-            lead = packing.exponents(lead_key)
-            if any(lead[i] < lead[i + 1] for i in range(g - 1)):
-                raise ValueError("leading exponent is not dominant; input is not symmetric")
-            coeff = work[lead_key]
-            c_exps = tuple(lead[i] - (lead[i + 1] if i + 1 < g else 0) for i in range(g))
-            get = work.get
-            for key, v in expansion(c_exps).parts[d].items():
-                r = get(key, 0) - coeff * v
-                if r:
-                    work[key] = r
-                else:
-                    del work[key]
-            out[c_exps] = out.get(c_exps, 0) + coeff
-    return target.from_terms({e: Fraction(c, numerators.den) for e, c in out.items()})
+    dominant = {e: c for e, c in p.terms.items() if all(e[i] >= e[i + 1] for i in range(g - 1))}
+    den = lcm(*(c.denominator for c in dominant.values()))
+    numerators = {e: c.numerator * (den // c.denominator) for e, c in dominant.items()}
+    out = _to_elementary(g, numerators)
+    return _elementary_ring(g, ring.bound, prefix).from_terms({e: Fraction(c, den) for e, c in out.items()})
 
 
 def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPolynomial:
     """sum_{i=0}^{g} (-1)^i ch(Lambda^i E-dual), computed from formal roots.
 
     The Chern roots of Lambda^i E-dual are the negated i-fold subset sums of
-    the roots of E; the result is re-expressed in the Chern-class alphabet.
-    The sum is accumulated in integer form and converted once at the end.
+    the roots x_1..x_g of E, so the sum is prod_i (1 - e^{-x_i}).  Its
+    coefficient on m_lam is prod_i (-1)^{lam_i + 1} / lam_i! when lam has
+    exactly g positive parts, and 0 otherwise.  Such a lam is nu + (1^g) with
+    m_lam = e_g m_nu, so the product is c_g times the rewrite of
+    sum_nu prod_i (-1)^{nu_i} / (nu_i + 1)! m_nu, taken over one common
+    denominator bound!.
     """
     if g < 1:
         raise ValueError("exterior_alternating_sum_dual requires g >= 1")
     if bound is None:
         bound = _default_bound(g)
-    roots = GradedRing(tuple(f"x{i}" for i in range(1, g + 1)), (1,) * g, bound)
-    packing = _packing(roots, bound)
-    xs = roots.gens()
-    total = packing.pack({})
-    for i in range(g + 1):
-        sign = (-1) ** i
-        for subset in combinations(range(g), i):
-            s = roots.zero
-            for j in subset:
-                s = s - xs[j]
-            total = total.add(packing.pack(s.terms).exp(bound).scaled(sign))
-    return symmetric_to_elementary(GradedPolynomial(roots, packing.unpack(total)))
+    den = factorial(bound)
+    numerators: dict[tuple[int, ...], int] = {}
+    for d in range(bound - g + 1):
+        for nu in _partitions(d, g):
+            value = den
+            for v in nu:
+                value //= factorial(v + 1)
+            numerators[nu] = -value if d % 2 else value
+    out = _to_elementary(g, numerators)
+    return _elementary_ring(g, bound, "c").from_terms({e[:-1] + (e[-1] + 1,): Fraction(c, den) for e, c in out.items()})
 
 
 @dataclass(frozen=True)

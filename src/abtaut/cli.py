@@ -19,17 +19,36 @@ import time
 from . import boundary, charclass, satake, tautring
 from .rationals import bernoulli, boundary_constant, zeta_negative_odd
 
-__all__ = ["main", "build_parser", "MAX_BERNOULLI_N", "MAX_ZETA_GENUS", "MAX_BOREL_SERRE_GENUS"]
+__all__ = [
+    "main",
+    "build_parser",
+    "MAX_BERNOULLI_N",
+    "MAX_ZETA_GENUS",
+    "MAX_BOREL_SERRE_GENUS",
+    "MAX_GRR_GENUS",
+    "MAX_RECURSION_GENUS",
+    "MAX_SATAKE_GENUS",
+    "MAX_SATAKE_PRIME",
+]
 
-# Input caps, each checked before any work starts.  B_2064 is the first
-# Bernoulli number whose numerator has more digits than Python prints by
-# default (4300), and zeta(1-2g) the same from g = 1032; B_2000 takes about
-# 1.2 s on a 2-CPU x86-64 machine with Python 3.11.  There,
-# borel_serre_check takes about 10 s and 380 MB at genus 6, while genus 7
-# has millions of root monomials.
+# Input caps, each checked before any work starts.  Python prints integers
+# of at most 4300 digits by default (MAX_PRINTED_DIGITS).  B_2064 is the
+# first Bernoulli number with a longer numerator, zeta(1-2g) has one from
+# g = 1032 on, and the satake table has one from g = 75 on.  The p-rank
+# constant (p - 1)(p^2 - 1)...(p^g - 1) has about g(g+1)/2 log10(p) digits,
+# so it is checked against the limit itself, before it is printed; the
+# primality test of satake --p is trial division.  Times on a 2-CPU x86-64
+# machine with Python 3.11: B_2000 about 1.2 s; borel_serre_check about
+# 30 s and 110 MB peak RSS at genus 8; grr and recursion about 0.3 s each at
+# genus 100, against 2 s and 7 s at genus 200.
+MAX_PRINTED_DIGITS = 4300
 MAX_BERNOULLI_N = 2000
 MAX_ZETA_GENUS = 1000
-MAX_BOREL_SERRE_GENUS = 6
+MAX_BOREL_SERRE_GENUS = 8
+MAX_GRR_GENUS = 100
+MAX_RECURSION_GENUS = 100
+MAX_SATAKE_GENUS = 74
+MAX_SATAKE_PRIME = 10 ** 6
 
 
 def _envelope(command: str, status: str, payload: dict) -> dict:
@@ -137,6 +156,13 @@ _CHECKS = {
     "recursion": satake.recursion_check,
 }
 
+# the ring check is capped by tautring.max_genus_cap(), which reads an env var
+_GENUS_CAPS = {
+    "grr": MAX_GRR_GENUS,
+    "borel-serre": MAX_BOREL_SERRE_GENUS,
+    "recursion": MAX_RECURSION_GENUS,
+}
+
 
 def _cmd_verify(args) -> list[dict]:
     if args.gmax is None and args.g is None:
@@ -153,8 +179,10 @@ def _cmd_verify(args) -> list[dict]:
                 raise ValueError(
                     f"ring construction is capped at genus {cap} (set {tautring.MAX_GENUS_ENV} to raise it), got {g}"
                 )
-    if "borel-serre" in names and genera[-1] > MAX_BOREL_SERRE_GENUS:
-        raise ValueError(f"borel-serre is capped at genus {MAX_BOREL_SERRE_GENUS}, got {genera[-1]}")
+    for name in names:
+        cap = _GENUS_CAPS.get(name)
+        if cap is not None and genera[-1] > cap:
+            raise ValueError(f"{name} is capped at genus {cap}, got {genera[-1]}")
     envelopes = []
     for g in genera:
         for name in names:
@@ -167,11 +195,17 @@ def _cmd_verify(args) -> list[dict]:
 def _cmd_satake(args) -> list[dict]:
     if args.p is not None and args.format == "csv":
         raise ValueError("--p cannot be combined with --format csv: the p-rank constant has no stratum columns")
-    g = _positive("g", args.g)
+    g = _capped("g", _positive("g", args.g), MAX_SATAKE_GENUS)
+    if args.p is not None:
+        _capped("p", args.p, MAX_SATAKE_PRIME)
     rows = satake.stratum_table(g, args.i)
     envelopes = [_envelope("satake", "info", row) for row in rows]
     if args.p is not None:
         value = satake.p_rank_constant(g, args.p)
+        if value >= 10 ** MAX_PRINTED_DIGITS:
+            raise ValueError(
+                f"the p-rank constant for --g {g} --p {args.p} has more than {MAX_PRINTED_DIGITS} digits"
+            )
         envelopes.append(
             _envelope("satake", "info", {"g": g, "p": args.p, "p_rank_zero_constant": str(value)})
         )

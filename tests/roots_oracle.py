@@ -1,0 +1,80 @@
+"""Reference route for the alternating Chern character of exterior powers,
+by subset sums of formal roots.
+
+``charclass.exterior_alternating_sum_dual`` reads the product
+prod_i (1 - e^{-x_i}) off on partitions and converts it through counts of
+0-1 matrices.  This module is its former body: it sums the 2^g exponentials
+e^{-(x_S)} of the negated subset sums with sign (-1)^{|S|} and rewrites the
+symmetric total in the elementary symmetrics by leading-monomial subtraction
+on full root monomials, each product of elementary symmetrics expanded by
+multiplication.  Tests compare the two routes polynomial by polynomial.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+
+from abtaut import GradedPolynomial, GradedRing
+from abtaut.charclass import elementary_symmetric
+from abtaut.graded import _Kernel, _packing
+
+
+def to_elementary(p: GradedPolynomial, prefix: str = "c") -> GradedPolynomial:
+    """The symmetric polynomial ``p`` in the root variables, rewritten in the
+    elementary symmetrics ``<prefix>1 .. <prefix>g`` of weights 1..g."""
+    ring = p.ring
+    g = ring.ngens
+    target = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), ring.bound)
+    packing = _packing(ring, p.max_degree())
+    elementary = [None] + [packing.pack(elementary_symmetric(ring, k).terms) for k in range(1, g + 1)]
+    expansions: dict[tuple[int, ...], _Kernel] = {(0,) * g: packing.pack(ring.one.terms)}
+
+    def expansion(c_exps: tuple[int, ...]) -> _Kernel:
+        if c_exps in expansions:
+            return expansions[c_exps]
+        i = max(k for k, e in enumerate(c_exps) if e > 0)
+        prev = list(c_exps)
+        prev[i] -= 1
+        result = expansion(tuple(prev)).mul(elementary[i + 1], None)
+        expansions[c_exps] = result
+        return result
+
+    numerators = packing.pack(p.terms)
+    out: dict[tuple[int, ...], int] = {}
+    for d, part in sorted(numerators.parts.items()):
+        work = dict(part)
+        while work:
+            lead_key = max(work)
+            lead = packing.exponents(lead_key)
+            if any(lead[i] < lead[i + 1] for i in range(g - 1)):
+                raise ValueError("leading exponent is not dominant; input is not symmetric")
+            coeff = work[lead_key]
+            c_exps = tuple(lead[i] - (lead[i + 1] if i + 1 < g else 0) for i in range(g))
+            get = work.get
+            for key, v in expansion(c_exps).parts[d].items():
+                r = get(key, 0) - coeff * v
+                if r:
+                    work[key] = r
+                else:
+                    del work[key]
+            out[c_exps] = out.get(c_exps, 0) + coeff
+    return target.from_terms({e: Fraction(c, numerators.den) for e, c in out.items()})
+
+
+def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPolynomial:
+    """sum_{i=0}^{g} (-1)^i ch(Lambda^i E-dual) from the 2^g subset sums of roots."""
+    if bound is None:
+        bound = g * (g + 1) // 2
+    roots = GradedRing(tuple(f"x{i}" for i in range(1, g + 1)), (1,) * g, bound)
+    packing = _packing(roots, bound)
+    xs = roots.gens()
+    total = packing.pack({})
+    for i in range(g + 1):
+        sign = (-1) ** i
+        for subset in combinations(range(g), i):
+            s = roots.zero
+            for j in subset:
+                s = s - xs[j]
+            total = total.add(packing.pack(s.terms).exp(bound).scaled(sign))
+    return to_elementary(GradedPolynomial(roots, packing.unpack(total)))

@@ -1,7 +1,10 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
+import roots_oracle
 
 from abtaut import (
     BundleClasses,
@@ -17,7 +20,15 @@ from abtaut import (
     todd,
     todd_dual,
 )
-from abtaut.charclass import CHERN_GENERATORS, elementary_symmetric
+from abtaut.charclass import (
+    CHERN_GENERATORS,
+    _elementary_expansions,
+    _pack,
+    _partitions,
+    _to_elementary,
+    _unpack,
+    elementary_symmetric,
+)
 
 
 def root_ring(g, bound):
@@ -193,6 +204,59 @@ def test_exterior_sum_lowest_term_is_top_chern(g):
     assert value.homogeneous_part(g) == value.ring.monomial(top_gen_exps)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_exterior_sum_matches_subset_sum_oracle(g):
+    assert exterior_alternating_sum_dual(g).terms == roots_oracle.exterior_alternating_sum_dual(g).terms
+
+
+def test_exterior_sum_matches_oracle_below_the_socle():
+    for g, bound in ((3, 2), (3, 4), (4, 7)):
+        value = exterior_alternating_sum_dual(g, bound)
+        assert value.ring.bound == bound
+        assert value.terms == roots_oracle.exterior_alternating_sum_dual(g, bound).terms
+
+
+def brute_force_counts(rows, columns):
+    """{column sums: number of 0-1 matrices} over every matrix whose rows have the given sums."""
+    choices = [list(combinations(range(columns), r)) for r in rows]
+    counts = Counter()
+    for matrix in product(*choices):
+        sums = [0] * columns
+        for row in matrix:
+            for j in row:
+                sums[j] += 1
+        counts[tuple(sums)] += 1
+    return counts
+
+
+def conjugate(lam):
+    return tuple(sum(1 for v in lam if v > i) for i in range(max(lam, default=0)))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_zero_one_matrix_counts(g):
+    # every e_mu with |mu| <= 6 and parts <= g, on every partition nu with at most g parts
+    top, width = 6, 3
+    seen = 0
+    for key, expansion in _elementary_expansions(g, top, width):
+        lam = _unpack(key, g, width)
+        brute = brute_force_counts(conjugate(lam), g)
+        partitions = _partitions(sum(lam), g)
+        sorted_vectors = {tuple(sorted(c, reverse=True)) for c in product(range(top + 1), repeat=g) if sum(c) == sum(lam)}
+        assert partitions == sorted(sorted_vectors, reverse=True)
+        assert set(expansion) <= {_pack(nu, width) for nu in partitions}
+        for nu in partitions:
+            orbit = len(set(permutations(nu)))
+            assert expansion.get(_pack(nu, width), 0) == orbit * brute[nu], (lam, nu)
+        seen += 1
+    assert seen == sum(len(_partitions(d, g)) for d in range(top + 1))
+
+
+def test_to_elementary_rejects_non_dominant_exponents():
+    with pytest.raises(ValueError, match="not dominant"):
+        _to_elementary(2, {(0, 1): 1})
+
+
 def test_symmetric_to_elementary_examples():
     R = root_ring(2, 6)
     x1, x2 = R.gens()
@@ -235,7 +299,7 @@ def test_symmetric_to_elementary_round_trip_mixed_denominators():
     assert q.substitute(images, R) == p
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
 def test_borel_serre_check(g):
     report = borel_serre_check(g)
     assert report.ok

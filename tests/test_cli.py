@@ -148,6 +148,10 @@ def test_verify_genus_options_are_exclusive(capsys):
         ["constant", "--g", str(cli.MAX_ZETA_GENUS + 1)],
         ["verify", "--check", "borel-serre", "--g", str(cli.MAX_BOREL_SERRE_GENUS + 2)],
         ["verify", "--check", "all", "--gmax", str(cli.MAX_BOREL_SERRE_GENUS + 1)],
+        ["verify", "--check", "grr", "--g", str(cli.MAX_GRR_GENUS + 1)],
+        ["verify", "--check", "recursion", "--gmax", str(cli.MAX_RECURSION_GENUS + 1)],
+        ["satake", "--g", str(cli.MAX_SATAKE_GENUS + 1)],
+        ["satake", "--g", "3", "--p", str(cli.MAX_SATAKE_PRIME + 1)],
     ],
     ids=" ".join,
 )
@@ -166,6 +170,41 @@ def test_inputs_at_the_caps_print(capsys):
         code, envs = run_json(capsys, *argv)
         assert code == 0, argv
         assert Fraction(envs[0]["payload"]["value"]) != 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["satake", "--g", str(cli.MAX_SATAKE_GENUS), "--p", "999983"],
+        ["satake", "--g", str(cli.MAX_SATAKE_GENUS), "--p", "37"],
+        ["satake", "--g", "66", "--p", "131"],
+    ],
+    ids=" ".join,
+)
+def test_p_rank_constant_beyond_print_limit_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert f"--g {argv[2]} --p {argv[4]}" in err and f"{cli.MAX_PRINTED_DIGITS} digits" in err
+
+
+def test_satake_at_the_caps_prints(capsys):
+    g = cli.MAX_SATAKE_GENUS
+    code, envs = run_json(capsys, "satake", "--g", str(g), "--p", "31")
+    assert code == 0
+    assert [env["payload"].get("i") for env in envs] == [*range(g + 1), None]
+    assert all(Fraction(env["payload"]["coefficient"]) != 0 for env in envs[:-1])
+    assert len(envs[-1]["payload"]["p_rank_zero_constant"]) <= cli.MAX_PRINTED_DIGITS
+    code, envs = run_json(capsys, "satake", "--g", "3", "--p", "999983")
+    assert code == 0
+    assert int(envs[-1]["payload"]["p_rank_zero_constant"]) == 999982 * (999983 ** 2 - 1) * (999983 ** 3 - 1)
+
+
+@pytest.mark.parametrize("check,cap", [("grr", cli.MAX_GRR_GENUS), ("recursion", cli.MAX_RECURSION_GENUS)])
+def test_verify_at_the_genus_caps(capsys, check, cap):
+    code, envs = run_json(capsys, "verify", "--check", check, "--g", str(cap))
+    assert code == 0
+    assert [(env["status"], env["payload"]["g"]) for env in envs] == [("pass", cap)]
 
 
 def test_verify_ring(capsys):

@@ -324,6 +324,13 @@ def test_parse_round_trip():
         assert R.parse(str(p)) == p
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ring=_rings())
+def test_parse_inverts_str(data, ring):
+    p = data.draw(_polynomials(ring))
+    assert ring.parse(str(p)) == p
+
+
 def test_parse_grammar():
     R = GradedRing(("l1", "l2"), (1, 2), None)
     l1, l2 = R.gens()
