@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 
@@ -31,13 +32,15 @@ __all__ = [
     "MAX_SATAKE_PRIME",
 ]
 
-# Input caps, each checked before any work starts.  Python prints integers
-# of at most 4300 digits by default (MAX_PRINTED_DIGITS).  B_2064 is the
-# first Bernoulli number with a longer numerator, zeta(1-2g) has one from
+# Input caps, each checked before any work starts.  Python reads and prints
+# integers of at most 4300 digits by default (MAX_PRINTED_DIGITS).  B_2064 is
+# the first Bernoulli number with a longer numerator, zeta(1-2g) has one from
 # g = 1032 on, and the satake table has one from g = 75 on.  The p-rank
 # constant (p - 1)(p^2 - 1)...(p^g - 1) has about g(g+1)/2 log10(p) digits,
-# so it is checked against the limit itself, before it is printed; the
-# primality test of satake --p is trial division.  Times on a 2-CPU x86-64
+# and a normal form printed by reduce can outgrow its input, so both are
+# checked against the limit itself, before they are printed; the primality
+# test of satake --p is trial division.  The ring cap is
+# tautring.MAX_RING_GENUS, checked by build_ring.  Times on a 2-CPU x86-64
 # machine with Python 3.11: B_2000 about 1.2 s; borel_serre_check about
 # 30 s and 110 MB peak RSS at genus 8; grr and recursion about 0.3 s each at
 # genus 100, against 2 s and 7 s at genus 200.
@@ -143,8 +146,13 @@ def _cmd_ring(args) -> list[dict]:
 def _cmd_reduce(args) -> list[dict]:
     g = _positive("g", args.g)
     ring = tautring.build_ring(g)
+    if re.search(rf"\d{{{MAX_PRINTED_DIGITS + 1}}}", args.monomial):
+        raise ValueError(f"--monomial has a number of more than {MAX_PRINTED_DIGITS} digits")
     poly = ring.ring.parse(args.monomial)
     nf = ring.normal_form(poly)
+    limit = 10 ** MAX_PRINTED_DIGITS
+    if any(abs(c.numerator) >= limit or c.denominator >= limit for c in nf.coordinates.values()):
+        raise ValueError(f"the normal form of --monomial has a coefficient of more than {MAX_PRINTED_DIGITS} digits")
     payload = {"g": g, "input": args.monomial, "value": str(nf)}
     return [_envelope("reduce", "info", payload)]
 
@@ -156,10 +164,10 @@ _CHECKS = {
     "recursion": satake.recursion_check,
 }
 
-# the ring check is capped by tautring.max_genus_cap(), which reads an env var
 _GENUS_CAPS = {
     "grr": MAX_GRR_GENUS,
     "borel-serre": MAX_BOREL_SERRE_GENUS,
+    "ring": tautring.MAX_RING_GENUS,
     "recursion": MAX_RECURSION_GENUS,
 }
 
@@ -172,17 +180,9 @@ def _cmd_verify(args) -> list[dict]:
     else:
         genera = [_positive("g", args.g)]
     names = list(_CHECKS) if args.check == "all" else [args.check]
-    if "ring" in names:
-        cap = tautring.max_genus_cap()
-        for g in genera:
-            if g > cap:
-                raise ValueError(
-                    f"ring construction is capped at genus {cap} (set {tautring.MAX_GENUS_ENV} to raise it), got {g}"
-                )
     for name in names:
-        cap = _GENUS_CAPS.get(name)
-        if cap is not None and genera[-1] > cap:
-            raise ValueError(f"{name} is capped at genus {cap}, got {genera[-1]}")
+        if genera[-1] > _GENUS_CAPS[name]:
+            raise ValueError(f"{name} is capped at genus {_GENUS_CAPS[name]}, got {genera[-1]}")
     envelopes = []
     for g in genera:
         for name in names:

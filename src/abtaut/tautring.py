@@ -15,25 +15,26 @@ those divisible by no l_i^2, are the square-free l_a = prod_{i in a} l_i: the
 square-free basis of R_g is proven, not found by elimination.  Normal forms
 follow from the integer rewrite
 
-    l_i^2 -> 2 sum_{0 <= j < i} (-1)^{i+j+1} l_j l_{2i-j}.
+    l_i^2 -> 2 sum_{0 <= j < i} (-1)^{i+j+1} l_j l_{2i-j},
 
-Construction checks the hypotheses of this argument on the relations it
-actually generates (:func:`rewrite_rules`) and aborts with
+applied on demand: a ring computes a normal form when it is first asked for
+and keeps it.  Construction checks the hypotheses of this argument on the
+relations it actually generates (:func:`rewrite_rules`) and aborts with
 :class:`RingConstructionError` if one fails, instead of patching around it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import lcm
 from typing import Mapping, Sequence
 
 from .graded import GradedPolynomial, GradedRing
 
 __all__ = [
-    "DEFAULT_MAX_GENUS",
-    "MAX_GENUS_ENV",
+    "MAX_RING_GENUS",
     "RingConstructionError",
     "RingReport",
     "TautRing",
@@ -43,8 +44,8 @@ __all__ = [
     "ring_report",
 ]
 
-DEFAULT_MAX_GENUS = 8
-MAX_GENUS_ENV = "ABTAUT_MAX_G"
+# The cap of build_ring and so of the CLI; TautRing itself takes any genus.
+MAX_RING_GENUS = 8
 
 Exponents = tuple[int, ...]
 Subset = tuple[int, ...]
@@ -145,9 +146,13 @@ def rewrite_rules(g: int, components: Mapping[int, GradedPolynomial]) -> list[In
 class TautRing:
     """Normal forms, dimensions and the duality pairing for a fixed genus.
 
-    Construction tabulates the integer normal form of every monomial up to
-    the socle degree, a one-time cost; the resulting object is immutable and
-    safe for concurrent queries.
+    Construction checks the relations and groups the 2^g square-free basis
+    monomials by weight.  Normal forms are filled in on first use, in two
+    memos: the products NF(l_a * l_k) of a basis element and a generator,
+    and the integer row of each monomial reached so far, its parent's row
+    times l_k.  Each memo entry is written once and complete, so the ring is
+    safe for concurrent queries without a lock: threads that race on an
+    entry write equal values.
     """
 
     def __init__(self, g: int):
@@ -157,12 +162,19 @@ class TautRing:
         self.socle_degree = g * (g + 1) // 2
         self.ring = _lambda_ring(g)
         components = self._relation_components()
-        rules = rewrite_rules(g, components)
+        # the rewrite of l_k^2, each term as (its generator factors, coefficient)
+        self._tails = [
+            [(tuple(k for k, e in enumerate(exps, start=1) for _ in range(e)), c) for exps, c in rule.items()]
+            for rule in rewrite_rules(g, components)
+        ]
         self.relation_components = {d: p for d, p in components.items() if d % 2 == 0}
-        self._monomials: list[list[Exponents]] = []
-        self._square_free: list[list[Exponents]] = []
-        self._reduce: list[dict[Exponents, dict[Subset, int]]] = []
-        self._build(rules)
+        # product() yields the 0-1 vectors in ascending lex order, as
+        # GradedRing.monomials_of_degree lists them
+        self._basis: list[list[Exponents]] = [[] for _ in range(self.socle_degree + 1)]
+        for exps in product((0, 1), repeat=g):
+            self._basis[sum(i for i, e in enumerate(exps, start=1) if e)].append(exps)
+        self._products: dict[tuple[Subset, int], dict[Subset, int]] = {}
+        self._rows: dict[Exponents, dict[Subset, int]] = {(0,) * g: {(): 1}}
 
     def _relation_components(self) -> dict[int, GradedPolynomial]:
         gens = self.ring.gens()
@@ -174,69 +186,64 @@ class TautRing:
         rel = total * dual - 1
         return {d: rel.homogeneous_part(d) for d in range(1, 2 * self.genus + 1)}
 
-    def _build(self, rules: list[IntRow]) -> None:
-        # Each monomial's row is the row of its parent (the monomial with one
-        # factor l_k removed, of an earlier degree) times l_k, through the
-        # memoized basis-by-generator products NF(l_a * l_k).
-        tails = [
-            [(tuple(k for k, e in enumerate(exps, start=1) for _ in range(e)), c) for exps, c in rule.items()]
-            for rule in rules
-        ]
-        products: dict[tuple[Subset, int], dict[Subset, int]] = {}
+    def _times(self, row: Mapping[Subset, int], k: int, out: dict[Subset, int] | None = None) -> dict[Subset, int]:
+        """NF(row * l_k), added into ``out`` if given."""
+        out = {} if out is None else out
+        products = self._products
+        for a, c in row.items():
+            p = products.get((a, k))
+            for b, v in (self._product(a, k) if p is None else p).items():
+                w = out.get(b, 0) + c * v
+                if w:
+                    out[b] = w
+                else:
+                    del out[b]
+        return out
 
-        def times(row: Mapping[Subset, int], k: int, out: dict[Subset, int] | None = None) -> dict[Subset, int]:
-            """NF(row * l_k), added into ``out`` if given."""
-            out = {} if out is None else out
-            for a, c in row.items():
-                p = products.get((a, k))
-                for b, v in (product(a, k) if p is None else p).items():
-                    w = out.get(b, 0) + c * v
-                    if w:
-                        out[b] = w
-                    else:
-                        del out[b]
-            return out
+    def _product(self, a: Subset, k: int) -> dict[Subset, int]:
+        # l_a * l_k is square-free unless k is in a; then it is l_{a - k}
+        # times the rewrite of l_k^2, whose terms are smaller in the term
+        # order, so the recursion terminates.
+        if k not in a:
+            out = {tuple(sorted(a + (k,))): 1}
+        else:
+            rest = tuple(i for i in a if i != k)
+            out = {}
+            for factors, c in self._tails[k - 1]:
+                row = {rest: c}
+                for f in factors[:-1]:
+                    row = self._times(row, f)
+                self._times(row, factors[-1], out)
+        self._products[(a, k)] = out
+        return out
 
-        def product(a: Subset, k: int) -> dict[Subset, int]:
-            # l_a * l_k is square-free unless k is in a; then it is
-            # l_{a - k} times the rewrite of l_k^2, whose terms are smaller in
-            # the term order, so the recursion terminates.
-            if k not in a:
-                out = {tuple(sorted(a + (k,))): 1}
-            else:
-                rest = tuple(i for i in a if i != k)
-                out = {}
-                for factors, c in tails[k - 1]:
-                    row = {rest: c}
-                    for f in factors[:-1]:
-                        row = times(row, f)
-                    times(row, factors[-1], out)
-            products[(a, k)] = out
-            return out
-
-        g = self.genus
-        for d in range(self.socle_degree + 1):
-            table: dict[Exponents, dict[Subset, int]] = {(0,) * g: {(): 1}} if d == 0 else {}
-            # each monomial once: its parent uses only l_1..l_k
-            for k in range(1, min(d, g) + 1):
-                for parent, row in self._reduce[d - k].items():
-                    if not any(parent[k:]):
-                        table[parent[: k - 1] + (parent[k - 1] + 1,) + parent[k:]] = times(row, k)
-            monomials = sorted(table)  # ascending lex, as GradedRing.monomials_of_degree
-            self._monomials.append(monomials)
-            self._square_free.append([m for m in monomials if all(e <= 1 for e in m)])
-            self._reduce.append(table)
+    def _row(self, exps: Exponents) -> dict[Subset, int]:
+        """The integer normal form of a monomial.  Its parent drops one
+        factor of the last generator present; the missing ancestors are
+        filled in from the nearest one already known."""
+        rows = self._rows
+        missing = []
+        row = rows.get(exps)
+        while row is None:
+            k = max(i for i, e in enumerate(exps, start=1) if e)
+            missing.append((exps, k))
+            exps = exps[: k - 1] + (exps[k - 1] - 1,) + exps[k:]
+            row = rows.get(exps)
+        for exps, k in reversed(missing):
+            row = self._times(row, k)
+            rows[exps] = row
+        return row
 
     # -- queries ---------------------------------------------------------
 
     def dimension_profile(self) -> list[int]:
         """Dimension of each graded piece, degrees 0..socle_degree."""
-        return [len(sf) for sf in self._square_free]
+        return [len(b) for b in self._basis]
 
     def basis_monomials(self, d: int) -> list[GradedPolynomial]:
         """The square-free monomial basis of degree d, as polynomials."""
         self._check_degree(d)
-        return [self.ring.monomial(m) for m in self._square_free[d]]
+        return [self.ring.monomial(m) for m in self._basis[d]]
 
     def socle_monomial(self) -> GradedPolynomial:
         """The canonical socle generator l1*l2*...*lg."""
@@ -258,18 +265,15 @@ class TautRing:
         """
         self._check_polynomial(p)
         degree = self.ring.degree
-        coords: dict[Subset, Fraction] = {}
-        for exps, c in p.terms.items():
-            d = degree(exps)
-            if d > self.socle_degree:
-                continue
-            for subset, r in self._reduce[d][exps].items():
-                v = coords.get(subset, Fraction(0)) + c * r
-                if v:
-                    coords[subset] = v
-                elif subset in coords:
-                    del coords[subset]
-        return TautRingElement(self.genus, coords)
+        terms = [(exps, c) for exps, c in p.terms.items() if degree(exps) <= self.socle_degree]
+        # integer rows summed over one common denominator
+        den = lcm(*(c.denominator for _, c in terms))
+        coords: dict[Subset, int] = {}
+        for exps, c in terms:
+            m = c.numerator * (den // c.denominator)
+            for subset, r in self._row(exps).items():
+                coords[subset] = coords.get(subset, 0) + m * r
+        return TautRingElement(self.genus, {s: Fraction(v, den) for s, v in coords.items() if v})
 
     def socle_ratio(self, p: GradedPolynomial) -> Fraction:
         """The unique q with normal_form(p) = q * l1l2...lg, for p homogeneous
@@ -283,18 +287,12 @@ class TautRing:
     def pairing_matrix(self, d: int) -> list[list[Fraction]]:
         """Socle ratios of basis products between degrees d and socle_degree - d."""
         self._check_degree(d)
-        left = self._square_free[d]
-        right = self._square_free[self.socle_degree - d]
-        top = self._reduce[self.socle_degree]
+        right = self._basis[self.socle_degree - d]
         full = tuple(range(1, self.genus + 1))
-        matrix: list[list[Fraction]] = []
-        for a in left:
-            row = []
-            for b in right:
-                product = tuple(x + y for x, y in zip(a, b))
-                row.append(Fraction(top[product].get(full, 0)))
-            matrix.append(row)
-        return matrix
+        return [
+            [Fraction(self._row(tuple(x + y for x, y in zip(a, b))).get(full, 0)) for b in right]
+            for a in self._basis[d]
+        ]
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -323,28 +321,10 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-def max_genus_cap() -> int:
-    """The construction cap: the ABTAUT_MAX_G environment variable, default 8."""
-    raw = os.environ.get(MAX_GENUS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_GENUS
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{MAX_GENUS_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{MAX_GENUS_ENV} must be >= 1, got {cap}")
-    return cap
-
-
-def build_ring(g: int, max_genus: int | None = None) -> TautRing:
-    """Construct the ring for genus g, verifying the square-free basis.
-
-    ``max_genus`` defaults to the ABTAUT_MAX_G environment variable (or 8).
-    """
-    cap = max_genus_cap() if max_genus is None else max_genus
-    if not 1 <= g <= cap:
-        raise ValueError(f"genus must satisfy 1 <= g <= {cap} (raise {MAX_GENUS_ENV} to go higher), got {g}")
+def build_ring(g: int) -> TautRing:
+    """Construct the ring for genus g, at most :data:`MAX_RING_GENUS`."""
+    if g > MAX_RING_GENUS:
+        raise ValueError(f"ring construction is capped at genus {MAX_RING_GENUS}, got {g}")
     return TautRing(g)
 
 
@@ -362,7 +342,7 @@ class RingReport:
 
 
 def ring_report(g: int) -> RingReport:
-    """Build R_g (subject to the genus cap) and check its structure: total
+    """Build R_g (subject to :data:`MAX_RING_GENUS`) and check its structure: total
     dimension 2^g, a palindromic profile with one-dimensional socle,
     lambda_g^2 = 0, c(E)c(E-dual) = 1, and a nonsingular pairing in every degree."""
     ring = build_ring(g)

@@ -1,6 +1,6 @@
 import pytest
 
-from abtaut import build_ring
+from abtaut import TautRing
 
 _ACCEPTANCE: dict[str, str] = {}
 
@@ -11,12 +11,12 @@ def pytest_configure(config):
 
 @pytest.fixture(scope="session")
 def ring_cache():
-    """Build each genus at most once per test session."""
+    """Build each genus at most once per test session, past the CLI cap if asked."""
     cache = {}
 
     def get(g: int):
         if g not in cache:
-            cache[g] = build_ring(g, max_genus=12)
+            cache[g] = TautRing(g)
         return cache[g]
 
     return get

@@ -88,6 +88,21 @@ def test_reduce_bad_monomial(capsys):
     assert err.count("\n") == 1 and "zero denominator" in err
 
 
+_MANY_NINES = "9" * (cli.MAX_PRINTED_DIGITS + 100)
+_NINES = "9" * (cli.MAX_PRINTED_DIGITS - 1)
+
+
+@pytest.mark.parametrize(
+    "monomial",
+    [f"{_MANY_NINES}*l1", f"l1^{_MANY_NINES}", f"{_NINES}/7*l1^6 + {_NINES}*l2^3"],
+    ids=["coefficient", "exponent", "result"],
+)
+def test_reduce_past_the_print_limit_is_usage_error(capsys, monomial):
+    code, out, err = run_cli(capsys, "reduce", "--g", "3", "--monomial", monomial)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "--monomial" in err and f"{cli.MAX_PRINTED_DIGITS} digits" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -215,11 +230,16 @@ def test_verify_ring(capsys):
     assert payload["pairing_nonsingular_all_degrees"] is True
 
 
-def test_verify_ring_respects_cap(capsys, monkeypatch):
-    monkeypatch.setenv("ABTAUT_MAX_G", "2")
-    code, out, err = run_cli(capsys, "verify", "--check", "ring", "--g", "3")
-    assert code == 2
-    assert "ABTAUT_MAX_G" in err
+def test_verify_ring_respects_cap(capsys):
+    for argv in (
+        ["verify", "--check", "ring", "--g", "9"],
+        ["verify", "--check", "ring", "--gmax", "9"],
+        ["ring", "--g", "9", "--show", "dims"],
+        ["reduce", "--g", "9", "--monomial", "l1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and "capped at genus 8, got 9" in err, argv
 
 
 def test_verify_gmax_ordering(capsys):

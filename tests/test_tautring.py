@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtaut import RingConstructionError, build_ring, determinant, ring_report
-from abtaut.tautring import MAX_GENUS_ENV, rewrite_rules
+from abtaut import RingConstructionError, TautRing, build_ring, determinant, ring_report
+from abtaut.tautring import MAX_RING_GENUS, rewrite_rules
 from rowreduce_oracle import reduce_degree, reduce_maps
 
 
@@ -134,6 +136,63 @@ def test_normal_forms_match_row_reduction(g, ring_cache):
             assert r.normal_form(r.ring.monomial(exps)).coordinates == coords, (g, exps)
 
 
+@pytest.mark.parametrize("g", list(range(1, 7)))
+def test_cold_rings_match_row_reduction(g):
+    # normal forms are filled in on first use, so the order of the queries
+    # decides which memo entries exist when each one is computed
+    tables = reduce_maps(TautRing(g))
+    oracle = {exps: coords for table in tables for exps, coords in table.items()}
+    shuffled = list(oracle)
+    random.Random(g).shuffle(shuffled)
+    descending = [exps for table in reversed(tables) for exps in table]
+    for order in (shuffled, descending):
+        r = TautRing(g)
+        for exps in order:
+            assert r.normal_form(r.ring.monomial(exps)).coordinates == oracle[exps], (g, exps)
+
+
+def _answer(ring, query):
+    kind, arg = query
+    if kind == "pairing":
+        return ring.pairing_matrix(arg)
+    return ring.normal_form(ring.ring.monomial(arg))
+
+
+def test_concurrent_queries_on_a_cold_ring():
+    # six threads share one cold ring and race on its memo entries; each must
+    # see exactly what a sequential run on another cold ring sees
+    sequential = TautRing(8)
+    rng = random.Random(8)
+    monomials = [tuple(rng.randint(0, 6) for _ in range(8)) for _ in range(2000)]
+    queries = [("pairing", d) for d in range(sequential.socle_degree + 1)]
+    queries += [("nf", m) for m in monomials if sequential.ring.degree(m) <= sequential.socle_degree][:400]
+    expected = [_answer(sequential, q) for q in queries]
+
+    def worker(shared: TautRing, index: int, start: threading.Barrier, results: dict) -> None:
+        order = list(range(len(queries)))
+        random.Random(index).shuffle(order)
+        start.wait()
+        answers = {i: _answer(shared, queries[i]) for i in order}
+        results[index] = [answers[i] for i in range(len(queries))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared, start, results = TautRing(8), threading.Barrier(6), {}
+            threads = [threading.Thread(target=worker, args=(shared, i, start, results)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(results) == list(range(6))
+            for answers in results.values():
+                assert answers == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _polynomials(ring):
     exponents = st.tuples(*[st.integers(0, 3)] * ring.ngens)
     coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -228,20 +287,22 @@ def test_determinant_utility():
 # -- construction guard rails -------------------------------------------------
 
 
-def test_genus_cap_default(monkeypatch):
-    monkeypatch.delenv(MAX_GENUS_ENV, raising=False)
-    with pytest.raises(ValueError):
+def test_genus_cap_default():
+    assert MAX_RING_GENUS == 8
+    with pytest.raises(ValueError, match=f"capped at genus {MAX_RING_GENUS}, got 9"):
         build_ring(9)
+    assert build_ring(MAX_RING_GENUS).genus == MAX_RING_GENUS
 
 
-def test_genus_cap_env_override(monkeypatch):
-    monkeypatch.setenv(MAX_GENUS_ENV, "3")
-    with pytest.raises(ValueError):
-        build_ring(4)
-    assert build_ring(3).genus == 3
-    monkeypatch.setenv(MAX_GENUS_ENV, "not a number")
-    with pytest.raises(ValueError):
-        build_ring(2)
+@pytest.mark.parametrize("g", [9, 10])
+def test_rings_past_the_cli_cap(g):
+    # TautRing itself is uncapped; l1^N pairs to deg LG(g, 2g) and the
+    # pairing is nonsingular in every degree, as below the cap
+    r = TautRing(g)
+    assert sum(r.dimension_profile()) == 2 ** g
+    assert r.socle_ratio(r.ring.gen(0) ** r.socle_degree) == _degree_lagrangian_grassmannian(g)
+    for d in range(r.socle_degree + 1):
+        assert determinant(r.pairing_matrix(d)) != 0, (g, d)
 
 
 def test_genus_must_be_positive():
@@ -264,10 +325,9 @@ def test_ring_report_genus_two():
     ]
 
 
-def test_ring_report_respects_cap(monkeypatch):
-    monkeypatch.setenv(MAX_GENUS_ENV, "2")
-    with pytest.raises(ValueError):
-        ring_report(3)
+def test_ring_report_respects_cap():
+    with pytest.raises(ValueError, match=f"capped at genus {MAX_RING_GENUS}"):
+        ring_report(MAX_RING_GENUS + 1)
 
 
 def test_rewrite_rules_read_off_relations(ring_cache):
