@@ -13,10 +13,10 @@ rewrite rule on monomials, never re-derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 from .graded import GradedPolynomial, GradedRing
 from .rationals import bernoulli, boundary_constant, zeta_negative_odd
@@ -43,8 +43,7 @@ def boundary_ring() -> GradedRing:
     return _PI_T
 
 
-@dataclass(frozen=True)
-class BoundaryClass:
+class BoundaryClass(NamedTuple):
     """A polynomial in Pi and T together with the genus whose pushforward
     rule is meant to consume it."""
 
@@ -55,8 +54,7 @@ class BoundaryClass:
         return str(self.poly)
 
 
-@dataclass(frozen=True)
-class PushforwardResult:
+class PushforwardResult(NamedTuple):
     """The multiple of the boundary cycle class produced by a pushforward."""
 
     delta_coefficient: Fraction
@@ -110,8 +108,7 @@ def sum_powers_quotient(k: int) -> BoundaryClass:
     return BoundaryClass(k, _divide_by_minus_2t(pi ** (2 * k - 1) + (-pi - 2 * t) ** (2 * k - 1)))
 
 
-@dataclass(frozen=True)
-class BinomialExpansionReport:
+class BinomialExpansionReport(NamedTuple):
     genus: int
     ok: bool
     lhs: GradedPolynomial
@@ -161,8 +158,7 @@ def grr_coefficient(g: int) -> Fraction:
     return factor * pushforward(g, matched).delta_coefficient
 
 
-@dataclass(frozen=True)
-class GrrReport:
+class GrrReport(NamedTuple):
     """Sign ledger for the pipeline output q at one genus.
 
     Only the magnitude is asserted anywhere; the two sign flags report

@@ -15,11 +15,10 @@ anywhere.  The two routes share no code.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb, factorial, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graded import (
     GradedPolynomial,
@@ -412,8 +411,7 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
     return _elementary_ring(g, bound, "c").from_terms({e[:-1] + (e[-1] + 1,): Fraction(c, den) for e, c in out.items()})
 
 
-@dataclass(frozen=True)
-class BorelSerreReport:
+class BorelSerreReport(NamedTuple):
     """Outcome of the dual-route exterior-power identity check."""
 
     genus: int

@@ -9,8 +9,8 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rationals import zeta_negative_odd
 
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SatakeClassExpression:
+class SatakeClassExpression(NamedTuple):
     """A rational multiple of one pushed-down class l_a."""
 
     stratum_index: int
@@ -102,8 +101,7 @@ def leading_stratum_constants(g: int) -> tuple[SatakeClassExpression, ...]:
     return (first, second)
 
 
-@dataclass(frozen=True)
-class StratumComparison:
+class StratumComparison(NamedTuple):
     stratum_index: int
     closed_form: Fraction
     divisor_route: Fraction
@@ -120,8 +118,7 @@ class StratumComparison:
         }
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Exact comparison of the closed-form family against the divisor-route
     pair; at i = 1 the two routes' signs disagree exactly when g is even."""
 
@@ -159,8 +156,7 @@ def consistency_report(g: int) -> ConsistencyReport:
     return ConsistencyReport(genus=g, comparisons=tuple(comparisons))
 
 
-@dataclass(frozen=True)
-class RecursionReport:
+class RecursionReport(NamedTuple):
     """One-step descent check: each stratum constant is the previous one
     times -1 / zeta(2i-1-2g)."""
 

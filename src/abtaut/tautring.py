@@ -25,11 +25,10 @@ relations it actually generates (:func:`rewrite_rules`) and aborts with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .graded import GradedPolynomial, GradedRing
 
@@ -328,8 +327,7 @@ def build_ring(g: int) -> TautRing:
     return TautRing(g)
 
 
-@dataclass(frozen=True)
-class RingReport:
+class RingReport(NamedTuple):
     """Structural checks of R_g: the dimension profile and six named verdicts."""
 
     genus: int

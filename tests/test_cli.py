@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abtaut import build_ring, cli
+import abtaut
+from abtaut import build_ring, charclass, cli, tautring
 from abtaut.cli import main
 
 
@@ -256,6 +265,21 @@ def test_verify_all(capsys):
     assert all(env["status"] == "pass" for env in envs)
 
 
+def test_verify_looks_up_each_check_when_it_runs(capsys, monkeypatch):
+    # a wrapper installed on the module after cli was imported must see the call
+    passing = charclass.borel_serre_check(1)
+    calls = []
+
+    def stub(g):
+        calls.append(g)
+        return passing
+
+    monkeypatch.setattr(charclass, "borel_serre_check", stub)
+    code, envs = run_json(capsys, "verify", "--check", "borel-serre", "--g", "1")
+    assert calls == [1]
+    assert code == 0 and envs[0]["status"] == "pass"
+
+
 def test_verify_unknown_check(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--check", "bogus", "--g", "2"])
@@ -374,3 +398,121 @@ def test_exit_code_on_failure(capsys, monkeypatch):
     assert code == 1
     envs = [json.loads(line) for line in out.splitlines()]
     assert envs[0]["status"] == "fail"
+
+
+# -- import graph --------------------------------------------------------------
+
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import abtaut.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_graph():
+    # Every request pays for what `import abtaut.cli` loads.  The library
+    # modules stay eager: a tracer that wraps the loaded abtaut modules after
+    # this import must find all of them.
+    src = str(Path(abtaut.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    loaded = set(json.loads(probe.stdout))
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "csv"}
+    library = {f"abtaut.{name}" for name in ("rationals", "graded", "charclass", "tautring", "boundary", "satake")}
+    assert library <= loaded
+
+
+# -- every argument vector ends in a result or a usage error --------------------
+
+_NUMBER = "9" * 30
+_JUNK = ["", "x", "--", "-", "1/0", "3.5", "1e3", "0x10", _NUMBER, f"-{_NUMBER}"]
+
+
+def _ints(*extra):
+    """Mostly small genera and degrees, else 0, negatives, caps and junk."""
+    good = st.integers(1, 5).map(str)
+    return st.one_of(good, good, good, st.sampled_from([-3, -1, 0, *extra]).map(str), st.sampled_from(_JUNK))
+
+
+_GENUS = _ints(12, 40, cli.MAX_ZETA_GENUS, cli.MAX_ZETA_GENUS + 1)
+_RING_GENUS = _ints(tautring.MAX_RING_GENUS, tautring.MAX_RING_GENUS + 1)
+_FORMAT = st.sampled_from(["json", "text", "json", "text", "csv", "xml"])
+_OPTIONS = {
+    "bernoulli": {"--n": _ints(200, cli.MAX_BERNOULLI_N, cli.MAX_BERNOULLI_N + 1)},
+    "zeta": {"--g": _GENUS},
+    "constant": {"--g": _GENUS},
+    "ring": {
+        "--g": _RING_GENUS,
+        "--show": st.sampled_from(["dims", "basis", "pairing", "socle"]),
+        "--degree": _ints(15, 36, 37),
+    },
+    "reduce": {
+        "--g": _RING_GENUS,
+        "--monomial": st.one_of(
+            st.sampled_from(
+                ["l1", "l1^6", "2*l2 - l1^2", "l1^36", "3/7*l1*l3", "l9", "l0", "l1^", "l1^-1", "l1*", "*l1",
+                 "l1 + + l2", "(l1)", "l1^^2", "2**l1", f"l1^{_NUMBER}", f"{_NUMBER}/7*l2",
+                 "9" * (cli.MAX_PRINTED_DIGITS + 1)]
+            ),
+            st.sampled_from(_JUNK),
+            st.text(alphabet="l123^*/+- 0", max_size=12),
+        ),
+    },
+    # verify's genera stay below 6, where borel-serre takes well under a
+    # second; its other caps and every cap + 1 are cheap
+    "verify": {
+        "--check": st.sampled_from(["grr", "borel-serre", "ring", "recursion", "all", "bogus"]),
+        "--g": _ints(cli.MAX_GRR_GENUS, cli.MAX_GRR_GENUS + 1, cli.MAX_BOREL_SERRE_GENUS + 1),
+        "--gmax": _ints(cli.MAX_BOREL_SERRE_GENUS + 1, cli.MAX_RECURSION_GENUS + 1),
+    },
+    "satake": {
+        "--g": _ints(12, cli.MAX_SATAKE_GENUS, cli.MAX_SATAKE_GENUS + 1),
+        "--i": _ints(12),
+        "--p": _ints(7, 999983, cli.MAX_SATAKE_PRIME, cli.MAX_SATAKE_PRIME + 1),
+    },
+}
+_UNKNOWN = ["--bogus", "-x", "--g2", "--formats"]
+_OPTIONAL = {"--degree", "--gmax", "--i", "--p", "--format"}
+
+
+@st.composite
+def _argv(draw):
+    """Each option of the command at most once (an optional one half of the
+    time), in any order and any form, sometimes with an unknown option or a
+    stray word inserted."""
+    command = draw(st.sampled_from([*_OPTIONS, "bogus", "--"]))
+    values = {**_OPTIONS.get(command, {}), "--format": _FORMAT}
+    forms = st.sampled_from(["pair"] * 8 + ["equals"] * 4 + ["omitted", "bare option"])
+    options = [o for o in draw(st.permutations(list(values))) if o not in _OPTIONAL or draw(st.booleans())]
+    options += draw(st.sampled_from([[], [], [], [], *([option] for option in _UNKNOWN)]))
+    argv = [command]
+    for option in options:
+        value = draw(values.get(option, st.sampled_from(_JUNK)))
+        argv += {
+            "pair": [option, value],
+            "equals": [f"{option}={value}"],
+            "omitted": [],
+            "bare option": [option],
+        }[draw(forms)]
+    if not draw(st.integers(0, 4)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from([*values, *_JUNK])))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv())
+def test_every_argument_vector_succeeds_or_is_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert code == 0 and out.getvalue()
