@@ -1,15 +1,18 @@
 """Characteristic-class calculus for a formal bundle of rank g.
 
-Two genuinely independent representations are supported: Chern generators
-c_1..c_g of weights 1..g, and formal Chern roots x_1..x_g of weight 1.  The
-cross-check ``borel_serre_check`` compares the alternating Chern character of
-exterior powers of the dual against c_g * Td^{-1}.  The first route is the
-root product prod_i (1 - e^{-x_i}), read off on partitions and rewritten in
-the Chern classes through the monomial expansions of products of
-elementary symmetrics, which count 0-1 matrices with given row and column
-sums (Macdonald, Symmetric Functions and Hall Polynomials, I.6).  The
-second comes from Newton power sums and the Todd series, with no roots
-anywhere.  The two routes share no code.
+A bundle is one object, its rank and Chern classes c_1..c_g in a graded
+ring, whichever the alphabet: weight-graded Chern generators, or the
+elementary symmetrics of g weight-1 formal roots.  Power sums are read off
+one logarithm, log c(E) = sum_k (-1)^(k-1) p_k / k, and every multiplicative
+class is the exponential of a series in them.  The cross-check
+``borel_serre_check`` compares the alternating Chern character of exterior
+powers of the dual against c_g * Td^{-1}.  The first route is the root
+product prod_i (1 - e^{-x_i}), read off on partitions and rewritten in the
+Chern classes through the monomial expansions of products of elementary
+symmetrics, which count 0-1 matrices with given row and column sums
+(Macdonald, Symmetric Functions and Hall Polynomials, I.6).  The second is
+the multiplicative class of log((1 - e^{-t})/t) over the power sums of
+log c(E), with no roots anywhere.  The two routes share no code.
 """
 
 from __future__ import annotations
@@ -24,13 +27,12 @@ from .graded import (
     GradedPolynomial,
     GradedRing,
     graded_exp,
+    graded_log,
     named_series,
     substitute_power_sums,
 )
 
 __all__ = [
-    "CHERN_GENERATORS",
-    "FORMAL_ROOTS",
     "BundleClasses",
     "newton_power_sums",
     "chern_character",
@@ -42,10 +44,6 @@ __all__ = [
     "BorelSerreReport",
     "borel_serre_check",
 ]
-
-CHERN_GENERATORS = "chern-generators"
-FORMAL_ROOTS = "formal-roots"
-
 
 def _default_bound(g: int) -> int:
     # the socle degree; nothing above it is ever consulted
@@ -84,21 +82,19 @@ def elementary_symmetric(ring: GradedRing, k: int) -> GradedPolynomial:
 
 
 class BundleClasses:
-    """A rank together with formal Chern classes c_1..c_rank.
+    """A rank together with formal Chern classes c_1..c_rank in one ring.
 
-    In the ``chern-generators`` representation the classes are polynomials in
-    the weight-graded generator alphabet; in the ``formal-roots``
-    representation they are symmetric polynomials in rank weight-1 root
-    variables.
+    The alphabet is free: weight-graded Chern generators (``generators``) or
+    the elementary symmetrics of rank weight-1 roots (``from_roots``).  Every
+    class below is a formal expression in the c_i, so it is the same
+    polynomial in either alphabet.
     """
 
-    __slots__ = ("rank", "chern", "representation", "ring")
+    __slots__ = ("rank", "chern", "ring")
 
-    def __init__(self, rank: int, chern: Sequence[GradedPolynomial], representation: str, ring: GradedRing):
+    def __init__(self, rank: int, chern: Sequence[GradedPolynomial], ring: GradedRing):
         if rank < 0:
             raise ValueError("rank must be >= 0")
-        if representation not in (CHERN_GENERATORS, FORMAL_ROOTS):
-            raise ValueError(f"unknown representation {representation!r}")
         chern = tuple(chern)
         if len(chern) != rank:
             raise ValueError("exactly one Chern class per rank is required")
@@ -107,11 +103,8 @@ class BundleClasses:
                 raise ValueError("all Chern classes must live in the bundle ring")
             if not c.is_homogeneous_of(i):
                 raise ValueError(f"c_{i} must be homogeneous of weighted degree {i}")
-            if representation == FORMAL_ROOTS and not is_symmetric(c):
-                raise ValueError(f"c_{i} is not symmetric in the root variables")
         self.rank = rank
         self.chern = chern
-        self.representation = representation
         self.ring = ring
 
     @classmethod
@@ -122,7 +115,7 @@ class BundleClasses:
         if bound is None:
             bound = _default_bound(g)
         ring = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), bound)
-        return cls(g, ring.gens(), CHERN_GENERATORS, ring)
+        return cls(g, ring.gens(), ring)
 
     @classmethod
     def from_roots(cls, g: int, bound: int | None = None, prefix: str = "x") -> "BundleClasses":
@@ -132,91 +125,71 @@ class BundleClasses:
         if bound is None:
             bound = _default_bound(g)
         ring = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), (1,) * g, bound)
-        chern = tuple(elementary_symmetric(ring, k) for k in range(1, g + 1))
-        return cls(g, chern, FORMAL_ROOTS, ring)
+        return cls(g, tuple(elementary_symmetric(ring, k) for k in range(1, g + 1)), ring)
 
     def __repr__(self) -> str:
-        return f"BundleClasses(rank={self.rank}, representation={self.representation!r})"
+        return f"BundleClasses(rank={self.rank}, ring={self.ring!r})"
 
 
 def dual_bundle(b: BundleClasses) -> BundleClasses:
-    """The dual bundle: c_i goes to (-1)^i c_i.  Chern-generators representation only."""
-    if b.representation != CHERN_GENERATORS:
-        raise ValueError("dual_bundle requires the chern-generators representation")
-    chern = tuple(c * ((-1) ** i) for i, c in enumerate(b.chern, start=1))
-    return BundleClasses(b.rank, chern, CHERN_GENERATORS, b.ring)
-
-
-def _power_sums(b: BundleClasses, k_max: int) -> list[GradedPolynomial]:
-    # Newton's identities with e_i = c_i; valid in either representation
-    ring = b.ring
-    e = [ring.one] + list(b.chern)  # e_0 = 1, e_i = 0 for i > rank
-    ps: list[GradedPolynomial] = [ring.constant(b.rank)]
-    for k in range(1, k_max + 1):
-        acc = ring.zero
-        for i in range(1, k):
-            if i <= b.rank:
-                acc = acc + e[i] * ps[k - i] * ((-1) ** (i - 1))
-        if k <= b.rank:
-            acc = acc + e[k] * ((-1) ** (k - 1) * k)
-        ps.append(acc)
-    return ps
+    """The dual bundle: c_i goes to (-1)^i c_i, as e_i(-x) = (-1)^i e_i(x)."""
+    return BundleClasses(b.rank, tuple(c * ((-1) ** i) for i, c in enumerate(b.chern, start=1)), b.ring)
 
 
 def newton_power_sums(b: BundleClasses, k_max: int) -> list[GradedPolynomial]:
-    """Power sums p_0..p_{k_max} of the Chern roots, via Newton's identities.
+    """Power sums p_0..p_{k_max} of the Chern roots, read off log c(E).
 
-    Index k of the returned list holds p_k, so p_0 is the constant rank;
-    p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^{k-1} k e_k with e_i = c_i.
+    Index k of the returned list holds p_k, so p_0 is the constant rank.
+    Newton's identities in closed form, log(1 + c_1 + ... + c_rank) =
+    sum_k (-1)^(k-1) p_k / k (Macdonald, I.2, eq. 2.10'), are taken up to
+    degree k_max or the bundle ring's bound, whichever is lower, and p_k is
+    read off the degree-k part; above the bound it is zero.
     """
-    if b.representation != CHERN_GENERATORS:
-        raise ValueError("newton_power_sums requires the chern-generators representation")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return _power_sums(b, k_max)
+    top = k_max if b.ring.bound is None else min(k_max, b.ring.bound)
+    log_c = graded_log(sum((c.truncate(top) for c in b.chern), b.ring.with_bound(top).one))
+    parts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(k_max + 1)]
+    degree = b.ring.degree
+    for e, c in log_c.terms.items():
+        k = degree(e)
+        parts[k][e] = c * ((-1) ** (k - 1) * k)
+    return [b.ring.constant(b.rank)] + [GradedPolynomial(b.ring, part) for part in parts[1:]]
 
 
-def _effective_bound(b: BundleClasses, bound: int | None) -> int:
-    if b.ring.bound is None and bound is None:
-        raise ValueError("a truncation bound is required")
-    if bound is None:
-        return b.ring.bound
+def _ring_bound(b: BundleClasses) -> int:
     if b.ring.bound is None:
-        return bound
-    return min(bound, b.ring.bound)
+        raise ValueError("a truncation bound is required")
+    return b.ring.bound
 
 
-def chern_character(b: BundleClasses, bound: int | None = None) -> GradedPolynomial:
-    """rank + sum_{k>=1} p_k / k!, truncated at the bound."""
-    eff = _effective_bound(b, bound)
+def chern_character(b: BundleClasses) -> GradedPolynomial:
+    """rank + sum_{k>=1} p_k / k!, truncated at the bundle ring's bound."""
+    bound = _ring_bound(b)
     acc = b.ring.constant(b.rank)
-    if b.rank > 0 and eff >= 1:
-        ps = _power_sums(b, eff)
-        for k in range(1, eff + 1):
+    if b.rank > 0 and bound >= 1:
+        ps = newton_power_sums(b, bound)
+        for k in range(1, bound + 1):
             acc = acc + ps[k] / factorial(k)
-    return acc if eff == b.ring.bound else acc.truncate(eff)
+    return acc
 
 
-def _multiplicative_class(b: BundleClasses, series_name: str, bound: int | None) -> GradedPolynomial:
+def _multiplicative_class(b: BundleClasses, series_name: str) -> GradedPolynomial:
     """exp(sum_k series[k] p_k) for a log generating series with zero constant term."""
-    eff = _effective_bound(b, bound)
-    ring = b.ring if eff == b.ring.bound else b.ring.with_bound(eff)
-    if b.rank == 0 or eff == 0:
-        return ring.one
-    if ring != b.ring:
-        b = BundleClasses(b.rank, tuple(c.truncate(eff) for c in b.chern), b.representation, ring)
-    log_class = substitute_power_sums(named_series(series_name, eff), _power_sums(b, eff))
-    return graded_exp(log_class)
+    bound = _ring_bound(b)
+    if b.rank == 0 or bound == 0:
+        return b.ring.one
+    return graded_exp(substitute_power_sums(named_series(series_name, bound), newton_power_sums(b, bound)))
 
 
-def todd(b: BundleClasses, bound: int | None = None) -> GradedPolynomial:
+def todd(b: BundleClasses) -> GradedPolynomial:
     """Todd class: for a line bundle with first Chern class x this is x/(1 - e^{-x})."""
-    return _multiplicative_class(b, "log_todd_gen", bound)
+    return _multiplicative_class(b, "log_todd_gen")
 
 
-def todd_dual(b: BundleClasses, bound: int | None = None) -> GradedPolynomial:
+def todd_dual(b: BundleClasses) -> GradedPolynomial:
     """Dual Todd class: for a line bundle this is x/(e^x - 1) = sum_k B_k x^k / k!."""
-    return _multiplicative_class(b, "log_todd_dual_gen", bound)
+    return _multiplicative_class(b, "log_todd_dual_gen")
 
 
 def _partitions(d: int, g: int) -> list[tuple[int, ...]]:
@@ -431,9 +404,6 @@ def borel_serre_check(g: int) -> BorelSerreReport:
     bound = _default_bound(g)
     lhs = exterior_alternating_sum_dual(g, bound)
     b = BundleClasses.generators(g, bound)
-    ps = newton_power_sums(b, bound)
-    log_td = substitute_power_sums(named_series("log_todd_gen", bound), ps)
-    td_inverse = graded_exp(-log_td)
-    rhs = b.chern[g - 1] * td_inverse
+    rhs = b.chern[g - 1] * _multiplicative_class(b, "log_one_minus_exp_neg_over_t")
     diff = lhs - rhs
     return BorelSerreReport(genus=g, ok=not diff, difference=diff)

@@ -41,8 +41,8 @@ __all__ = [
 # test of satake --p is trial division.  The ring cap is
 # tautring.MAX_RING_GENUS, checked by build_ring.  Times on a 2-CPU x86-64
 # machine with Python 3.11: B_2000 about 1.2 s; borel_serre_check about
-# 30 s and 110 MB peak RSS at genus 8; grr and recursion about 0.3 s each at
-# genus 100, against 2 s and 7 s at genus 200.
+# 27 s and 106 MB peak RSS at genus 8; grr about 0.3 s and recursion about
+# 0.15 s at genus 100, against 2 s and 3.7 s at genus 200.
 MAX_PRINTED_DIGITS = 4300
 MAX_BERNOULLI_N = 2000
 MAX_ZETA_GENUS = 1000
@@ -156,20 +156,14 @@ def _cmd_reduce(args) -> list[dict]:
     return [_envelope("reduce", "info", payload)]
 
 
-# Each check is looked up on its module when it runs, so that a wrapper
-# installed on the module after import, such as a tracer's, sees the call.
+# name: (module, report function, genus cap).  Each check is looked up on
+# its module when it runs, so that a wrapper installed on the module after
+# import, such as a tracer's, sees the call.
 _CHECKS = {
-    "grr": (boundary, "grr_report"),
-    "borel-serre": (charclass, "borel_serre_check"),
-    "ring": (tautring, "ring_report"),
-    "recursion": (satake, "recursion_check"),
-}
-
-_GENUS_CAPS = {
-    "grr": MAX_GRR_GENUS,
-    "borel-serre": MAX_BOREL_SERRE_GENUS,
-    "ring": tautring.MAX_RING_GENUS,
-    "recursion": MAX_RECURSION_GENUS,
+    "grr": (boundary, "grr_report", MAX_GRR_GENUS),
+    "borel-serre": (charclass, "borel_serre_check", MAX_BOREL_SERRE_GENUS),
+    "ring": (tautring, "ring_report", tautring.MAX_RING_GENUS),
+    "recursion": (satake, "recursion_check", MAX_RECURSION_GENUS),
 }
 
 
@@ -182,12 +176,13 @@ def _cmd_verify(args) -> list[dict]:
         genera = [_positive("g", args.g)]
     names = list(_CHECKS) if args.check == "all" else [args.check]
     for name in names:
-        if genera[-1] > _GENUS_CAPS[name]:
-            raise ValueError(f"{name} is capped at genus {_GENUS_CAPS[name]}, got {genera[-1]}")
+        cap = _CHECKS[name][2]
+        if genera[-1] > cap:
+            raise ValueError(f"{name} is capped at genus {cap}, got {genera[-1]}")
     envelopes = []
     for g in genera:
         for name in names:
-            module, function = _CHECKS[name]
+            module, function, _ = _CHECKS[name]
             report = getattr(module, function)(g)
             status = "pass" if report.ok else "fail"
             envelopes.append(_envelope("verify", status, {"check": name, **report.as_payload()}))

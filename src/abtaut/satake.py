@@ -175,10 +175,11 @@ class RecursionReport(NamedTuple):
 def recursion_check(g: int) -> RecursionReport:
     if g < 1:
         raise ValueError(f"recursion_check requires g >= 1, got {g}")
+    constants = [stratum_constant(g, i).coefficient for i in range(g + 1)]
     steps = []
     for i in range(1, g + 1):
-        expected = stratum_constant(g, i - 1).coefficient * Fraction(-1) / zeta_negative_odd(g - i + 1)
-        steps.append((i, stratum_constant(g, i).coefficient == expected))
+        expected = constants[i - 1] * Fraction(-1) / zeta_negative_odd(g - i + 1)
+        steps.append((i, constants[i] == expected))
     ok = all(flag for _, flag in steps)
     return RecursionReport(genus=g, ok=ok, steps=tuple(steps))
 

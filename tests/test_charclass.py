@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
+import newton_oracle
 import pytest
 import roots_oracle
 
@@ -20,9 +21,10 @@ from abtaut import (
     todd,
     todd_dual,
 )
+from abtaut import charclass
 from abtaut.charclass import (
-    CHERN_GENERATORS,
     _elementary_expansions,
+    _multiplicative_class,
     _pack,
     _partitions,
     _to_elementary,
@@ -56,10 +58,55 @@ def test_newton_small_cases():
     assert ps[3] == c1 ** 3 - 3 * c1 * c2 + 3 * c3
 
 
-def test_newton_requires_generators_representation():
-    b = BundleClasses.from_roots(2)
-    with pytest.raises(ValueError):
-        newton_power_sums(b, 2)
+def test_newton_on_roots_bundle_is_sum_of_powers():
+    b = BundleClasses.from_roots(3, bound=6)
+    ps = newton_power_sums(b, 6)
+    assert ps[0] == 3
+    for k in range(1, 7):
+        assert ps[k] == explicit_power_sum(b.ring, k), k
+
+
+def test_dual_of_roots_bundle_negates_the_roots():
+    b = BundleClasses.from_roots(3)
+    negated = [-x for x in b.ring.gens()]
+    dual = dual_bundle(b)
+    for i in range(3):
+        assert dual.chern[i] == b.chern[i].substitute(negated, b.ring), i
+
+
+def newton_cases():
+    for g in range(1, 7):
+        b = BundleClasses.generators(g)
+        yield pytest.param(b, b.ring.bound + 3, id=f"generators-{g}")
+    for g in range(1, 5):
+        b = BundleClasses.from_roots(g)
+        yield pytest.param(b, b.ring.bound + 3, id=f"roots-{g}")
+    R = GradedRing(("x", "y"), (1, 1))
+    x, y = R.gens()
+    yield pytest.param(BundleClasses(2, (x + y, x * y), R), 6, id="two-lines-unbounded")
+
+
+@pytest.mark.parametrize("b,k_max", newton_cases())
+def test_newton_matches_recursion_oracle(b, k_max):
+    ps = newton_power_sums(b, k_max)
+    expected = newton_oracle.power_sums(b, k_max)
+    assert len(ps) == len(expected) == k_max + 1
+    for k, (p, q) in enumerate(zip(ps, expected)):
+        assert p.ring == q.ring == b.ring, k
+        assert p.terms == q.terms, k
+
+
+def test_newton_requires_positive_k_max():
+    with pytest.raises(ValueError, match="k_max"):
+        newton_power_sums(BundleClasses.generators(2), 0)
+
+
+def test_classes_require_a_bounded_ring():
+    R = GradedRing(("x",), (1,))
+    line = BundleClasses(1, (R.gen(0),), R)
+    for f in (chern_character, todd, todd_dual):
+        with pytest.raises(ValueError, match="a truncation bound is required"):
+            f(line)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -88,9 +135,9 @@ def test_chern_character_additive_on_direct_sums():
     # L1 + L2 has Chern classes (x + y, x y)
     R = GradedRing(("x", "y"), (1, 1), 5)
     x, y = R.gens()
-    lines = BundleClasses(2, (x + y, x * y), CHERN_GENERATORS, R)
-    l1 = BundleClasses(1, (x,), CHERN_GENERATORS, R)
-    l2 = BundleClasses(1, (y,), CHERN_GENERATORS, R)
+    lines = BundleClasses(2, (x + y, x * y), R)
+    l1 = BundleClasses(1, (x,), R)
+    l2 = BundleClasses(1, (y,), R)
     assert chern_character(lines) == chern_character(l1) + chern_character(l2)
 
 
@@ -132,7 +179,7 @@ def test_todd_dual_line_bundle_bernoulli_coefficients():
 
 def test_todd_of_zero_bundle():
     R = GradedRing(("x",), (1,), 3)
-    zero_bundle = BundleClasses(0, (), CHERN_GENERATORS, R)
+    zero_bundle = BundleClasses(0, (), R)
     assert todd(zero_bundle) == 1
     assert todd_dual(zero_bundle) == 1
 
@@ -310,3 +357,23 @@ def test_borel_serre_check(g):
 def test_borel_serre_report_payload():
     payload = borel_serre_check(2).as_payload()
     assert payload == {"g": 2, "ok": True, "difference": "0"}
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("the other route was called")
+
+
+def test_two_routes_share_no_code(monkeypatch):
+    with monkeypatch.context() as m:
+        for name in ("graded_exp", "graded_log", "named_series", "substitute_power_sums", "newton_power_sums"):
+            m.setattr(charclass, name, _raises)
+        for g in range(1, 6):
+            assert exterior_alternating_sum_dual(g).terms == roots_oracle.exterior_alternating_sum_dual(g).terms, g
+    with monkeypatch.context() as m:
+        for name in ("_to_elementary", "_elementary_expansions", "_partitions"):
+            m.setattr(charclass, name, _raises)
+        for g in range(1, 6):
+            b = BundleClasses.generators(g)
+            assert todd(b).constant_term == 1, g
+            td_inverse = _multiplicative_class(b, "log_one_minus_exp_neg_over_t")
+            assert (todd(b) * td_inverse) == 1, g

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from abtaut import satake
 from abtaut import (
     consistency_report,
     leading_stratum_constants,
@@ -137,6 +138,20 @@ def test_recursion_check(g):
     assert report.ok
     assert [i for i, _ in report.steps] == list(range(1, g + 1))
     assert all(flag for _, flag in report.steps)
+
+
+@pytest.mark.parametrize("g", [1, 2, 7, 20])
+def test_recursion_builds_each_constant_once(g, monkeypatch):
+    calls = []
+
+    def counted(genus, i):
+        calls.append((genus, i))
+        return stratum_constant(genus, i)
+
+    monkeypatch.setattr(satake, "stratum_constant", counted)
+    report = recursion_check(g)
+    assert report.ok
+    assert sorted(calls) == [(g, i) for i in range(g + 1)]
 
 
 def test_recursion_single_step_value():
