@@ -8,7 +8,6 @@ from .rationals import Rational, bernoulli, boundary_constant, zeta_negative_odd
 from .graded import (
     GradedPolynomial,
     GradedRing,
-    UnivariateSeries,
     graded_exp,
     graded_log,
     named_series,
@@ -67,7 +66,6 @@ __all__ = [
     "boundary_constant",
     "GradedRing",
     "GradedPolynomial",
-    "UnivariateSeries",
     "graded_exp",
     "graded_log",
     "named_series",

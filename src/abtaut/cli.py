@@ -41,7 +41,7 @@ __all__ = [
 # test of satake --p is trial division.  The ring cap is
 # tautring.MAX_RING_GENUS, checked by build_ring.  Times on a 2-CPU x86-64
 # machine with Python 3.11: B_2000 about 1.2 s; borel_serre_check about
-# 27 s and 106 MB peak RSS at genus 8; grr about 0.3 s and recursion about
+# 15 s and 106 MB peak RSS at genus 8; grr about 0.3 s and recursion about
 # 0.15 s at genus 100, against 2 s and 3.7 s at genus 200.
 MAX_PRINTED_DIGITS = 4300
 MAX_BERNOULLI_N = 2000

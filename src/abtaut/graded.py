@@ -13,6 +13,11 @@ integer numerators, grouped by weighted degree (the layout of FLINT's
 ``fmpq_mpoly``, with the packed monomials of Monagan–Pearce), so that no
 ``Fraction`` is normalised inside a loop.  They convert once on the way in
 and once on the way out.
+
+``graded_exp`` and ``graded_log`` are one recurrence in the degree
+operator, which multiplies each pair of homogeneous parts once.  The named
+generating series are the same ``graded_log``/``graded_exp`` in the
+one-generator ring ``t``, returned as tuples of ``Fraction`` coefficients.
 """
 
 from __future__ import annotations
@@ -23,12 +28,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "GradedRing",
     "GradedPolynomial",
-    "UnivariateSeries",
     "graded_exp",
     "graded_log",
     "named_series",
@@ -76,6 +80,17 @@ class _Kernel:
             return _Kernel(den, parts)
         return _Kernel(den // common, {d: {k: v // common for k, v in part.items()} for d, part in parts.items()})
 
+    @staticmethod
+    def cleaned(den: int, out: dict[int, dict[int, int]]) -> "_Kernel":
+        """``reduced`` after dropping zero numerators and empty degrees."""
+        parts = {}
+        for d, acc in out.items():
+            if 0 in acc.values():
+                acc = {k: v for k, v in acc.items() if v}
+            if acc:
+                parts[d] = acc
+        return _Kernel.reduced(den, parts)
+
     def mul(self, other: "_Kernel", bound: int | None) -> "_Kernel":
         """The product, without the degrees above ``bound`` (None keeps all)."""
         out: dict[int, dict[int, int]] = {}
@@ -94,36 +109,25 @@ class _Kernel:
                     for ka, ca in left:
                         k = ka + kb
                         acc[k] = get(k, 0) + ca * cb
-        parts = {}
-        for d, acc in out.items():
-            if 0 in acc.values():
-                acc = {k: v for k, v in acc.items() if v}
-            if acc:
-                parts[d] = acc
-        return _Kernel.reduced(self.den * other.den, parts)
+        return _Kernel.cleaned(self.den * other.den, out)
 
-    def add(self, other: "_Kernel") -> "_Kernel":
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        if fa == 1:
-            parts = {d: dict(part) for d, part in self.parts.items()}
-        else:
-            parts = {d: {k: v * fa for k, v in part.items()} for d, part in self.parts.items()}
-        for d, part in other.parts.items():
-            acc = parts.get(d)
-            if acc is None:
-                parts[d] = {k: v * fb for k, v in part.items()}
-                continue
-            get = acc.get
-            for k, v in part.items():
-                r = get(k, 0) + v * fb
-                if r:
-                    acc[k] = r
-                else:
-                    del acc[k]
-            if not acc:
-                del parts[d]
-        return _Kernel.reduced(den, parts)
+    @staticmethod
+    def total(kernels: Iterable["_Kernel"]) -> "_Kernel":
+        """The sum, over one common denominator."""
+        kernels = [k for k in kernels if k.parts]
+        den = lcm(*(k.den for k in kernels))
+        out: dict[int, dict[int, int]] = {}
+        for kernel in kernels:
+            f = den // kernel.den
+            for d, part in kernel.parts.items():
+                acc = out.get(d)
+                if acc is None:
+                    out[d] = {k: v * f for k, v in part.items()}
+                    continue
+                get = acc.get
+                for k, v in part.items():
+                    acc[k] = get(k, 0) + v * f
+        return _Kernel.cleaned(den, out)
 
     def scaled(self, num: int, den: int = 1) -> "_Kernel":
         """The polynomial times num/den, for integers num != 0 and den > 0."""
@@ -131,27 +135,35 @@ class _Kernel:
             return _Kernel.reduced(self.den * den, self.parts)
         return _Kernel.reduced(self.den * den, {d: {k: v * num for k, v in part.items()} for d, part in self.parts.items()})
 
+    def homogeneous(self, bound: int) -> dict[int, "_Kernel"]:
+        """The nonzero homogeneous parts of degree at most ``bound``, by degree."""
+        return {d: _Kernel.reduced(self.den, {d: part}) for d, part in self.parts.items() if d <= bound}
+
+    # The degree operator D (D x = deg(x) x on homogeneous x) is a derivation,
+    # so F = exp(L) solves D F = D(L) F and L = log(1 + A) solves
+    # D L = D(A) - D(L) A.  In degree n, with M_k = k L_k the parts of D(L):
+    #   n F_n = sum_{k=1..n} M_k F_{n-k},   M_n = n A_n - sum_{k=1..n-1} M_k A_{n-k}.
+    # Each pair of homogeneous parts is multiplied once (Brent–Kung, 1978).
+
     def exp(self, bound: int) -> "_Kernel":
         """sum_k self^k / k! up to degree ``bound``, for zero constant term."""
-        result = term = _ONE
-        for k in range(1, bound + 1):
-            term = term.mul(self, bound).scaled(1, k)
-            if not term.parts:
-                break
-            result = result.add(term)
-        return result
+        m = {k: part.scaled(k) for k, part in self.homogeneous(bound).items()}
+        f = [_ONE]
+        for n in range(1, bound + 1):
+            f.append(_Kernel.total(mk.mul(f[n - k], None) for k, mk in m.items() if k <= n).scaled(1, n))
+        return _Kernel.total(f)
 
     def log1p(self, bound: int) -> "_Kernel":
         """sum_{k>=1} (-1)^(k+1) self^k / k up to degree ``bound``, for zero
         constant term."""
-        acc = _ZERO
-        term = _ONE
-        for k in range(1, bound + 1):
-            term = term.mul(self, bound)
-            if not term.parts:
-                break
-            acc = acc.add(term.scaled((-1) ** (k + 1), k))
-        return acc
+        a = self.homogeneous(bound)
+        m: dict[int, _Kernel] = {}
+        for n in range(1, bound + 1):
+            lower = _Kernel.total(mk.mul(a[n - k], None) for k, mk in m.items() if n - k in a)
+            mn = _Kernel.total((a.get(n, _ZERO).scaled(n), lower.scaled(-1)))
+            if mn.parts:
+                m[n] = mn
+        return _Kernel.total(mk.scaled(1, k) for k, mk in m.items())
 
 
 _ZERO = _Kernel(1, {})
@@ -545,6 +557,9 @@ class GradedPolynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant compares equal to its value, so it hashes like it
+        if not self.terms.keys() - {(0,) * self.ring.ngens}:
+            return hash(self.constant_term)
         return hash((self.ring, frozenset(self.terms.items())))
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
@@ -605,96 +620,29 @@ def graded_log(a: GradedPolynomial) -> GradedPolynomial:
     return GradedPolynomial(a.ring, packing.unpack(packing.pack((a - 1).terms).log1p(bound)))
 
 
-class UnivariateSeries:
-    """Truncated power series in one variable with exact rational coefficients."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Iterable):
-        coeffs = tuple(_as_fraction(c) for c in coefficients)
-        if not coeffs:
-            raise ValueError("a series needs at least its constant coefficient")
-        self.coefficients = coeffs
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coefficients[k]
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.coefficients)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnivariateSeries):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
-
-    def __neg__(self) -> "UnivariateSeries":
-        return UnivariateSeries(tuple(-c for c in self.coefficients))
-
-    def reciprocal(self) -> "UnivariateSeries":
-        a = self.coefficients
-        if a[0] == 0:
-            raise ValueError("reciprocal requires a nonzero constant coefficient")
-        r = [Fraction(1) / a[0]]
-        for n in range(1, len(a)):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                acc += a[j] * r[n - j]
-            r.append(-acc / a[0])
-        return UnivariateSeries(r)
-
-    def log(self) -> "UnivariateSeries":
-        a = self.coefficients
-        if a[0] != 1:
-            raise ValueError("log requires constant coefficient 1")
-        l = [Fraction(0)] * len(a)
-        for n in range(1, len(a)):
-            acc = Fraction(0)
-            for j in range(1, n):
-                acc += j * l[j] * a[n - j]
-            l[n] = a[n] - acc / n
-        return UnivariateSeries(l)
-
-    def __repr__(self) -> str:
-        return f"UnivariateSeries({list(self.coefficients)})"
+# name: (s, sign, exponentiate) for sign * log((e^{st} - 1) / (st)), then exp
+_SERIES = {
+    "todd_dual_gen": (1, -1, True),
+    "log_todd_gen": (-1, -1, False),
+    "log_todd_dual_gen": (1, -1, False),
+    "log_one_minus_exp_neg_over_t": (-1, 1, False),
+}
 
 
-_SERIES_NAMES = (
-    "todd_dual_gen",
-    "log_todd_gen",
-    "log_todd_dual_gen",
-    "log_one_minus_exp_neg_over_t",
-)
-
-
-def _exp_minus_one_over_t(order: int) -> UnivariateSeries:
-    """(e^t - 1) / t."""
-    fact = Fraction(1)
-    out = []
+def _exp_difference_quotient(s: int, order: int) -> GradedPolynomial:
+    """(e^{st} - 1) / (st) in the one-generator ring ``t`` truncated at ``order``:
+    (e^t - 1)/t for s = 1 and (1 - e^{-t})/t for s = -1."""
+    ring = GradedRing(("t",), (1,), order)
+    fact = 1
+    terms = {}
     for k in range(order + 1):
         fact *= k + 1
-        out.append(Fraction(1) / fact)
-    return UnivariateSeries(out)
+        terms[(k,)] = Fraction(s**k, fact)
+    return ring.from_terms(terms)
 
 
-def _one_minus_exp_neg_over_t(order: int) -> UnivariateSeries:
-    """(1 - e^{-t}) / t."""
-    fact = Fraction(1)
-    out = []
-    for k in range(order + 1):
-        fact *= k + 1
-        out.append(Fraction((-1) ** k) / fact)
-    return UnivariateSeries(out)
-
-
-def named_series(name: str, order: int) -> UnivariateSeries:
-    """Exact coefficients of the generating series used by the class calculus.
+def named_series(name: str, order: int) -> tuple[Fraction, ...]:
+    """Exact coefficients 0..order of the generating series used by the class calculus.
 
     ``todd_dual_gen``
         t / (e^t - 1), whose k-th coefficient is B_k / k!.
@@ -704,35 +652,38 @@ def named_series(name: str, order: int) -> UnivariateSeries:
         log(t / (e^t - 1)).
     ``log_one_minus_exp_neg_over_t``
         log((1 - e^{-t}) / t).
+
+    Each is computed by ``graded_log`` and ``graded_exp`` in the ring ``t``.
     """
     if order < 0:
         raise ValueError(f"series order must be >= 0, got {order}")
-    if name == "todd_dual_gen":
-        return _exp_minus_one_over_t(order).reciprocal()
-    if name == "log_todd_gen":
-        return -(_one_minus_exp_neg_over_t(order).log())
-    if name == "log_todd_dual_gen":
-        return -(_exp_minus_one_over_t(order).log())
-    if name == "log_one_minus_exp_neg_over_t":
-        return _one_minus_exp_neg_over_t(order).log()
-    raise ValueError(f"unknown series {name!r}; expected one of {', '.join(_SERIES_NAMES)}")
+    if name not in _SERIES:
+        raise ValueError(f"unknown series {name!r}; expected one of {', '.join(_SERIES)}")
+    s, sign, exponentiate = _SERIES[name]
+    series = graded_log(_exp_difference_quotient(s, order)) * sign
+    if exponentiate:
+        series = graded_exp(series)
+    return tuple(series.coefficient((k,)) for k in range(order + 1))
 
 
-def substitute_power_sums(series: UnivariateSeries, power_sums: Sequence[GradedPolynomial]) -> GradedPolynomial:
-    """Return sum_k series[k] * power_sums[k], truncated in the common ring.
+def substitute_power_sums(series: Sequence[Fraction], power_sums: Sequence[GradedPolynomial]) -> GradedPolynomial:
+    """Return sum_k series[k] * power_sums[k], truncated in the common ring,
+    for a sequence of integer or Fraction coefficients ``series``.
 
     ``power_sums[k]`` must be homogeneous of weighted degree k; the entry at
     index 0 is never consulted because the series must have zero constant
     term.
     """
-    if series.coefficients[0] != 0:
+    if not series:
+        raise ValueError("a series needs at least its constant coefficient")
+    if series[0] != 0:
         raise ValueError("substitute_power_sums requires a series with zero constant term")
     if len(power_sums) < 2:
         raise ValueError("at least the degree-1 power sum must be supplied")
     ring = power_sums[1].ring
     acc = ring.zero
-    for k in range(1, series.order + 1):
-        c = series.coefficients[k]
+    for k in range(1, len(series)):
+        c = series[k]
         if c == 0:
             continue
         if k >= len(power_sums):

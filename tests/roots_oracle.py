@@ -76,5 +76,5 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
             s = roots.zero
             for j in subset:
                 s = s - xs[j]
-            total = total.add(packing.pack(s.terms).exp(bound).scaled(sign))
+            total = _Kernel.total((total, packing.pack(s.terms).exp(bound).scaled(sign)))
     return to_elementary(GradedPolynomial(roots, packing.unpack(total)))

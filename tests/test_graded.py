@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graded_oracle
+import series_oracle
 from abtaut import (
+    BundleClasses,
     GradedRing,
-    UnivariateSeries,
     bernoulli,
     graded_exp,
     graded_log,
     named_series,
+    newton_power_sums,
     substitute_power_sums,
 )
 
@@ -208,6 +210,29 @@ def test_exp_log_preconditions():
         graded_exp(unbounded.gen(0))
 
 
+def test_exp_log_recurrence_at_the_socle_bound():
+    # the log-Todd class of the rank-4 bundle on c1..c4 (weights 1..4) at the
+    # socle bound 10, against the per-power Fraction sums
+    b = BundleClasses.generators(4)
+    assert b.ring.weights == (1, 2, 3, 4) and b.ring.bound == 10
+    log_todd = substitute_power_sums(named_series("log_todd_gen", 10), newton_power_sums(b, 10))
+    todd_class = graded_exp(log_todd)
+    assert todd_class.terms == graded_oracle.exp(log_todd).terms
+    assert graded_log(todd_class).terms == graded_oracle.log(todd_class).terms == log_todd.terms
+    total_chern = sum(b.chern, b.ring.one)
+    assert graded_log(total_chern).terms == graded_oracle.log(total_chern).terms
+
+
+def test_exp_log_recurrence_at_bounds_zero_and_one():
+    for bound in (0, 1):
+        R = GradedRing(("x", "y"), (1, 1), bound)
+        assert graded_exp(R.zero).terms == {(0, 0): 1}
+        assert graded_log(R.one).terms == {}
+    x, y = GradedRing(("x", "y"), (1, 1), 1).gens()
+    assert graded_exp(x / 2 - y) == 1 + x / 2 - y
+    assert graded_log(1 + x / 2 - y) == x / 2 - y
+
+
 # -- named series ----------------------------------------------------------
 
 
@@ -250,6 +275,14 @@ def test_log_series_float_oracle():
         assert abs(value - expected) < 1e-12, name
 
 
+def test_named_series_match_fraction_recurrences():
+    for name in ("todd_dual_gen", "log_todd_gen", "log_todd_dual_gen", "log_one_minus_exp_neg_over_t"):
+        for order in range(41):
+            series = named_series(name, order)
+            assert type(series) is tuple
+            assert series == series_oracle.named_series(name, order), (name, order)
+
+
 def test_named_series_unknown_name():
     with pytest.raises(ValueError):
         named_series("todd", 3)
@@ -266,14 +299,14 @@ def test_named_series_negative_order():
 def test_substitute_identity_series():
     R = GradedRing(("l1",), (1,), 3)
     l1 = R.gen(0)
-    s = UnivariateSeries([0, 1])
+    s = [0, 1]
     assert substitute_power_sums(s, [None, l1]) == l1
 
 
 def test_substitute_zero_series():
     R = GradedRing(("l1",), (1,), 3)
     l1 = R.gen(0)
-    s = UnivariateSeries([0, 0, 0])
+    s = [0, 0, 0]
     assert substitute_power_sums(s, [None, l1, l1 * l1]) == 0
 
 
@@ -285,7 +318,7 @@ def test_substitute_recovers_series_evaluation():
     powers = [None] + [x ** k for k in range(1, 7)]
     for _ in range(10):
         coeffs = [Fraction(0)] + [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)]
-        s = UnivariateSeries(coeffs)
+        s = coeffs
         expected = R.zero
         for k in range(1, 7):
             expected = expected + x ** k * coeffs[k]
@@ -296,11 +329,26 @@ def test_substitute_preconditions():
     R = GradedRing(("x",), (1,), 3)
     x = R.gen(0)
     with pytest.raises(ValueError):
-        substitute_power_sums(UnivariateSeries([1, 1]), [None, x])
+        substitute_power_sums([1, 1], [None, x])
     with pytest.raises(ValueError):
-        substitute_power_sums(UnivariateSeries([0, 1]), [None, 1 + x])
+        substitute_power_sums([0, 1], [None, 1 + x])
     with pytest.raises(ValueError):
-        substitute_power_sums(UnivariateSeries([0, 1, 1]), [None, x])
+        substitute_power_sums([0, 1, 1], [None, x])
+    with pytest.raises(ValueError):
+        substitute_power_sums([], [None, x])
+
+
+# -- hashing ---------------------------------------------------------------
+
+
+def test_hash_agrees_with_eq_on_constants():
+    R = GradedRing(("x", "y"), (1, 2), 4)
+    x, y = R.gens()
+    for poly, value in ((R.one, 1), (R.zero, 0), (R.constant(Fraction(-3, 2)), Fraction(-3, 2)), (x - x, 0)):
+        assert poly == value and hash(poly) == hash(value)
+        assert len({poly, value}) == 1
+        assert {value: "a"}.get(poly) == "a"
+    assert {R.one, 1 + x, x * y, R.constant(2)} == {1, 1 + x, x * y, 2}
 
 
 # -- text form -------------------------------------------------------------
