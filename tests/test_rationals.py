@@ -1,11 +1,13 @@
 import sys
 import threading
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from abtaut import bernoulli, boundary_constant, rationals, zeta_negative_odd
+from abtaut import bernoulli, boundary_constant, cli, rationals, zeta_negative_odd
+from tangent_oracle import _tangent_numbers, bernoulli_table
 
 
 def akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -52,25 +54,100 @@ def test_bernoulli_against_independent_triangle():
 
 def test_tangent_numbers_small():
     # tan t = t + 2 t^3/3! + 16 t^5/5! + ...
-    assert rationals._tangent_numbers(6) == [0, 1, 2, 16, 272, 7936, 353792]
+    assert _tangent_numbers(6) == [0, 1, 2, 16, 272, 7936, 353792]
+
+
+def test_bernoulli_matches_tangent_oracle():
+    oracle = bernoulli_table(cli.MAX_BERNOULLI_N)
+    for n in [*range(0, 1001, 2), *range(1100, cli.MAX_BERNOULLI_N + 1, 100)]:
+        assert bernoulli(n) == oracle[n], n
+
+
+def pi_floor(bits: int) -> int:
+    """floor(pi 2^bits) by the decimal module's own series for pi (the recipe
+    in its documentation), carried with 30 spare digits."""
+    with localcontext() as ctx:
+        ctx.prec = bits * 302 // 1000 + 30
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+        return int(s * (1 << bits))
+
+
+def test_pi_bounds_every_precision():
+    top = 2000
+    reference = pi_floor(top)
+    for precision in range(top + 1):
+        lo, hi = rationals._pi_bounds(precision)
+        floor = reference >> (top - precision)
+        # pi 2^precision is never an integer, so it lies in (floor, floor + 1)
+        assert 0 < lo <= floor < hi, precision
+
+
+def test_zeta_bounds_every_precision():
+    # zeta(n) = |B_n| (2 pi)^n / (2 n!), with pi 2^top in (floor, floor + 1)
+    top = 600
+    floor = pi_floor(top)
+    table = bernoulli_table(100)
+    for n in (2, 4, 6, 10, 36, 100):
+        scale = 2 * factorial(n) << (top * n)
+        below = abs(table[n]) * (2 * floor) ** n / scale
+        above = abs(table[n]) * (2 * floor + 2) ** n / scale
+        # the partial sum runs to about 2^(precision / n) terms
+        for precision in range(min(12 * n, 500)):
+            lo, hi = rationals._zeta_bounds(n, precision)
+            assert lo <= below * 2**precision and above * 2**precision <= hi, (n, precision)
+
+
+def test_power_bounds_against_exact_powers():
+    for n in (1, 2, 3, 4, 6, 10, 36, 100, 401, 800):
+        for precision in range(0, 48):
+            lo, hi = rationals._pi_bounds(precision)
+            low, high = rationals._power_bounds(2 * lo, 2 * hi, n, precision)
+            shift = precision * (n - 1)
+            assert low << shift <= (2 * lo) ** n, (n, precision)
+            assert (2 * hi) ** n <= high << shift, (n, precision)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 36, 100, 400, 800])
+def test_numerator_bounds_every_precision(n):
+    # |B_n| D_n = 2 n! D_n zeta(n) / (2 pi)^n with D_n from von Staudt-Clausen;
+    # the bounds must hold at every precision the route could try, not only
+    # where they meet
+    expected = bernoulli_table(n)[n]
+    denominator = rationals._staudt_denominator(n)
+    assert expected.denominator == denominator
+    numerator = abs(expected.numerator)
+    scale = 2 * factorial(n) * denominator
+    settled, precision = rationals._settle(scale, n)
+    assert settled == numerator
+    for p in range(precision + 1):
+        lo, hi = rationals._interval(scale, n, p)
+        assert lo <= numerator <= hi, p
+    assert lo == hi
 
 
 @pytest.fixture
 def cold_bernoulli_memo():
     """Empty the Bernoulli memo for one test and put it back afterwards."""
-    saved = list(rationals._bernoulli_cache)
-    del rationals._bernoulli_cache[1:]
+    saved = dict(rationals._bernoulli_cache)
+    rationals._bernoulli_cache.clear()
     yield
-    rationals._bernoulli_cache[:] = saved
+    rationals._bernoulli_cache.clear()
+    rationals._bernoulli_cache.update(saved)
 
 
 def test_bernoulli_memo_order_and_threads(cold_bernoulli_memo):
     ns = (800, 10, 799, 11, 2)
     forward = [bernoulli(n) for n in ns]
-    del rationals._bernoulli_cache[1:]
+    rationals._bernoulli_cache.clear()
     backward = [bernoulli(n) for n in reversed(ns)][::-1]
     assert forward == backward
-    del rationals._bernoulli_cache[1:]
+    rationals._bernoulli_cache.clear()
     # four threads on a cold memo, half asking for B_10 first and half for B_800
     results: dict[int, list[Fraction]] = {}
     start = threading.Barrier(4)
@@ -92,7 +169,6 @@ def test_bernoulli_memo_order_and_threads(cold_bernoulli_memo):
     assert not any(t.is_alive() for t in threads)
     for i in range(4):
         assert results[i] == forward[i % 2 :] + forward[: i % 2], i
-    assert len(rationals._bernoulli_cache) == 801
 
 
 def test_bernoulli_recurrence_property():
@@ -103,6 +179,13 @@ def test_bernoulli_recurrence_property():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+@pytest.mark.parametrize("function, name", [(bernoulli, "n"), (zeta_negative_odd, "g"), (boundary_constant, "g")])
+@pytest.mark.parametrize("value", [2.0, "4", True, False, None, Fraction(4), 4 + 0j])
+def test_scalars_reject_non_integers(function, name, value):
+    with pytest.raises(TypeError, match=rf"^{function.__name__} requires an int {name}, got "):
+        function(value)
 
 
 def test_zeta_values():
