@@ -6,7 +6,10 @@ The two generators model the divisor of the Poincare bundle (Pi) and the
 fibrewise polarization divisor (T); the first Chern classes of the two normal
 directions are a1 = Pi and a2 = -Pi - 2T.  Their sum is -2T, so the quotient
 (a1^(2k-1) + a2^(2k-1)) / (a1 + a2) is an exact division by -2T, carried out
-in the Pi, T alphabet and checked by multiplying back.  The pushforward
+in the Pi, T alphabet.  The numerator's pure-Pi terms cancel, so every term
+it keeps contains T, and a division by the monomial -2T is exact exactly
+when that holds; the division checks it term by term.  Each odd power
+(-Pi - 2T)^(2k-1) is the one before it times (Pi + 2T)^2.  The pushforward
 consumes exactly the homogeneous part of degree 2g - 2 and is applied as a
 rewrite rule on monomials, never re-derived.
 """
@@ -19,7 +22,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .graded import GradedPolynomial, GradedRing
-from .rationals import bernoulli, boundary_constant, zeta_negative_odd
+from .rationals import _require_int, bernoulli, boundary_constant, zeta_negative_odd
 
 __all__ = [
     "BoundaryClass",
@@ -35,6 +38,10 @@ __all__ = [
 ]
 
 _PI_T = GradedRing(("Pi", "T"), (1, 1), None)
+
+# (-Pi - 2T)^(2k-1) by k >= 1, each written once; threads that race on an
+# entry compute equal values.
+_odd_powers: dict[int, GradedPolynomial] = {}
 
 
 def boundary_ring() -> GradedRing:
@@ -60,6 +67,9 @@ class PushforwardResult(NamedTuple):
     delta_coefficient: Fraction
 
 
+_NO_DELTA = PushforwardResult(Fraction(0))
+
+
 def _as_poly(p: BoundaryClass | GradedPolynomial) -> GradedPolynomial:
     poly = p.poly if isinstance(p, BoundaryClass) else p
     if poly.ring.names != _PI_T.names or poly.ring.weights != _PI_T.weights:
@@ -74,22 +84,46 @@ def pushforward(g: int, p: BoundaryClass | GradedPolynomial) -> PushforwardResul
     monomial of degree different from 2g - 2 maps to 0 (the fibres have
     dimension g - 1, so nothing else survives).
     """
+    _require_int("pushforward", "g", g)
     if g < 1:
         raise ValueError(f"pushforward requires g >= 1, got {g}")
-    poly = _as_poly(p)
-    coeff = poly.coefficient((2 * g - 2, 0))
+    coeff = _as_poly(p).terms.get((2 * g - 2, 0))
+    if coeff is None:
+        return _NO_DELTA
     return PushforwardResult(coeff * (-1) ** (g - 1) * factorial(2 * g - 2))
 
 
 def _divide_by_minus_2t(numerator: GradedPolynomial) -> GradedPolynomial:
     """The exact quotient numerator / (-2T): every term has its T exponent
-    lowered by one and its coefficient divided by -2.  Exactness is verified
-    by multiplying back; a term without T survives no such round trip, so a
-    non-exact division raises ArithmeticError."""
-    quotient = GradedPolynomial(_PI_T, {(i, j - 1): c / -2 for (i, j), c in numerator.terms.items() if j})
-    if _PI_T.monomial((0, 1), -2) * quotient != numerator:
-        raise ArithmeticError(f"{numerator} is not divisible by -2T")
-    return quotient
+    lowered by one and its coefficient divided by -2.  Division by the
+    monomial -2T is exact exactly when every term contains T, so the first
+    term without T raises ArithmeticError."""
+    quotient = {}
+    for (i, j), c in numerator.terms.items():
+        if not j:
+            raise ArithmeticError(f"{numerator} is not divisible by -2T")
+        quotient[i, j - 1] = Fraction(-c.numerator, 2 * c.denominator)
+    return GradedPolynomial(_PI_T, quotient)
+
+
+def _odd_power(k: int) -> GradedPolynomial:
+    """(-Pi - 2T)^(2k-1) for k >= 1, filled upward from the largest stored
+    power below it, one factor (Pi + 2T)^2 per step."""
+    power = _odd_powers.get(k)
+    if power is not None:
+        return power
+    j = k - 1
+    while j and j not in _odd_powers:
+        j -= 1
+    pi, t = _PI_T.gens()
+    if j:
+        power = _odd_powers[j]
+    else:
+        j, power = 1, _odd_powers.setdefault(1, -pi - 2 * t)
+    square = (pi + 2 * t) ** 2
+    for i in range(j + 1, k + 1):
+        power = _odd_powers.setdefault(i, power * square)
+    return power
 
 
 @lru_cache(maxsize=None)
@@ -98,14 +132,14 @@ def sum_powers_quotient(k: int) -> BoundaryClass:
     a2 = -Pi - 2T, computed in the Pi, T alphabet.
 
     Since a1 + a2 = -2T identically, the quotient is the numerator
-    Pi^(2k-1) + (-Pi - 2T)^(2k-1) divided exactly by -2T; the division is
-    checked by multiplying back, and a mismatch raises ArithmeticError (it
-    would signal an arithmetic bug).
+    Pi^(2k-1) + (-Pi - 2T)^(2k-1) divided exactly by -2T.  The numerator's
+    Pi^(2k-1) terms cancel, so every term left contains T; a term without T
+    raises ArithmeticError (it would signal an arithmetic bug).
     """
+    _require_int("sum_powers_quotient", "k", k)
     if k < 1:
         raise ValueError(f"sum_powers_quotient requires k >= 1, got {k}")
-    pi, t = _PI_T.gens()
-    return BoundaryClass(k, _divide_by_minus_2t(pi ** (2 * k - 1) + (-pi - 2 * t) ** (2 * k - 1)))
+    return BoundaryClass(k, _divide_by_minus_2t(_PI_T.monomial((2 * k - 1, 0)) + _odd_power(k)))
 
 
 class BinomialExpansionReport(NamedTuple):
@@ -121,6 +155,7 @@ class BinomialExpansionReport(NamedTuple):
 def binomial_expansion_check(g: int) -> BinomialExpansionReport:
     """Verify (-1)^(g-1) Pi^(g-1) (-Pi - 2T)^(g-1) =
     sum_r C(g-1, r) Pi^(2g-2-r) (2T)^r exactly."""
+    _require_int("binomial_expansion_check", "g", g)
     if g < 1:
         raise ValueError(f"binomial_expansion_check requires g >= 1, got {g}")
     pi, t = _PI_T.gens()
@@ -140,6 +175,7 @@ def grr_coefficient(g: int) -> Fraction:
     expansion pushes to 0, that each T-bearing monomial of the matched term
     pushes to 0 individually, and that the pure-Pi coefficient is 2g - 1.
     """
+    _require_int("grr_coefficient", "g", g)
     if g < 1:
         raise ValueError(f"grr_coefficient requires g >= 1, got {g}")
     for k in range(1, g):
@@ -148,10 +184,8 @@ def grr_coefficient(g: int) -> Fraction:
             raise ArithmeticError(f"term k={k} < g={g} failed to push to zero")
     matched = sum_powers_quotient(g)
     for exps, coeff in matched.poly.terms.items():
-        if exps[1] >= 1:
-            mono = _PI_T.monomial(exps, coeff)
-            if pushforward(g, mono).delta_coefficient != 0:
-                raise ArithmeticError(f"T-bearing monomial {exps} failed to push to zero")
+        if exps[1] and pushforward(g, GradedPolynomial(_PI_T, {exps: coeff})).delta_coefficient != 0:
+            raise ArithmeticError(f"T-bearing monomial {exps} failed to push to zero")
     if matched.poly.coefficient((2 * g - 2, 0)) != 2 * g - 1:
         raise ArithmeticError(f"pure-Pi coefficient differs from {2 * g - 1} at g={g}")
     factor = Fraction((-1) ** g) * bernoulli(2 * g) / factorial(2 * g)
@@ -190,6 +224,7 @@ class GrrReport(NamedTuple):
 def grr_report(g: int) -> GrrReport:
     """Run the pipeline at genus g and compare |q| against the closed-form
     constant; a magnitude mismatch is a hard failure of the check."""
+    _require_int("grr_report", "g", g)
     q = grr_coefficient(g)
     constant = boundary_constant(g)
     zeta = zeta_negative_odd(g)

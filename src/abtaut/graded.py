@@ -445,12 +445,19 @@ class GradedPolynomial:
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, Fraction(0)) + c
-            if v:
+        # fold the smaller operand into a copy of the larger: term order is
+        # not part of the value
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for e, c in small.items():
+            if e not in out:
+                if c:
+                    out[e] = c
+            elif v := out[e] + c:
                 out[e] = v
-            elif e in out:
+            else:
                 del out[e]
         return GradedPolynomial(self.ring, out)
 

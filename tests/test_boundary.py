@@ -1,4 +1,7 @@
+import random
+import sys
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 import pytest
@@ -12,7 +15,8 @@ from abtaut import (
     sum_powers_quotient,
     zeta_negative_odd,
 )
-from abtaut.boundary import _divide_by_minus_2t, boundary_ring
+from abtaut import boundary
+from abtaut.boundary import _divide_by_minus_2t, _odd_power, boundary_ring
 
 
 def brute_quotient_terms(k):
@@ -25,6 +29,26 @@ def brute_quotient_terms(k):
             key = (j + m - r, r)
             terms[key] = terms.get(key, 0) + coeff
     return {key: Fraction(value) for key, value in terms.items() if value}
+
+
+@cache
+def binary_odd_power(k):
+    """Oracle: (-Pi - 2T)^(2k-1) by the engine's binary powering."""
+    pi, t = boundary_ring().gens()
+    return (-pi - 2 * t) ** (2 * k - 1)
+
+
+@pytest.fixture
+def cold_quotients():
+    """Empty the odd-power memo and the quotient cache for one test and put
+    the powers back afterwards."""
+    saved = dict(boundary._odd_powers)
+    boundary._odd_powers.clear()
+    sum_powers_quotient.cache_clear()
+    yield
+    boundary._odd_powers.clear()
+    boundary._odd_powers.update(saved)
+    sum_powers_quotient.cache_clear()
 
 
 # -- pushforward -------------------------------------------------------------
@@ -73,7 +97,7 @@ def test_quotient_k2_hand_expansion():
     assert q == boundary_ring().parse("3*Pi^2 + 6*Pi*T + 4*T^2")
 
 
-@pytest.mark.parametrize("k", list(range(1, 41)))
+@pytest.mark.parametrize("k", [*range(1, 41), 60, 80, 100])
 def test_quotient_against_brute_force(k):
     assert sum_powers_quotient(k).poly.terms == brute_quotient_terms(k)
 
@@ -84,9 +108,45 @@ def test_quotient_pure_pi_coefficient(k):
 
 
 def test_quotient_division_exact_up_to_twenty():
-    # the constructor itself verifies the zero remainder; this must not raise
+    # the division raises on a term without T; this must not raise
     for k in range(1, 21):
         sum_powers_quotient(k)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_odd_powers_any_fill_order(cold_quotients, order):
+    ks = list(range(1, 101))
+    if order == "descending":
+        ks.reverse()
+    elif order == "shuffled":
+        random.Random(2004).shuffle(ks)
+    for k in ks:
+        assert _odd_power(k).terms == binary_odd_power(k).terms, k
+    assert sorted(boundary._odd_powers) == list(range(1, 101))
+
+
+def test_quotient_cold_needs_no_recursion(cold_quotients):
+    # a fill that recursed once per power would need 200 frames here
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        quotient = sum_powers_quotient(200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert quotient.poly.coefficient((398, 0)) == 399
+    assert len(quotient.poly.terms) == 399
+
+
+def test_quotient_cache_counts_hits():
+    # bench/tracing.py reads these statistics
+    sum_powers_quotient(7)
+    before = sum_powers_quotient.cache_info()
+    sum_powers_quotient(7)
+    after = sum_powers_quotient.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_quotient_division_guard_rejects_inexact():
@@ -168,3 +228,19 @@ def test_grr_report_genus_ten():
 def test_grr_rejects_genus_zero():
     with pytest.raises(ValueError):
         grr_coefficient(0)
+
+
+@pytest.mark.parametrize(
+    "function, name, rest",
+    [
+        (pushforward, "g", (boundary_ring().one,)),
+        (sum_powers_quotient, "k", ()),
+        (binomial_expansion_check, "g", ()),
+        (grr_coefficient, "g", ()),
+        (grr_report, "g", ()),
+    ],
+)
+@pytest.mark.parametrize("value", [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j])
+def test_boundary_rejects_non_integers(function, name, rest, value):
+    with pytest.raises(TypeError, match=rf"^{function.__name__} requires an int {name}, got "):
+        function(value, *rest)

@@ -95,6 +95,22 @@ def test_truncation_is_ring_morphism():
         assert lhs.terms == rhs.terms
 
 
+def test_add_commutes_on_unequal_sizes():
+    R = GradedRing(("x", "y"), (1, 1), None)
+    x, y = R.gens()
+    big = (x - y / 3) ** 6 + Fraction(5, 2)
+    polys = [big, x ** 6, -x * y ** 5 + x ** 7, 1 - big, -big, R.one, R.zero, R.constant(Fraction(-5, 2))]
+    for a in polys:
+        for b in [*polys, 3, -2]:
+            tb = R.constant(b).terms if isinstance(b, int) else b.terms
+            expected = {e: a.terms.get(e, 0) + tb.get(e, 0) for e in a.terms.keys() | tb.keys()}
+            before = (dict(a.terms), dict(tb))
+            assert (a + b).terms == (b + a).terms == {e: c for e, c in expected.items() if c}, (a, b)
+            assert (a.terms, tb) == before
+    assert (big + -big).terms == {}
+    assert (1 - big + big).terms == {(0, 0): 1}
+
+
 def test_power_and_scalar_ops():
     R = GradedRing(("x",), (1,), 6)
     x = R.gen(0)
