@@ -4,14 +4,13 @@ re-derives the constant attaching the boundary class to the top Chern class.
 
 The two generators model the divisor of the Poincare bundle (Pi) and the
 fibrewise polarization divisor (T); the first Chern classes of the two normal
-directions are a1 = Pi and a2 = -Pi - 2T.  Their sum is -2T, so the quotient
-(a1^(2k-1) + a2^(2k-1)) / (a1 + a2) is an exact division by -2T, carried out
-in the Pi, T alphabet.  The numerator's pure-Pi terms cancel, so every term
-it keeps contains T, and a division by the monomial -2T is exact exactly
-when that holds; the division checks it term by term.  Each odd power
-(-Pi - 2T)^(2k-1) is the one before it times (Pi + 2T)^2.  The pushforward
-consumes exactly the homogeneous part of degree 2g - 2 and is applied as a
-rewrite rule on monomials, never re-derived.
+directions are a1 = Pi and a2 = -Pi - 2T.  The quotients
+Q_k = (a1^(2k-1) + a2^(2k-1)) / (a1 + a2) follow the recurrence Q_1 = 1,
+Q_(k+1) = a2^2 Q_k + a1^(2k-1) (a1 - a2), which comes from
+a1^(n+2) + a2^(n+2) = a2^2 (a1^n + a2^n) + a1^n (a1^2 - a2^2).  So every Q_k
+is a polynomial in Pi and T by a theorem, and no division is carried out.
+The pushforward consumes exactly the homogeneous part of degree 2g - 2 and
+is applied as a rewrite rule on monomials, never re-derived.
 """
 
 from __future__ import annotations
@@ -39,9 +38,8 @@ __all__ = [
 
 _PI_T = GradedRing(("Pi", "T"), (1, 1), None)
 
-# (-Pi - 2T)^(2k-1) by k >= 1, each written once; threads that race on an
-# entry compute equal values.
-_odd_powers: dict[int, GradedPolynomial] = {}
+# a2^2 = (Pi + 2T)^2
+_A2_SQUARED = _PI_T.from_terms({(2, 0): 1, (1, 1): 4, (0, 2): 4})
 
 
 def boundary_ring() -> GradedRing:
@@ -93,53 +91,28 @@ def pushforward(g: int, p: BoundaryClass | GradedPolynomial) -> PushforwardResul
     return PushforwardResult(coeff * (-1) ** (g - 1) * factorial(2 * g - 2))
 
 
-def _divide_by_minus_2t(numerator: GradedPolynomial) -> GradedPolynomial:
-    """The exact quotient numerator / (-2T): every term has its T exponent
-    lowered by one and its coefficient divided by -2.  Division by the
-    monomial -2T is exact exactly when every term contains T, so the first
-    term without T raises ArithmeticError."""
-    quotient = {}
-    for (i, j), c in numerator.terms.items():
-        if not j:
-            raise ArithmeticError(f"{numerator} is not divisible by -2T")
-        quotient[i, j - 1] = Fraction(-c.numerator, 2 * c.denominator)
-    return GradedPolynomial(_PI_T, quotient)
-
-
-def _odd_power(k: int) -> GradedPolynomial:
-    """(-Pi - 2T)^(2k-1) for k >= 1, filled upward from the largest stored
-    power below it, one factor (Pi + 2T)^2 per step."""
-    power = _odd_powers.get(k)
-    if power is not None:
-        return power
-    j = k - 1
-    while j and j not in _odd_powers:
-        j -= 1
-    pi, t = _PI_T.gens()
-    if j:
-        power = _odd_powers[j]
-    else:
-        j, power = 1, _odd_powers.setdefault(1, -pi - 2 * t)
-    square = (pi + 2 * t) ** 2
-    for i in range(j + 1, k + 1):
-        power = _odd_powers.setdefault(i, power * square)
-    return power
-
-
 @lru_cache(maxsize=None)
 def sum_powers_quotient(k: int) -> BoundaryClass:
-    """The exact quotient (a1^(2k-1) + a2^(2k-1)) / (a1 + a2) with a1 = Pi and
+    """The quotient Q_k = (a1^(2k-1) + a2^(2k-1)) / (a1 + a2) with a1 = Pi and
     a2 = -Pi - 2T, computed in the Pi, T alphabet.
 
-    Since a1 + a2 = -2T identically, the quotient is the numerator
-    Pi^(2k-1) + (-Pi - 2T)^(2k-1) divided exactly by -2T.  The numerator's
-    Pi^(2k-1) terms cancel, so every term left contains T; a term without T
-    raises ArithmeticError (it would signal an arithmetic bug).
+    Q_1 = 1 and Q_(k+1) = a2^2 Q_k + a1^(2k-1) (a1 - a2), that is
+    (Pi + 2T)^2 Q_k + 2 Pi^(2k) + 2 Pi^(2k-1) T, so no division is needed.
+    A miss fills the cache from Q_1 upward in a loop, so no call recurses
+    more than one level.  Q_2 = 3*Pi^2 + 6*Pi*T + 4*T^2:
+
+    >>> print(sum_powers_quotient(2))
+    4*T^2 + 6*Pi*T + 3*Pi^2
     """
     _require_int("sum_powers_quotient", "k", k)
     if k < 1:
         raise ValueError(f"sum_powers_quotient requires k >= 1, got {k}")
-    return BoundaryClass(k, _divide_by_minus_2t(_PI_T.monomial((2 * k - 1, 0)) + _odd_power(k)))
+    if k == 1:
+        return BoundaryClass(1, _PI_T.one)
+    for j in range(1, k):
+        previous = sum_powers_quotient(j).poly
+    tail = _PI_T.from_terms({(2 * k - 2, 0): 2, (2 * k - 3, 1): 2})
+    return BoundaryClass(k, _A2_SQUARED * previous + tail)
 
 
 class BinomialExpansionReport(NamedTuple):

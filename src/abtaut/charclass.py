@@ -31,6 +31,7 @@ from .graded import (
     named_series,
     substitute_power_sums,
 )
+from .rationals import _require_int
 
 __all__ = [
     "BundleClasses",
@@ -368,6 +369,9 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
     sum_nu prod_i (-1)^{nu_i} / (nu_i + 1)! m_nu, taken over one common
     denominator bound!.
     """
+    _require_int("exterior_alternating_sum_dual", "g", g)
+    if bound is not None:
+        _require_int("exterior_alternating_sum_dual", "bound", bound)
     if g < 1:
         raise ValueError("exterior_alternating_sum_dual requires g >= 1")
     if bound is None:
@@ -399,6 +403,7 @@ def borel_serre_check(g: int) -> BorelSerreReport:
     """Compare ch(Lambda^* E-dual) from subset-sum roots against c_g * Td(E)^{-1}
     from the multiplicative-sequence route; the difference must vanish identically.
     """
+    _require_int("borel_serre_check", "g", g)
     if g < 1:
         raise ValueError("borel_serre_check requires g >= 1")
     bound = _default_bound(g)

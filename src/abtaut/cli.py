@@ -42,8 +42,9 @@ __all__ = [
 # tautring.MAX_RING_GENUS, checked by build_ring.  Times on a 2-CPU x86-64
 # machine with Python 3.11: B_2000 about 35 ms; borel_serre_check about
 # 15 s and 106 MB peak RSS at genus 8; grr about 0.05 s and recursion about
-# 0.15 s at genus 100, against 0.3 s and 3.5 s at genus 200; verify --gmax 100
-# takes about 0.1 s for grr and 2.6 s for recursion.
+# 0.15 s at genus 100, against 0.2 s and 3.5 s at genus 200; verify --gmax 100
+# takes about 0.1 s for grr and 2.6 s for recursion.  The grr times include
+# the Bernoulli numbers and the boundary quotients of a cold process.
 MAX_PRINTED_DIGITS = 4300
 MAX_BERNOULLI_N = 2000
 MAX_ZETA_GENUS = 1000

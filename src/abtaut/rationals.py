@@ -20,7 +20,7 @@ rises until the bounds meet.  No step uses a float, so every value is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import factorial, isqrt
 
 __all__ = ["Rational", "bernoulli", "zeta_negative_odd", "boundary_constant"]
 
@@ -94,6 +94,15 @@ def _power_bounds(lo: int, hi: int, n: int, precision: int) -> tuple[int, int]:
     return low, high
 
 
+def _is_prime(p: int) -> bool:
+    """Whether the integer p is prime, by trial division up to isqrt(p)."""
+    if p < 4:
+        return p > 1
+    if p % 2 == 0:
+        return False
+    return all(p % d for d in range(3, isqrt(p) + 1, 2))
+
+
 def _staudt_denominator(n: int) -> int:
     """D_n = prod of the primes p with (p - 1) | n, the denominator of B_n for
     even n >= 2 (von Staudt–Clausen)."""
@@ -101,8 +110,7 @@ def _staudt_denominator(n: int) -> int:
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
             for p in (d + 1, n // d + 1) if d * d < n else (d + 1,):
-                # p is prime when no number from 2 to isqrt(p) divides it
-                if gcd(p, factorial(isqrt(p))) == 1:
+                if _is_prime(p):
                     denominator *= p
     return denominator
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .rationals import zeta_negative_odd
+from .rationals import _is_prime, _require_int, zeta_negative_odd
 
 __all__ = [
     "SatakeClassExpression",
@@ -43,22 +43,11 @@ class SatakeClassExpression(NamedTuple):
         }
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def p_rank_constant(g: int, p: int) -> int:
     """The coefficient (p - 1)(p^2 - 1)...(p^g - 1) of the p-rank-zero locus
     against the label {g}, as an exact integer."""
+    _require_int("p_rank_constant", "g", g)
+    _require_int("p_rank_constant", "p", p)
     if g < 1:
         raise ValueError(f"p_rank_constant requires g >= 1, got {g}")
     if not _is_prime(p):
@@ -72,6 +61,8 @@ def p_rank_constant(g: int, p: int) -> int:
 def stratum_constant(g: int, i: int) -> SatakeClassExpression:
     """The closed-form family: coefficient (-1)^i / prod_{j=1}^{i} zeta(2j-1-2g)
     against the label {g-i+1, ..., g}."""
+    _require_int("stratum_constant", "g", g)
+    _require_int("stratum_constant", "i", i)
     if g < 1:
         raise ValueError(f"stratum_constant requires g >= 1, got {g}")
     if not 0 <= i <= g:
@@ -88,6 +79,7 @@ def leading_stratum_constants(g: int) -> tuple[SatakeClassExpression, ...]:
     """The constants for the two deepest strata reachable from the divisor
     route: (-1)^g / zeta(1-2g) at codimension g, and
     1 / (zeta(1-2g) zeta(3-2g)) one stratum further (only for g >= 2)."""
+    _require_int("leading_stratum_constants", "g", g)
     if g < 1:
         raise ValueError(f"leading_stratum_constants requires g >= 1, got {g}")
     first = SatakeClassExpression(1, Fraction((-1) ** g) / zeta_negative_odd(g), (g,))
@@ -138,6 +130,7 @@ class ConsistencyReport(NamedTuple):
 
 
 def consistency_report(g: int) -> ConsistencyReport:
+    _require_int("consistency_report", "g", g)
     if g < 2:
         raise ValueError(f"consistency_report requires g >= 2, got {g}")
     divisor = leading_stratum_constants(g)
@@ -173,6 +166,7 @@ class RecursionReport(NamedTuple):
 
 
 def recursion_check(g: int) -> RecursionReport:
+    _require_int("recursion_check", "g", g)
     if g < 1:
         raise ValueError(f"recursion_check requires g >= 1, got {g}")
     constants = [stratum_constant(g, i).coefficient for i in range(g + 1)]
@@ -188,6 +182,9 @@ def stratum_table(g: int, i: int | None = None) -> list[dict]:
     """Rows (g, i, coefficient, label, matches_thm34) for the closed-form
     family; matches_thm34 compares against the divisor route where one exists
     (i = 1, 2) and is null elsewhere."""
+    _require_int("stratum_table", "g", g)
+    if i is not None:
+        _require_int("stratum_table", "i", i)
     if g < 1:
         raise ValueError(f"stratum_table requires g >= 1, got {g}")
     if i is not None and not 0 <= i <= g:

@@ -31,6 +31,7 @@ from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .graded import GradedPolynomial, GradedRing
+from .rationals import _require_int
 
 __all__ = [
     "MAX_RING_GENUS",
@@ -155,6 +156,7 @@ class TautRing:
     """
 
     def __init__(self, g: int):
+        _require_int("TautRing", "g", g)
         if g < 1:
             raise ValueError(f"genus must be >= 1, got {g}")
         self.genus = g
@@ -322,6 +324,7 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 
 def build_ring(g: int) -> TautRing:
     """Construct the ring for genus g, at most :data:`MAX_RING_GENUS`."""
+    _require_int("build_ring", "g", g)
     if g > MAX_RING_GENUS:
         raise ValueError(f"ring construction is capped at genus {MAX_RING_GENUS}, got {g}")
     return TautRing(g)
@@ -343,6 +346,7 @@ def ring_report(g: int) -> RingReport:
     """Build R_g (subject to :data:`MAX_RING_GENUS`) and check its structure: total
     dimension 2^g, a palindromic profile with one-dimensional socle,
     lambda_g^2 = 0, c(E)c(E-dual) = 1, and a nonsingular pairing in every degree."""
+    _require_int("ring_report", "g", g)
     ring = build_ring(g)
     dims = ring.dimension_profile()
     lam_g_sq = ring.ring.monomial(tuple(0 if i < g - 1 else 2 for i in range(g)))

@@ -1,5 +1,7 @@
 import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -15,10 +17,10 @@ from abtaut import (
     sum_powers_quotient,
     zeta_negative_odd,
 )
-from abtaut import boundary
-from abtaut.boundary import _divide_by_minus_2t, _odd_power, boundary_ring
+from abtaut.boundary import boundary_ring
 
 
+@cache
 def brute_quotient_terms(k):
     """Oracle: expand sum_j (-1)^j Pi^j (-Pi - 2T)^(2k-2-j) with plain binomials."""
     terms = {}
@@ -31,23 +33,17 @@ def brute_quotient_terms(k):
     return {key: Fraction(value) for key, value in terms.items() if value}
 
 
-@cache
-def binary_odd_power(k):
-    """Oracle: (-Pi - 2T)^(2k-1) by the engine's binary powering."""
-    pi, t = boundary_ring().gens()
-    return (-pi - 2 * t) ** (2 * k - 1)
+def closed_form_quotient_terms(k):
+    """Oracle: with b = Pi + 2T, the quotient is (b^(2k-1) - Pi^(2k-1)) / (b - Pi),
+    whose Pi^(2k-2-r) T^r coefficient is C(2k-1, r+1) 2^r."""
+    return {(2 * k - 2 - r, r): Fraction(comb(2 * k - 1, r + 1) << r) for r in range(2 * k - 1)}
 
 
 @pytest.fixture
 def cold_quotients():
-    """Empty the odd-power memo and the quotient cache for one test and put
-    the powers back afterwards."""
-    saved = dict(boundary._odd_powers)
-    boundary._odd_powers.clear()
+    """Empty the quotient cache before and after one test."""
     sum_powers_quotient.cache_clear()
     yield
-    boundary._odd_powers.clear()
-    boundary._odd_powers.update(saved)
     sum_powers_quotient.cache_clear()
 
 
@@ -97,9 +93,16 @@ def test_quotient_k2_hand_expansion():
     assert q == boundary_ring().parse("3*Pi^2 + 6*Pi*T + 4*T^2")
 
 
-@pytest.mark.parametrize("k", [*range(1, 41), 60, 80, 100])
+@pytest.mark.parametrize("k", [*range(1, 41), 60, 80, 100, 150, 200])
 def test_quotient_against_brute_force(k):
     assert sum_powers_quotient(k).poly.terms == brute_quotient_terms(k)
+
+
+def test_quotient_closed_form_up_to_200():
+    for k in range(1, 201):
+        assert sum_powers_quotient(k).poly.terms == closed_form_quotient_terms(k), k
+    for k in (1, 2, 7, 40):
+        assert brute_quotient_terms(k) == closed_form_quotient_terms(k)
 
 
 @pytest.mark.parametrize("k", list(range(1, 11)))
@@ -108,21 +111,42 @@ def test_quotient_pure_pi_coefficient(k):
 
 
 def test_quotient_division_exact_up_to_twenty():
-    # the division raises on a term without T; this must not raise
+    # Q_k (a1 + a2) = a1^(2k-1) + a2^(2k-1), by the engine's binary powering
+    pi, t = boundary_ring().gens()
+    a1, a2 = pi, -pi - 2 * t
     for k in range(1, 21):
-        sum_powers_quotient(k)
+        assert sum_powers_quotient(k).poly * (a1 + a2) == a1 ** (2 * k - 1) + a2 ** (2 * k - 1), k
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_odd_powers_any_fill_order(cold_quotients, order):
+def test_quotient_any_fill_order(cold_quotients, order):
     ks = list(range(1, 101))
     if order == "descending":
         ks.reverse()
     elif order == "shuffled":
         random.Random(2004).shuffle(ks)
     for k in ks:
-        assert _odd_power(k).terms == binary_odd_power(k).terms, k
-    assert sorted(boundary._odd_powers) == list(range(1, 101))
+        assert sum_powers_quotient(k).poly.terms == brute_quotient_terms(k), k
+    assert sum_powers_quotient.cache_info().currsize == 100
+
+
+def test_quotient_cold_from_threads(cold_quotients):
+    ks = [100 - 7 * i for i in range(8)]
+    start = threading.Barrier(len(ks))
+
+    def cold_call(k):
+        start.wait(timeout=60)
+        return sum_powers_quotient(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(ks)) as pool:
+            quotients = list(pool.map(cold_call, ks, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, quotient in zip(ks, quotients):
+        assert quotient.poly.terms == brute_quotient_terms(k), k
 
 
 def test_quotient_cold_needs_no_recursion(cold_quotients):
@@ -147,14 +171,6 @@ def test_quotient_cache_counts_hits():
     sum_powers_quotient(7)
     after = sum_powers_quotient.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
-
-def test_quotient_division_guard_rejects_inexact():
-    pi, t = boundary_ring().gens()
-    assert _divide_by_minus_2t(pi * t * 4 - t ** 2 * 2) == boundary_ring().parse("-2*Pi + T")
-    for numerator in (pi, pi * t + 1, pi ** 3 + t):
-        with pytest.raises(ArithmeticError):
-            _divide_by_minus_2t(numerator)
 
 
 def test_quotient_rejects_k_zero():

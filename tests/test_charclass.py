@@ -377,3 +377,21 @@ def test_two_routes_share_no_code(monkeypatch):
             assert todd(b).constant_term == 1, g
             td_inverse = _multiplicative_class(b, "log_one_minus_exp_neg_over_t")
             assert (todd(b) * td_inverse) == 1, g
+
+
+@pytest.mark.parametrize(
+    "function, name, args",
+    [
+        (function, name, args)
+        for value in [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j]
+        for function, name, args in (
+            (borel_serre_check, "g", (value,)),
+            (exterior_alternating_sum_dual, "g", (value,)),
+            (exterior_alternating_sum_dual, "bound", (2, value)),
+        )
+        if value is not None or name != "bound"
+    ],
+)
+def test_charclass_rejects_non_integers(function, name, args):
+    with pytest.raises(TypeError, match=rf"^{function.__name__} requires an int {name}, got "):
+        function(*args)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import abtaut
 from abtaut import build_ring, charclass, cli, tautring
 from abtaut.cli import main
+from record_cli_golden import GOLDEN_DIR, REQUESTS
 
 
 def run_cli(capsys, *argv):
@@ -359,6 +360,13 @@ def test_identical_invocations_byte_identical(capsys):
     _, out2, _ = run_cli(capsys, "verify", "--check", "all", "--g", "2")
     assert out1 == out2
     assert out1  # non-empty
+
+
+@pytest.mark.parametrize("name,argv", REQUESTS, ids=[name for name, _ in REQUESTS])
+def test_stdout_matches_golden(capsys, name, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.out").read_bytes()
 
 
 def test_timing_outside_payload(capsys):

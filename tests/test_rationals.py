@@ -181,6 +181,15 @@ def test_bernoulli_rejects_negative():
         bernoulli(-1)
 
 
+def test_is_prime_against_a_sieve():
+    limit = 10 ** 4
+    sieve = [False, False] + [True] * (limit - 1)
+    for p in range(2, 101):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit + 1, p))
+    assert [rationals._is_prime(p) for p in range(-3, limit + 1)] == [False] * 3 + sieve
+
+
 @pytest.mark.parametrize("function, name", [(bernoulli, "n"), (zeta_negative_odd, "g"), (boundary_constant, "g")])
 @pytest.mark.parametrize("value", [2.0, "4", True, False, None, Fraction(4), 4 + 0j])
 def test_scalars_reject_non_integers(function, name, value):

@@ -174,3 +174,30 @@ def test_stratum_table_rows():
 def test_stratum_table_single_row():
     rows = stratum_table(3, 1)
     assert rows == [{"g": 3, "i": 1, "coefficient": "252", "label": [3], "matches_thm34": True}]
+
+
+_INT_ARGUMENTS = [
+    (p_rank_constant, "g", (2, 3), 0),
+    (p_rank_constant, "p", (2, 3), 1),
+    (stratum_constant, "g", (3, 1), 0),
+    (stratum_constant, "i", (3, 1), 1),
+    (leading_stratum_constants, "g", (3,), 0),
+    (consistency_report, "g", (3,), 0),
+    (recursion_check, "g", (3,), 0),
+    (stratum_table, "g", (3,), 0),
+    (stratum_table, "i", (3, 1), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "function, name, args",
+    [
+        (function, name, args[:at] + (value,) + args[at + 1 :])
+        for function, name, args, at in _INT_ARGUMENTS
+        for value in [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j]
+        if not (function is stratum_table and name == "i" and value is None)
+    ],
+)
+def test_satake_rejects_non_integers(function, name, args):
+    with pytest.raises(TypeError, match=rf"^{function.__name__} requires an int {name}, got "):
+        function(*args)

@@ -382,3 +382,10 @@ def test_reduce_degree_happy_path():
     assert set(pivots) == {(2, 0)}
     row = pivots[(2, 0)]
     assert Fraction(-row[(0, 1)], row[(2, 0)]) == 2
+
+
+@pytest.mark.parametrize("function", [TautRing, build_ring, ring_report])
+@pytest.mark.parametrize("value", [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j])
+def test_tautring_rejects_non_integers(function, value):
+    with pytest.raises(TypeError, match=rf"^{function.__name__} requires an int g, got "):
+        function(value)
