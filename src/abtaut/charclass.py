@@ -111,20 +111,26 @@ class BundleClasses:
     @classmethod
     def generators(cls, g: int, bound: int | None = None, prefix: str = "c") -> "BundleClasses":
         """Rank-g bundle whose i-th Chern class is the generator ``<prefix>i`` of weight i."""
+        _require_int("BundleClasses.generators", "g", g)
         if g < 1:
             raise ValueError("generators() requires rank >= 1")
         if bound is None:
             bound = _default_bound(g)
+        else:
+            _require_int("BundleClasses.generators", "bound", bound)
         ring = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), bound)
         return cls(g, ring.gens(), ring)
 
     @classmethod
     def from_roots(cls, g: int, bound: int | None = None, prefix: str = "x") -> "BundleClasses":
         """Rank-g bundle over the root alphabet, with c_i the i-th elementary symmetric."""
+        _require_int("BundleClasses.from_roots", "g", g)
         if g < 1:
             raise ValueError("from_roots() requires rank >= 1")
         if bound is None:
             bound = _default_bound(g)
+        else:
+            _require_int("BundleClasses.from_roots", "bound", bound)
         ring = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), (1,) * g, bound)
         return cls(g, tuple(elementary_symmetric(ring, k) for k in range(1, g + 1)), ring)
 
@@ -146,6 +152,7 @@ def newton_power_sums(b: BundleClasses, k_max: int) -> list[GradedPolynomial]:
     degree k_max or the bundle ring's bound, whichever is lower, and p_k is
     read off the degree-k part; above the bound it is zero.
     """
+    _require_int("newton_power_sums", "k_max", k_max)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     top = k_max if b.ring.bound is None else min(k_max, b.ring.bound)

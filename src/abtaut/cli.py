@@ -10,7 +10,6 @@ stdout.  Exit codes: 0 pass/info, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import re
 import sys
@@ -41,10 +40,11 @@ __all__ = [
 # test of satake --p is trial division.  The ring cap is
 # tautring.MAX_RING_GENUS, checked by build_ring.  Times on a 2-CPU x86-64
 # machine with Python 3.11: B_2000 about 35 ms; borel_serre_check about
-# 15 s and 106 MB peak RSS at genus 8; grr about 0.05 s and recursion about
-# 0.15 s at genus 100, against 0.2 s and 3.5 s at genus 200; verify --gmax 100
-# takes about 0.1 s for grr and 2.6 s for recursion.  The grr times include
-# the Bernoulli numbers and the boundary quotients of a cold process.
+# 15 s and 106 MB peak RSS at genus 8; grr about 0.02 s and recursion about
+# 0.15 s at genus 100, against 0.15-0.2 s and 3.5 s at genus 200; verify
+# --gmax 100 takes about 0.065 s for grr and 2.6 s for recursion.  The grr
+# times include the Bernoulli numbers and the boundary quotients of a cold
+# process, pinned to one CPU.
 MAX_PRINTED_DIGITS = 4300
 MAX_BERNOULLI_N = 2000
 MAX_ZETA_GENUS = 1000
@@ -214,8 +214,7 @@ def _cmd_satake(args) -> list[dict]:
 def _satake_csv(envelopes: list[dict], out) -> None:
     import csv  # only this path needs it; the other requests skip its import
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["g", "i", "coefficient", "label", "matches_thm34"])
     for env in envelopes:
         row = env["payload"]
@@ -228,7 +227,6 @@ def _satake_csv(envelopes: list[dict], out) -> None:
                 "" if row["matches_thm34"] is None else str(row["matches_thm34"]).lower(),
             ]
         )
-    out.write(buffer.getvalue())
 
 
 class _Parser(argparse.ArgumentParser):

@@ -30,6 +30,8 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
+from .rationals import _require_int
+
 __all__ = [
     "GradedRing",
     "GradedPolynomial",
@@ -253,9 +255,9 @@ class GradedRing:
             raise ValueError("one weight per generator is required")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
-        if any((not isinstance(w, int)) or w < 1 for w in weights):
+        if any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
-        if bound is not None and (not isinstance(bound, int) or bound < 0):
+        if bound is not None and (isinstance(bound, bool) or not isinstance(bound, int) or bound < 0):
             raise ValueError("truncation bound must be a non-negative integer or None")
         self.names = names
         self.weights = weights
@@ -662,6 +664,7 @@ def named_series(name: str, order: int) -> tuple[Fraction, ...]:
 
     Each is computed by ``graded_log`` and ``graded_exp`` in the ring ``t``.
     """
+    _require_int("named_series", "order", order)
     if order < 0:
         raise ValueError(f"series order must be >= 0, got {order}")
     if name not in _SERIES:

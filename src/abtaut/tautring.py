@@ -30,7 +30,7 @@ from itertools import product
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .graded import GradedPolynomial, GradedRing
+from .graded import GradedPolynomial, GradedRing, _as_fraction
 from .rationals import _require_int
 
 __all__ = [
@@ -68,7 +68,7 @@ class TautRingElement:
 
     def __init__(self, genus: int, coordinates: Mapping[Subset, Fraction]):
         self.genus = genus
-        self.coordinates = {tuple(k): Fraction(v) for k, v in coordinates.items() if v != 0}
+        self.coordinates = {tuple(k): c for k, v in coordinates.items() if (c := _as_fraction(v))}
 
     def coefficient(self, subset: Sequence[int]) -> Fraction:
         return self.coordinates.get(tuple(subset), Fraction(0))

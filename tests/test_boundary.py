@@ -17,6 +17,7 @@ from abtaut import (
     sum_powers_quotient,
     zeta_negative_odd,
 )
+from abtaut import graded
 from abtaut.boundary import boundary_ring
 
 
@@ -147,6 +148,18 @@ def test_quotient_cold_from_threads(cold_quotients):
         sys.setswitchinterval(interval)
     for k, quotient in zip(ks, quotients):
         assert quotient.poly.terms == brute_quotient_terms(k), k
+
+
+def test_quotient_needs_no_engine_products(cold_quotients, monkeypatch):
+    # the quotients are read off the binomial theorem, not multiplied out
+    def no_products(*args):
+        raise AssertionError("sum_powers_quotient used the graded engine")
+
+    monkeypatch.setattr(graded._Kernel, "mul", no_products)
+    monkeypatch.setattr(graded.GradedPolynomial, "__mul__", no_products)
+    monkeypatch.setattr(graded.GradedPolynomial, "__pow__", no_products)
+    for k in range(1, 101):
+        assert sum_powers_quotient(k).poly.terms == brute_quotient_terms(k), k
 
 
 def test_quotient_cold_needs_no_recursion(cold_quotients):

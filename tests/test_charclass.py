@@ -379,19 +379,34 @@ def test_two_routes_share_no_code(monkeypatch):
             assert (todd(b) * td_inverse) == 1, g
 
 
+NON_INTEGERS = [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j]
+
+
 @pytest.mark.parametrize(
     "function, name, args",
     [
         (function, name, args)
-        for value in [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j]
+        for value in NON_INTEGERS
         for function, name, args in (
             (borel_serre_check, "g", (value,)),
             (exterior_alternating_sum_dual, "g", (value,)),
             (exterior_alternating_sum_dual, "bound", (2, value)),
         )
         if value is not None or name != "bound"
+    ]
+    + [
+        (function, name, args)
+        for value in NON_INTEGERS
+        for function, name, args in (
+            (BundleClasses.generators, "g", (value,)),
+            (BundleClasses.generators, "bound", (2, value)),
+            (BundleClasses.from_roots, "g", (value,)),
+            (BundleClasses.from_roots, "bound", (2, value)),
+            (newton_power_sums, "k_max", (BundleClasses.generators(2), value)),
+        )
+        if value is not None or name != "bound"
     ],
 )
 def test_charclass_rejects_non_integers(function, name, args):
-    with pytest.raises(TypeError, match=rf"^{function.__name__} requires an int {name}, got "):
+    with pytest.raises(TypeError, match=rf"^{function.__qualname__} requires an int {name}, got "):
         function(*args)

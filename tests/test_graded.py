@@ -309,6 +309,17 @@ def test_named_series_negative_order():
         named_series("todd_dual_gen", -1)
 
 
+@pytest.mark.parametrize("value", [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j])
+def test_graded_rejects_non_integers(value):
+    with pytest.raises(TypeError, match=r"^named_series requires an int order, got "):
+        named_series("todd_dual_gen", value)
+    with pytest.raises(ValueError, match=r"^weights must be positive integers$"):
+        GradedRing(("t",), (value,))
+    if value is not None:
+        with pytest.raises(ValueError, match=r"^truncation bound must be a non-negative integer or None$"):
+            GradedRing(("t",), (1,), value)
+
+
 # -- substitute_power_sums -------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtaut import RingConstructionError, TautRing, build_ring, determinant, ring_report
+from abtaut import RingConstructionError, TautRing, TautRingElement, build_ring, determinant, ring_report
 from abtaut.tautring import MAX_RING_GENUS, rewrite_rules
 from rowreduce_oracle import reduce_degree, reduce_maps
 
@@ -216,6 +216,18 @@ def test_normal_form_wrong_alphabet(ring_cache):
     other = GradedRing(("x", "y"), (1, 2), None)
     with pytest.raises(ValueError):
         r.normal_form(other.gen(0))
+
+
+@pytest.mark.parametrize("value", [0.1, 0.0, "1/3", 2 + 0j])
+def test_element_rejects_inexact_coordinates(value):
+    with pytest.raises(TypeError, match=r"^expected an integer or Fraction, got "):
+        TautRingElement(2, {(1,): value})
+
+
+def test_element_keeps_exact_coordinates():
+    element = TautRingElement(2, {(1,): 3, (2,): Fraction(1, 3), (1, 2): 0, (): Fraction(0)})
+    assert element.coordinates == {(1,): Fraction(3), (2,): Fraction(1, 3)}
+    assert all(type(c) is Fraction for c in element.coordinates.values())
 
 
 # -- socle ratios -------------------------------------------------------------
