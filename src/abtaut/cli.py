@@ -172,15 +172,15 @@ _CHECKS = {
 def _cmd_verify(args) -> list[dict]:
     if args.gmax is None and args.g is None:
         raise ValueError("verify requires --g or --gmax")
-    if args.gmax is not None:
-        genera = list(range(1, _positive("gmax", args.gmax) + 1))
-    else:
-        genera = [_positive("g", args.g)]
+    # The caps are checked on the top genus before the genera are listed, so
+    # that a huge --gmax is a usage error rather than a huge list.
+    top = _positive("gmax", args.gmax) if args.gmax is not None else _positive("g", args.g)
     names = list(_CHECKS) if args.check == "all" else [args.check]
     for name in names:
         cap = _CHECKS[name][2]
-        if genera[-1] > cap:
-            raise ValueError(f"{name} is capped at genus {cap}, got {genera[-1]}")
+        if top > cap:
+            raise ValueError(f"{name} is capped at genus {cap}, got {top}")
+    genera = range(1, top + 1) if args.gmax is not None else [top]
     envelopes = []
     for g in genera:
         for name in names:

@@ -175,6 +175,7 @@ def test_verify_genus_options_are_exclusive(capsys):
         ["verify", "--check", "all", "--gmax", str(cli.MAX_BOREL_SERRE_GENUS + 1)],
         ["verify", "--check", "grr", "--g", str(cli.MAX_GRR_GENUS + 1)],
         ["verify", "--check", "recursion", "--gmax", str(cli.MAX_RECURSION_GENUS + 1)],
+        ["verify", "--check", "grr", "--gmax", "9" * 30],
         ["satake", "--g", str(cli.MAX_SATAKE_GENUS + 1)],
         ["satake", "--g", "3", "--p", str(cli.MAX_SATAKE_PRIME + 1)],
     ],
