@@ -26,7 +26,6 @@ from .charclass import (
     todd_dual,
 )
 from .tautring import (
-    RingConstructionError,
     RingReport,
     TautRing,
     TautRingElement,
@@ -84,7 +83,6 @@ __all__ = [
     "TautRingElement",
     "build_ring",
     "determinant",
-    "RingConstructionError",
     "ring_report",
     "RingReport",
     "BoundaryClass",

@@ -15,17 +15,19 @@ those divisible by no l_i^2, are the square-free l_a = prod_{i in a} l_i: the
 square-free basis of R_g is proven, not found by elimination.  Normal forms
 follow from the integer rewrite
 
-    l_i^2 -> 2 sum_{0 <= j < i} (-1)^{i+j+1} l_j l_{2i-j},
+    l_i^2 -> 2 sum_{0 <= j < i, 2i-j <= g} (-1)^{i+j+1} l_j l_{2i-j},
 
-applied on demand: a ring computes a normal form when it is first asked for
-and keeps it.  Construction checks the hypotheses of this argument on the
-relations it actually generates (:func:`rewrite_rules`) and aborts with
-:class:`RingConstructionError` if one fails, instead of patching around it.
+which a ring writes down in closed form from this Groebner basis and applies
+on demand: a normal form is computed when it is first asked for and kept.
+The engine's product c(E)c(E-dual) is formed only when
+:attr:`TautRing.relation_components` is read, so checking it against the
+rewrite is a second route that shares no code with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
@@ -35,7 +37,6 @@ from .rationals import _require_int
 
 __all__ = [
     "MAX_RING_GENUS",
-    "RingConstructionError",
     "RingReport",
     "TautRing",
     "TautRingElement",
@@ -49,26 +50,41 @@ MAX_RING_GENUS = 8
 
 Exponents = tuple[int, ...]
 Subset = tuple[int, ...]
-IntRow = dict[Exponents, int]
 
 
-class RingConstructionError(RuntimeError):
-    """The relations fail the leading-term check that proves the square-free basis.
-
-    This cannot happen for the relation set actually generated here unless
-    the presentation itself is inconsistent; it is a fatal condition, never
-    silently repaired.
-    """
+def _check_subset(genus: int, subset) -> None:
+    if type(subset) is not tuple or any(type(i) is not int for i in subset):
+        raise TypeError(f"a subset must be a tuple of ints, got {subset!r}")
+    # 0 < a_1 < ... < a_n < genus + 1
+    if not all(x < y for x, y in zip((0,) + subset, subset + (genus + 1,))):
+        raise ValueError(f"a subset must increase strictly within 1..{genus}, got {subset!r}")
 
 
 class TautRingElement:
-    """A ring element in square-free coordinates: subset a -> coefficient of l_a."""
+    """A ring element in square-free coordinates: subset a -> coefficient of l_a.
+
+    Each subset is a strictly increasing tuple of ints in 1..genus.
+    """
 
     __slots__ = ("genus", "coordinates")
 
     def __init__(self, genus: int, coordinates: Mapping[Subset, Fraction]):
+        _require_int("TautRingElement", "genus", genus)
+        if genus < 1:
+            raise ValueError(f"genus must be >= 1, got {genus}")
         self.genus = genus
-        self.coordinates = {tuple(k): c for k, v in coordinates.items() if (c := _as_fraction(v))}
+        for subset in coordinates:
+            _check_subset(genus, subset)
+        self.coordinates = {k: c for k, v in coordinates.items() if (c := _as_fraction(v))}
+
+    @classmethod
+    def _of_valid(cls, genus: int, coordinates: dict[Subset, Fraction]) -> TautRingElement:
+        """Wrap coordinates that hold by construction what ``__init__`` checks:
+        a normal form's subsets come from the ring's basis and its values are
+        nonzero Fractions."""
+        element = object.__new__(cls)
+        element.genus, element.coordinates = genus, coordinates
+        return element
 
     def coefficient(self, subset: Sequence[int]) -> Fraction:
         return self.coordinates.get(tuple(subset), Fraction(0))
@@ -105,54 +121,17 @@ def _lambda_ring(g: int) -> GradedRing:
     return GradedRing(tuple(f"l{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), None)
 
 
-def _grevlex_key(exps: Exponents) -> tuple:
-    """Weighted grevlex with l1 > ... > lg: weighted degree first, then the
-    smaller exponent of the last differing generator wins."""
-    return sum(i * e for i, e in enumerate(exps, start=1)), tuple(-e for e in reversed(exps))
-
-
-def rewrite_rules(g: int, components: Mapping[int, GradedPolynomial]) -> list[IntRow]:
-    """The rewrite l_i^2 -> rules[i - 1] for i = 1..g, read off the relation
-    components (degree -> homogeneous part of the relation).
-
-    Raises :class:`RingConstructionError` unless every odd-degree component
-    vanishes and, for each i, the degree-2i component is homogeneous with
-    integer coefficients, weighted-grevlex leading term l_i^2 and leading
-    coefficient +-1: the hypotheses under which the rules are a Groebner basis
-    with the square-free monomials as standard monomials.
-    """
-    for d, part in components.items():
-        if d % 2 and part:
-            raise RingConstructionError(f"odd-degree relation component at degree {d}")
-    rules: list[IntRow] = []
-    for i in range(1, g + 1):
-        part = components.get(2 * i)
-        if not part or not part.is_homogeneous_of(2 * i):
-            raise RingConstructionError(f"degree {2 * i}: the relation component is zero or not homogeneous")
-        lead = max(part.terms, key=_grevlex_key)
-        if lead != tuple(2 if j == i else 0 for j in range(1, g + 1)):
-            raise RingConstructionError(
-                f"degree {2 * i}: the relation's leading term is {part.ring.monomial(lead)}, not l{i}^2"
-            )
-        c = part.terms[lead]
-        if c not in (1, -1):
-            raise RingConstructionError(f"degree {2 * i}: the leading coefficient of l{i}^2 is {c}, not +-1")
-        if any(v.denominator != 1 for v in part.terms.values()):
-            raise RingConstructionError(f"degree {2 * i}: the relation has a non-integer coefficient")
-        rules.append({e: int(-c * v) for e, v in part.terms.items() if e != lead})
-    return rules
-
-
 class TautRing:
     """Normal forms, dimensions and the duality pairing for a fixed genus.
 
-    Construction checks the relations and groups the 2^g square-free basis
-    monomials by weight.  Normal forms are filled in on first use, in two
-    memos: the products NF(l_a * l_k) of a basis element and a generator,
-    and the integer row of each monomial reached so far, its parent's row
-    times l_k.  Each memo entry is written once and complete, so the ring is
-    safe for concurrent queries without a lock: threads that race on an
-    entry write equal values.
+    The rewrite of each l_k^2 is written down in closed form from the proven
+    Groebner basis (see the module docstring), and construction only groups
+    the 2^g square-free basis monomials by weight.  Normal forms are filled
+    in on first use, in two memos: the products NF(l_a * l_k) of a basis
+    element and a generator, and the integer row of each monomial reached so
+    far, its parent's row times l_k.  Each memo entry is written once and
+    complete, so the ring is safe for concurrent queries without a lock:
+    threads that race on an entry write equal values.
     """
 
     def __init__(self, g: int):
@@ -162,13 +141,12 @@ class TautRing:
         self.genus = g
         self.socle_degree = g * (g + 1) // 2
         self.ring = _lambda_ring(g)
-        components = self._relation_components()
-        # the rewrite of l_k^2, each term as (its generator factors, coefficient)
+        # the rewrite of l_k^2, each term 2 (-1)^(k+j+1) l_j l_(2k-j) as
+        # (its generator factors, coefficient), with l_0 = 1 and 2k - j <= g
         self._tails = [
-            [(tuple(k for k, e in enumerate(exps, start=1) for _ in range(e)), c) for exps, c in rule.items()]
-            for rule in rewrite_rules(g, components)
+            [((j, 2 * k - j) if j else (2 * k,), 2 * (-1) ** (k + j + 1)) for j in range(max(0, 2 * k - g), k)]
+            for k in range(1, g + 1)
         ]
-        self.relation_components = {d: p for d, p in components.items() if d % 2 == 0}
         # product() yields the 0-1 vectors in ascending lex order, as
         # GradedRing.monomials_of_degree lists them
         self._basis: list[list[Exponents]] = [[] for _ in range(self.socle_degree + 1)]
@@ -177,15 +155,15 @@ class TautRing:
         self._products: dict[tuple[Subset, int], dict[Subset, int]] = {}
         self._rows: dict[Exponents, dict[Subset, int]] = {(0,) * g: {(): 1}}
 
-    def _relation_components(self) -> dict[int, GradedPolynomial]:
+    @cached_property
+    def relation_components(self) -> dict[int, GradedPolynomial]:
+        """The even components rel_2..rel_2g of c(E)c(E-dual) - 1, multiplied
+        out by the graded engine when first read."""
         gens = self.ring.gens()
-        total = self.ring.one
-        dual = self.ring.one
-        for i, x in enumerate(gens, start=1):
-            total = total + x
-            dual = dual + x * ((-1) ** i)
+        total = sum(gens, self.ring.one)
+        dual = sum((x * (-1) ** i for i, x in enumerate(gens, start=1)), self.ring.one)
         rel = total * dual - 1
-        return {d: rel.homogeneous_part(d) for d in range(1, 2 * self.genus + 1)}
+        return {d: rel.homogeneous_part(d) for d in range(2, 2 * self.genus + 1, 2)}
 
     def _times(self, row: Mapping[Subset, int], k: int, out: dict[Subset, int] | None = None) -> dict[Subset, int]:
         """NF(row * l_k), added into ``out`` if given."""
@@ -274,7 +252,7 @@ class TautRing:
             m = c.numerator * (den // c.denominator)
             for subset, r in self._row(exps).items():
                 coords[subset] = coords.get(subset, 0) + m * r
-        return TautRingElement(self.genus, {s: Fraction(v, den) for s, v in coords.items() if v})
+        return TautRingElement._of_valid(self.genus, {s: Fraction(v, den) for s, v in coords.items() if v})
 
     def socle_ratio(self, p: GradedPolynomial) -> Fraction:
         """The unique q with normal_form(p) = q * l1l2...lg, for p homogeneous
@@ -350,9 +328,7 @@ def ring_report(g: int) -> RingReport:
     ring = build_ring(g)
     dims = ring.dimension_profile()
     lam_g_sq = ring.ring.monomial(tuple(0 if i < g - 1 else 2 for i in range(g)))
-    relation = ring.ring.one
-    for part in ring.relation_components.values():
-        relation = relation + part
+    relation = sum(ring.relation_components.values(), ring.ring.one)
     checks = (
         ("total_dimension_2^g", sum(dims) == 2 ** g),
         ("palindromic_profile", dims == dims[::-1]),

@@ -14,11 +14,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
-from abtaut import RingConstructionError
-
 Exponents = tuple[int, ...]
 Subset = tuple[int, ...]
 IntRow = dict[Exponents, int]
+
+
+class BasisError(RuntimeError):
+    """The square-free monomials are not a basis of a degree slice of the quotient."""
 
 
 def _subset_of(exps: Exponents) -> Subset:
@@ -98,7 +100,7 @@ def reduce_degree(
         row = _primitive(row)
         candidates = [m for m in row if m not in sf_set]
         if not candidates:
-            raise RingConstructionError(
+            raise BasisError(
                 f"degree {degree}: a relation collapses onto the square-free monomials; "
                 "the designated basis is dependent"
             )
@@ -131,7 +133,7 @@ def reduce_degree(
                 containing.setdefault(e, set()).add(pivot)
     for m in monomials:
         if m not in sf_set and m not in pivots:
-            raise RingConstructionError(
+            raise BasisError(
                 f"degree {degree}: monomial with exponents {m} does not reduce to the "
                 "square-free basis; the designated basis does not span"
             )

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtaut import RingConstructionError, TautRing, TautRingElement, build_ring, determinant, ring_report
-from abtaut.tautring import MAX_RING_GENUS, rewrite_rules
-from rowreduce_oracle import reduce_degree, reduce_maps
+from abtaut import TautRing, TautRingElement, build_ring, determinant, ring_report
+from abtaut.tautring import MAX_RING_GENUS
+from rowreduce_oracle import BasisError, reduce_degree, reduce_maps
 
 
 # -- relation components ----------------------------------------------------
@@ -76,6 +76,58 @@ def test_top_chern_squares_to_zero(g, ring_cache):
     # the degree-2g relation component is forced onto lg^2 alone
     top_relation = r.relation_components[2 * g]
     assert set(top_relation.terms) == {tuple(0 if i < g - 1 else 2 for i in range(g))}
+
+
+def _grevlex_key(exps):
+    """Weighted grevlex with l1 > ... > lg: weighted degree first, then the
+    smaller exponent of the last differing generator wins."""
+    return sum(i * e for i, e in enumerate(exps, start=1)), tuple(-e for e in reversed(exps))
+
+
+@pytest.mark.parametrize("g", list(range(1, 13)))
+def test_engine_product_meets_the_groebner_hypotheses(g):
+    # the hypotheses under which the rewrite is a Groebner basis with the
+    # square-free standard monomials, checked on the engine's own product
+    # against the closed-form rules the ring writes down
+    r = TautRing(g)
+    total = dual = r.ring.one
+    for i, x in enumerate(r.ring.gens(), start=1):
+        total = total + x
+        dual = dual + x * (-1) ** i
+    product = total * dual
+    for d in range(1, 2 * g + 1, 2):
+        assert not product.homogeneous_part(d)
+    assert r.relation_components == {d: product.homogeneous_part(d) for d in range(2, 2 * g + 1, 2)}
+    for k in range(1, g + 1):
+        part = r.relation_components[2 * k]
+        assert part.is_homogeneous_of(2 * k)
+        lead = max(part.terms, key=_grevlex_key)
+        assert lead == tuple(2 if i == k else 0 for i in range(1, g + 1))
+        c = part.terms[lead]
+        assert c in (1, -1)
+        assert all(v.denominator == 1 for v in part.terms.values())
+        tail = {exps: -c * v for exps, v in part.terms.items() if exps != lead}
+        closed_form = {}
+        for factors, v in r._tails[k - 1]:
+            exps = [0] * g
+            for i in factors:
+                exps[i - 1] += 1
+            closed_form[tuple(exps)] = v
+        assert tail == closed_form
+
+
+@pytest.mark.parametrize("g", list(range(2, 7)))
+def test_relation_check_catches_every_sign_flip(g):
+    # each single sign flip of a closed-form rule term must break
+    # c(E)c(E-dual) = 1 in the ring (the rule of g = 1, l1^2 -> 0, has no term)
+    flips = [(k, t) for k, tail in enumerate(TautRing(g)._tails) for t in range(len(tail))]
+    assert flips
+    for k, t in flips:
+        r = TautRing(g)
+        factors, c = r._tails[k][t]
+        r._tails[k][t] = (factors, -c)
+        product = sum(r.relation_components.values(), r.ring.one)
+        assert r.normal_form(product) != r.normal_form(r.ring.one), (k + 1, factors)
 
 
 # -- normal forms -------------------------------------------------------------
@@ -224,6 +276,41 @@ def test_element_rejects_inexact_coordinates(value):
         TautRingElement(2, {(1,): value})
 
 
+@pytest.mark.parametrize(
+    "genus, coordinates, error",
+    [
+        (2, {(5,): 1}, ValueError),
+        (2.5, {(1,): 1}, TypeError),
+        (3, {(2, 1): 1}, ValueError),
+        (0, {}, ValueError),
+        (True, {}, TypeError),
+        (2, {(1, 1): 1}, ValueError),
+        # a zero coefficient is dropped, but its subset is checked all the same
+        (2, {(0,): 0}, ValueError),
+        (2, {(1.0,): 1}, TypeError),
+        (2, {(True,): 1}, TypeError),
+        (2, {1: 1}, TypeError),
+        (2, {"1": 1}, TypeError),
+    ],
+)
+def test_element_rejects_bad_genus_or_subset(genus, coordinates, error):
+    with pytest.raises(error) as info:
+        TautRingElement(genus, coordinates)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("g", list(range(1, 7)))
+def test_normal_forms_pass_the_element_checks(g, ring_cache):
+    # normal_form wraps its coordinates unchecked; they must pass the checks
+    r = ring_cache(g)
+    rng = random.Random(g)
+    for _ in range(20):
+        exps = tuple(rng.randint(0, 3) for _ in range(g))
+        nf = r.normal_form(r.ring.monomial(exps) * Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        assert TautRingElement(nf.genus, nf.coordinates) == nf
+        assert all(type(c) is Fraction and c for c in nf.coordinates.values())
+
+
 def test_element_keeps_exact_coordinates():
     element = TautRingElement(2, {(1,): 3, (2,): Fraction(1, 3), (1, 2): 0, (): Fraction(0)})
     assert element.coordinates == {(1,): Fraction(3), (2,): Fraction(1, 3)}
@@ -342,38 +429,12 @@ def test_ring_report_respects_cap():
         ring_report(MAX_RING_GENUS + 1)
 
 
-def test_rewrite_rules_read_off_relations(ring_cache):
-    r = ring_cache(3)
-    # l1^2 -> 2 l2, l2^2 -> 2 l1 l3, l3^2 -> 0
-    assert rewrite_rules(3, r.relation_components) == [{(0, 1, 0): 2}, {(1, 0, 1): 2}, {}]
-
-
-@pytest.mark.parametrize(
-    "degree, bad, message",
-    [
-        (4, "l1*l3", "leading term is l1\\*l3"),
-        (4, "l2^2 - l1^4", "leading term is l1\\^4"),
-        (2, "2*l2 - 2*l1^2", "leading coefficient"),
-        (6, "3*l3^2", "leading coefficient"),
-        (4, "l2^2 - 1/2*l1*l3", "non-integer"),
-        (4, "0", "zero or not homogeneous"),
-        (3, "l1*l2", "odd-degree"),
-    ],
-)
-def test_rewrite_rules_guard(degree, bad, message, ring_cache):
-    r = ring_cache(3)
-    components = dict(r.relation_components)
-    components[degree] = r.ring.parse(bad)
-    with pytest.raises(RingConstructionError, match=message):
-        rewrite_rules(3, components)
-
-
 def test_reduce_degree_detects_dependent_basis():
     # a row supported on the designated basis alone means the basis is dependent
     monomials = [(1,)]
     square_free = [(1,)]
     rows = [{(1,): Fraction(1)}]
-    with pytest.raises(RingConstructionError):
+    with pytest.raises(BasisError):
         reduce_degree(monomials, square_free, rows, degree=1)
 
 
@@ -381,7 +442,7 @@ def test_reduce_degree_detects_non_spanning_basis():
     # no relation reaches (2,), so it cannot reduce to the (empty) basis
     monomials = [(2,)]
     square_free = []
-    with pytest.raises(RingConstructionError):
+    with pytest.raises(BasisError):
         reduce_degree(monomials, square_free, [], degree=2)
 
 
