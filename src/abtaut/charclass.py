@@ -94,8 +94,7 @@ class BundleClasses:
     __slots__ = ("rank", "chern", "ring")
 
     def __init__(self, rank: int, chern: Sequence[GradedPolynomial], ring: GradedRing):
-        if rank < 0:
-            raise ValueError("rank must be >= 0")
+        _require_int("BundleClasses", "rank", rank, 0)
         chern = tuple(chern)
         if len(chern) != rank:
             raise ValueError("exactly one Chern class per rank is required")
@@ -111,26 +110,22 @@ class BundleClasses:
     @classmethod
     def generators(cls, g: int, bound: int | None = None, prefix: str = "c") -> "BundleClasses":
         """Rank-g bundle whose i-th Chern class is the generator ``<prefix>i`` of weight i."""
-        _require_int("BundleClasses.generators", "g", g)
-        if g < 1:
-            raise ValueError("generators() requires rank >= 1")
+        _require_int("BundleClasses.generators", "g", g, 1)
         if bound is None:
             bound = _default_bound(g)
         else:
-            _require_int("BundleClasses.generators", "bound", bound)
+            _require_int("BundleClasses.generators", "bound", bound, 0)
         ring = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), bound)
         return cls(g, ring.gens(), ring)
 
     @classmethod
     def from_roots(cls, g: int, bound: int | None = None, prefix: str = "x") -> "BundleClasses":
         """Rank-g bundle over the root alphabet, with c_i the i-th elementary symmetric."""
-        _require_int("BundleClasses.from_roots", "g", g)
-        if g < 1:
-            raise ValueError("from_roots() requires rank >= 1")
+        _require_int("BundleClasses.from_roots", "g", g, 1)
         if bound is None:
             bound = _default_bound(g)
         else:
-            _require_int("BundleClasses.from_roots", "bound", bound)
+            _require_int("BundleClasses.from_roots", "bound", bound, 0)
         ring = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), (1,) * g, bound)
         return cls(g, tuple(elementary_symmetric(ring, k) for k in range(1, g + 1)), ring)
 
@@ -152,9 +147,7 @@ def newton_power_sums(b: BundleClasses, k_max: int) -> list[GradedPolynomial]:
     degree k_max or the bundle ring's bound, whichever is lower, and p_k is
     read off the degree-k part; above the bound it is zero.
     """
-    _require_int("newton_power_sums", "k_max", k_max)
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _require_int("newton_power_sums", "k_max", k_max, 1)
     top = k_max if b.ring.bound is None else min(k_max, b.ring.bound)
     log_c = graded_log(sum((c.truncate(top) for c in b.chern), b.ring.with_bound(top).one))
     parts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(k_max + 1)]
@@ -376,11 +369,9 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
     sum_nu prod_i (-1)^{nu_i} / (nu_i + 1)! m_nu, taken over one common
     denominator bound!.
     """
-    _require_int("exterior_alternating_sum_dual", "g", g)
+    _require_int("exterior_alternating_sum_dual", "g", g, 1)
     if bound is not None:
-        _require_int("exterior_alternating_sum_dual", "bound", bound)
-    if g < 1:
-        raise ValueError("exterior_alternating_sum_dual requires g >= 1")
+        _require_int("exterior_alternating_sum_dual", "bound", bound, 0)
     if bound is None:
         bound = _default_bound(g)
     den = factorial(bound)
@@ -410,9 +401,7 @@ def borel_serre_check(g: int) -> BorelSerreReport:
     """Compare ch(Lambda^* E-dual) from subset-sum roots against c_g * Td(E)^{-1}
     from the multiplicative-sequence route; the difference must vanish identically.
     """
-    _require_int("borel_serre_check", "g", g)
-    if g < 1:
-        raise ValueError("borel_serre_check requires g >= 1")
+    _require_int("borel_serre_check", "g", g, 1)
     bound = _default_bound(g)
     lhs = exterior_alternating_sum_dual(g, bound)
     b = BundleClasses.generators(g, bound)

@@ -508,8 +508,7 @@ class GradedPolynomial:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers require a non-negative integer exponent")
+        _require_int("GradedPolynomial.__pow__", "n", n, 0)
         ring = self.ring
         packing = _packing(ring, ring.bound if ring.bound is not None else n * _max_exponent(self.terms))
         result = _ONE
@@ -664,9 +663,7 @@ def named_series(name: str, order: int) -> tuple[Fraction, ...]:
 
     Each is computed by ``graded_log`` and ``graded_exp`` in the ring ``t``.
     """
-    _require_int("named_series", "order", order)
-    if order < 0:
-        raise ValueError(f"series order must be >= 0, got {order}")
+    _require_int("named_series", "order", order, 0)
     if name not in _SERIES:
         raise ValueError(f"unknown series {name!r}; expected one of {', '.join(_SERIES)}")
     s, sign, exponentiate = _SERIES[name]

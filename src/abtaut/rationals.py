@@ -22,18 +22,21 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, isqrt
 
-__all__ = ["Rational", "bernoulli", "zeta_negative_odd", "boundary_constant"]
-
-Rational = Fraction
+__all__ = ["bernoulli", "zeta_negative_odd", "boundary_constant"]
 
 # B_n for even n >= 2, each written once; threads that race on an entry
 # compute equal values.
 _bernoulli_cache: dict[int, Fraction] = {}
 
 
-def _require_int(function: str, name: str, value) -> None:
+def _require_int(function: str, name: str, value, low: int | None = None) -> None:
+    """The argument contract of every public function: ``value`` is an int
+    and not a bool (else a TypeError), and at least ``low`` if one is given
+    (else a ValueError), each message naming the function and the argument."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{function} requires an int {name}, got {type(value).__name__}")
+    if low is not None and value < low:
+        raise ValueError(f"{function} requires {name} >= {low}, got {value}")
 
 
 def _pi_bounds(precision: int) -> tuple[int, int]:
@@ -162,9 +165,7 @@ def bernoulli(n: int) -> Fraction:
     >>> bernoulli(800).denominator
     9315635010
     """
-    _require_int("bernoulli", "n", n)
-    if n < 0:
-        raise ValueError(f"bernoulli requires n >= 0, got {n}")
+    _require_int("bernoulli", "n", n, 0)
     if n < 2:
         return Fraction(1) if n == 0 else Fraction(-1, 2)
     if n % 2:
@@ -182,9 +183,7 @@ def zeta_negative_odd(g: int) -> Fraction:
     >>> zeta_negative_odd(1)
     Fraction(-1, 12)
     """
-    _require_int("zeta_negative_odd", "g", g)
-    if g < 1:
-        raise ValueError(f"zeta_negative_odd requires g >= 1, got {g}")
+    _require_int("zeta_negative_odd", "g", g, 1)
     return -bernoulli(2 * g) / (2 * g)
 
 
@@ -195,7 +194,5 @@ def boundary_constant(g: int) -> Fraction:
     The value is positive for every g >= 1; its reciprocal is the integer
     12, 120, 252 for g = 1, 2, 3.
     """
-    _require_int("boundary_constant", "g", g)
-    if g < 1:
-        raise ValueError(f"boundary_constant requires g >= 1, got {g}")
+    _require_int("boundary_constant", "g", g, 1)
     return (-1) ** g * zeta_negative_odd(g)

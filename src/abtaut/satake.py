@@ -46,10 +46,8 @@ class SatakeClassExpression(NamedTuple):
 def p_rank_constant(g: int, p: int) -> int:
     """The coefficient (p - 1)(p^2 - 1)...(p^g - 1) of the p-rank-zero locus
     against the label {g}, as an exact integer."""
-    _require_int("p_rank_constant", "g", g)
+    _require_int("p_rank_constant", "g", g, 1)
     _require_int("p_rank_constant", "p", p)
-    if g < 1:
-        raise ValueError(f"p_rank_constant requires g >= 1, got {g}")
     if not _is_prime(p):
         raise ValueError(f"p_rank_constant requires a prime p, got {p}")
     value = 1
@@ -61,10 +59,8 @@ def p_rank_constant(g: int, p: int) -> int:
 def stratum_constant(g: int, i: int) -> SatakeClassExpression:
     """The closed-form family: coefficient (-1)^i / prod_{j=1}^{i} zeta(2j-1-2g)
     against the label {g-i+1, ..., g}."""
-    _require_int("stratum_constant", "g", g)
+    _require_int("stratum_constant", "g", g, 1)
     _require_int("stratum_constant", "i", i)
-    if g < 1:
-        raise ValueError(f"stratum_constant requires g >= 1, got {g}")
     if not 0 <= i <= g:
         raise ValueError(f"stratum index must satisfy 0 <= i <= g, got {i}")
     denominator = Fraction(1)
@@ -79,9 +75,7 @@ def leading_stratum_constants(g: int) -> tuple[SatakeClassExpression, ...]:
     """The constants for the two deepest strata reachable from the divisor
     route: (-1)^g / zeta(1-2g) at codimension g, and
     1 / (zeta(1-2g) zeta(3-2g)) one stratum further (only for g >= 2)."""
-    _require_int("leading_stratum_constants", "g", g)
-    if g < 1:
-        raise ValueError(f"leading_stratum_constants requires g >= 1, got {g}")
+    _require_int("leading_stratum_constants", "g", g, 1)
     first = SatakeClassExpression(1, Fraction((-1) ** g) / zeta_negative_odd(g), (g,))
     if g == 1:
         return (first,)
@@ -130,9 +124,7 @@ class ConsistencyReport(NamedTuple):
 
 
 def consistency_report(g: int) -> ConsistencyReport:
-    _require_int("consistency_report", "g", g)
-    if g < 2:
-        raise ValueError(f"consistency_report requires g >= 2, got {g}")
+    _require_int("consistency_report", "g", g, 2)
     divisor = leading_stratum_constants(g)
     comparisons = []
     for expr in divisor:
@@ -166,9 +158,7 @@ class RecursionReport(NamedTuple):
 
 
 def recursion_check(g: int) -> RecursionReport:
-    _require_int("recursion_check", "g", g)
-    if g < 1:
-        raise ValueError(f"recursion_check requires g >= 1, got {g}")
+    _require_int("recursion_check", "g", g, 1)
     constants = [stratum_constant(g, i).coefficient for i in range(g + 1)]
     steps = []
     for i in range(1, g + 1):
@@ -182,13 +172,11 @@ def stratum_table(g: int, i: int | None = None) -> list[dict]:
     """Rows (g, i, coefficient, label, matches_thm34) for the closed-form
     family; matches_thm34 compares against the divisor route where one exists
     (i = 1, 2) and is null elsewhere."""
-    _require_int("stratum_table", "g", g)
+    _require_int("stratum_table", "g", g, 1)
     if i is not None:
         _require_int("stratum_table", "i", i)
-    if g < 1:
-        raise ValueError(f"stratum_table requires g >= 1, got {g}")
-    if i is not None and not 0 <= i <= g:
-        raise ValueError(f"stratum index must satisfy 0 <= i <= g, got {i}")
+        if not 0 <= i <= g:
+            raise ValueError(f"stratum index must satisfy 0 <= i <= g, got {i}")
     divisor = {expr.stratum_index: expr.coefficient for expr in leading_stratum_constants(g)}
     rows = []
     indices = range(g + 1) if i is None else (i,)

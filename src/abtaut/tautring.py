@@ -69,9 +69,7 @@ class TautRingElement:
     __slots__ = ("genus", "coordinates")
 
     def __init__(self, genus: int, coordinates: Mapping[Subset, Fraction]):
-        _require_int("TautRingElement", "genus", genus)
-        if genus < 1:
-            raise ValueError(f"genus must be >= 1, got {genus}")
+        _require_int("TautRingElement", "genus", genus, 1)
         self.genus = genus
         for subset in coordinates:
             _check_subset(genus, subset)
@@ -135,9 +133,7 @@ class TautRing:
     """
 
     def __init__(self, g: int):
-        _require_int("TautRing", "g", g)
-        if g < 1:
-            raise ValueError(f"genus must be >= 1, got {g}")
+        _require_int("TautRing", "g", g, 1)
         self.genus = g
         self.socle_degree = g * (g + 1) // 2
         self.ring = _lambda_ring(g)
@@ -221,14 +217,15 @@ class TautRing:
 
     def basis_monomials(self, d: int) -> list[GradedPolynomial]:
         """The square-free monomial basis of degree d, as polynomials."""
-        self._check_degree(d)
+        self._check_degree("TautRing.basis_monomials", d)
         return [self.ring.monomial(m) for m in self._basis[d]]
 
     def socle_monomial(self) -> GradedPolynomial:
         """The canonical socle generator l1*l2*...*lg."""
         return self.ring.monomial((1,) * self.genus)
 
-    def _check_degree(self, d: int) -> None:
+    def _check_degree(self, function: str, d: int) -> None:
+        _require_int(function, "d", d)
         if not 0 <= d <= self.socle_degree:
             raise ValueError(f"degree must lie in 0..{self.socle_degree}, got {d}")
 
@@ -265,7 +262,7 @@ class TautRing:
 
     def pairing_matrix(self, d: int) -> list[list[Fraction]]:
         """Socle ratios of basis products between degrees d and socle_degree - d."""
-        self._check_degree(d)
+        self._check_degree("TautRing.pairing_matrix", d)
         right = self._basis[self.socle_degree - d]
         full = tuple(range(1, self.genus + 1))
         return [
@@ -302,7 +299,7 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 
 def build_ring(g: int) -> TautRing:
     """Construct the ring for genus g, at most :data:`MAX_RING_GENUS`."""
-    _require_int("build_ring", "g", g)
+    _require_int("build_ring", "g", g, 1)
     if g > MAX_RING_GENUS:
         raise ValueError(f"ring construction is capped at genus {MAX_RING_GENUS}, got {g}")
     return TautRing(g)
@@ -324,7 +321,7 @@ def ring_report(g: int) -> RingReport:
     """Build R_g (subject to :data:`MAX_RING_GENUS`) and check its structure: total
     dimension 2^g, a palindromic profile with one-dimensional socle,
     lambda_g^2 = 0, c(E)c(E-dual) = 1, and a nonsingular pairing in every degree."""
-    _require_int("ring_report", "g", g)
+    _require_int("ring_report", "g", g, 1)
     ring = build_ring(g)
     dims = ring.dimension_profile()
     lam_g_sq = ring.ring.monomial(tuple(0 if i < g - 1 else 2 for i in range(g)))

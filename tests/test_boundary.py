@@ -7,6 +7,7 @@ from functools import cache
 from math import comb, factorial
 
 import pytest
+from argument_contract import rejects
 
 from abtaut import (
     binomial_expansion_check,
@@ -19,6 +20,7 @@ from abtaut import (
 )
 from abtaut import graded
 from abtaut.boundary import boundary_ring
+from abtaut.cli import MAX_GRR_GENUS
 
 
 @cache
@@ -213,6 +215,18 @@ def test_binomial_expansion_larger(g):
 # -- the coefficient pipeline ---------------------------------------------------
 
 
+def test_grr_degree_facts_up_to_the_cap():
+    # grr_coefficient pushes Q_g alone and does not re-check these facts
+    for g in range(1, MAX_GRR_GENUS + 1):
+        for k in range(1, g):
+            assert pushforward(g, sum_powers_quotient(k)).delta_coefficient == 0, (g, k)
+        matched = sum_powers_quotient(g).poly
+        for exps, coeff in matched.terms.items():
+            if exps[1]:
+                assert pushforward(g, matched.ring.monomial(exps, coeff)).delta_coefficient == 0, (g, exps)
+        assert matched.coefficient((2 * g - 2, 0)) == 2 * g - 1, g
+
+
 def test_grr_coefficient_small_genera():
     assert grr_coefficient(1) == Fraction(-1, 12)
     assert grr_coefficient(2) == Fraction(1, 120)
@@ -269,7 +283,7 @@ def test_grr_rejects_genus_zero():
         (grr_report, "g", ()),
     ],
 )
-@pytest.mark.parametrize("value", [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j])
+@pytest.mark.parametrize("value", [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j, 0])
 def test_boundary_rejects_non_integers(function, name, rest, value):
-    with pytest.raises(TypeError, match=rf"^{function.__name__} requires an int {name}, got "):
+    with rejects(function, name, (value, *rest)):
         function(value, *rest)

@@ -6,6 +6,7 @@ from math import factorial
 import newton_oracle
 import pytest
 import roots_oracle
+from argument_contract import rejects
 
 from abtaut import (
     BundleClasses,
@@ -380,6 +381,7 @@ def test_two_routes_share_no_code(monkeypatch):
 
 
 NON_INTEGERS = [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j]
+_LINE_RING = GradedRing(("x",), (1,), 1)
 
 
 @pytest.mark.parametrize(
@@ -405,8 +407,20 @@ NON_INTEGERS = [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j]
             (newton_power_sums, "k_max", (BundleClasses.generators(2), value)),
         )
         if value is not None or name != "bound"
+    ]
+    + [(BundleClasses, "rank", (value, (), _LINE_RING)) for value in NON_INTEGERS]
+    + [
+        (borel_serre_check, "g", (0,)),
+        (exterior_alternating_sum_dual, "g", (0,)),
+        (BundleClasses.generators, "g", (0,)),
+        (BundleClasses.from_roots, "g", (0,)),
+        (newton_power_sums, "k_max", (BundleClasses.generators(2), 0)),
+        (BundleClasses, "rank", (-1, (), _LINE_RING)),
+        (exterior_alternating_sum_dual, "bound", (2, -1)),
+        (BundleClasses.generators, "bound", (2, -1)),
+        (BundleClasses.from_roots, "bound", (2, -1)),
     ],
 )
 def test_charclass_rejects_non_integers(function, name, args):
-    with pytest.raises(TypeError, match=rf"^{function.__qualname__} requires an int {name}, got "):
+    with rejects(function, name, args):
         function(*args)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 import graded_oracle
 import series_oracle
+from argument_contract import rejects
 from abtaut import (
     BundleClasses,
+    GradedPolynomial,
     GradedRing,
     bernoulli,
     graded_exp,
@@ -309,10 +311,13 @@ def test_named_series_negative_order():
         named_series("todd_dual_gen", -1)
 
 
-@pytest.mark.parametrize("value", [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j])
+@pytest.mark.parametrize("value", [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j, -1])
 def test_graded_rejects_non_integers(value):
-    with pytest.raises(TypeError, match=r"^named_series requires an int order, got "):
+    with rejects(named_series, "order", ("todd_dual_gen", value)):
         named_series("todd_dual_gen", value)
+    x = GradedRing(("x",), (1,)).gen(0)
+    with rejects(GradedPolynomial.__pow__, "n", (x, value)):
+        x ** value
     with pytest.raises(ValueError, match=r"^weights must be positive integers$"):
         GradedRing(("t",), (value,))
     if value is not None:

@@ -7,6 +7,7 @@ from math import comb, factorial
 import pytest
 
 from abtaut import bernoulli, boundary_constant, cli, rationals, zeta_negative_odd
+from argument_contract import rejects
 from tangent_oracle import _tangent_numbers, bernoulli_table
 
 
@@ -177,7 +178,7 @@ def test_bernoulli_recurrence_property():
 
 
 def test_bernoulli_rejects_negative():
-    with pytest.raises(ValueError):
+    with rejects(bernoulli, "n", (-1,)):
         bernoulli(-1)
 
 
@@ -204,7 +205,7 @@ def test_zeta_values():
 
 
 def test_zeta_rejects_zero():
-    with pytest.raises(ValueError):
+    with rejects(zeta_negative_odd, "g", (0,)):
         zeta_negative_odd(0)
 
 
@@ -230,7 +231,7 @@ def test_boundary_constant_integer_reciprocals():
 
 
 def test_boundary_constant_rejects_zero():
-    with pytest.raises(ValueError):
+    with rejects(boundary_constant, "g", (0,)):
         boundary_constant(0)
 
 

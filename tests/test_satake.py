@@ -12,6 +12,7 @@ from abtaut import (
     stratum_table,
     zeta_negative_odd,
 )
+from argument_contract import rejects
 
 
 # -- p-rank constant -----------------------------------------------------------
@@ -196,8 +197,16 @@ _INT_ARGUMENTS = [
         for function, name, args, at in _INT_ARGUMENTS
         for value in [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j]
         if not (function is stratum_table and name == "i" and value is None)
+    ]
+    + [
+        (p_rank_constant, "g", (0, 3)),
+        (stratum_constant, "g", (0, 0)),
+        (leading_stratum_constants, "g", (0,)),
+        (consistency_report, "g", (1,)),
+        (recursion_check, "g", (0,)),
+        (stratum_table, "g", (0,)),
     ],
 )
 def test_satake_rejects_non_integers(function, name, args):
-    with pytest.raises(TypeError, match=rf"^{function.__name__} requires an int {name}, got "):
+    with rejects(function, name, args):
         function(*args)

@@ -1,3 +1,4 @@
+import inspect
 import random
 import sys
 import threading
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from abtaut import TautRing, TautRingElement, build_ring, determinant, ring_report
 from abtaut.tautring import MAX_RING_GENUS
+from argument_contract import rejects
 from rowreduce_oracle import BasisError, reduce_degree, reduce_maps
 
 
@@ -457,8 +459,21 @@ def test_reduce_degree_happy_path():
     assert Fraction(-row[(0, 1)], row[(2, 0)]) == 2
 
 
-@pytest.mark.parametrize("function", [TautRing, build_ring, ring_report])
+_RING = TautRing(3)
+
+
+@pytest.mark.parametrize("function", [TautRing, build_ring, ring_report, _RING.basis_monomials, _RING.pairing_matrix])
 @pytest.mark.parametrize("value", [2.0, 2.5, "3", True, False, None, Fraction(3), 3 + 0j])
 def test_tautring_rejects_non_integers(function, value):
-    with pytest.raises(TypeError, match=rf"^{function.__name__} requires an int g, got "):
+    [name] = inspect.signature(function).parameters
+    with rejects(function, name, (value,)):
         function(value)
+
+
+@pytest.mark.parametrize(
+    "function, name, args",
+    [(TautRing, "g", (0,)), (TautRingElement, "genus", (0, {})), (build_ring, "g", (0,)), (ring_report, "g", (0,))],
+)
+def test_tautring_rejects_genus_zero(function, name, args):
+    with rejects(function, name, args):
+        function(*args)
