@@ -2,17 +2,20 @@
 
 A bundle is one object, its rank and Chern classes c_1..c_g in a graded
 ring, whichever the alphabet: weight-graded Chern generators, or the
-elementary symmetrics of g weight-1 formal roots.  Power sums are read off
-one logarithm, log c(E) = sum_k (-1)^(k-1) p_k / k, and every multiplicative
-class is the exponential of a series in them.  The cross-check
+elementary symmetrics of g weight-1 formal roots.  Every class is read off
+one logarithm, log c(E) = sum_k (-1)^(k-1) p_k / k, scaled degree by degree:
+its degree-k part times (-1)^(k-1) k is the power sum p_k, times
+(-1)^(k-1) / (k-1)! it is the degree-k part of the Chern character, and
+times (-1)^(k-1) k s_k it is the logarithm of the multiplicative class
+exp(sum_k s_k p_k) of a series s.  The cross-check
 ``borel_serre_check`` compares the alternating Chern character of exterior
 powers of the dual against c_g * Td^{-1}.  The first route is the root
 product prod_i (1 - e^{-x_i}), read off on partitions and rewritten in the
 Chern classes through the monomial expansions of products of elementary
 symmetrics, which count 0-1 matrices with given row and column sums
 (Macdonald, Symmetric Functions and Hall Polynomials, I.6).  The second is
-the multiplicative class of log((1 - e^{-t})/t) over the power sums of
-log c(E), with no roots anywhere.  The two routes share no code.
+the multiplicative class of log((1 - e^{-t})/t) over log c(E), with no
+roots anywhere.  The two routes share no code.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb, factorial, lcm
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graded import (
     GradedPolynomial,
@@ -29,7 +32,6 @@ from .graded import (
     graded_exp,
     graded_log,
     named_series,
-    substitute_power_sums,
 )
 from .rationals import _require_int
 
@@ -46,9 +48,19 @@ __all__ = [
     "borel_serre_check",
 ]
 
-def _default_bound(g: int) -> int:
-    # the socle degree; nothing above it is ever consulted
-    return g * (g + 1) // 2
+def _bound(function: str, g: int, bound: int | None) -> int:
+    """Check ``function``'s g and bound.  A bound of None is the socle degree
+    g(g+1)/2, above which nothing is ever consulted."""
+    _require_int(function, "g", g, 1)
+    if bound is None:
+        return g * (g + 1) // 2
+    _require_int(function, "bound", bound, 0)
+    return bound
+
+
+def _chern_ring(g: int, bound: int | None) -> GradedRing:
+    """The ring of the Chern classes c1..cg, of weights 1..g."""
+    return GradedRing(tuple(f"c{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), bound)
 
 
 def _swap_variables(p: GradedPolynomial, i: int, j: int) -> GradedPolynomial:
@@ -108,25 +120,16 @@ class BundleClasses:
         self.ring = ring
 
     @classmethod
-    def generators(cls, g: int, bound: int | None = None, prefix: str = "c") -> "BundleClasses":
-        """Rank-g bundle whose i-th Chern class is the generator ``<prefix>i`` of weight i."""
-        _require_int("BundleClasses.generators", "g", g, 1)
-        if bound is None:
-            bound = _default_bound(g)
-        else:
-            _require_int("BundleClasses.generators", "bound", bound, 0)
-        ring = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), bound)
+    def generators(cls, g: int, bound: int | None = None) -> "BundleClasses":
+        """Rank-g bundle whose i-th Chern class is the generator ``ci`` of weight i."""
+        ring = _chern_ring(g, _bound("BundleClasses.generators", g, bound))
         return cls(g, ring.gens(), ring)
 
     @classmethod
-    def from_roots(cls, g: int, bound: int | None = None, prefix: str = "x") -> "BundleClasses":
-        """Rank-g bundle over the root alphabet, with c_i the i-th elementary symmetric."""
-        _require_int("BundleClasses.from_roots", "g", g, 1)
-        if bound is None:
-            bound = _default_bound(g)
-        else:
-            _require_int("BundleClasses.from_roots", "bound", bound, 0)
-        ring = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), (1,) * g, bound)
+    def from_roots(cls, g: int, bound: int | None = None) -> "BundleClasses":
+        """Rank-g bundle over the roots x1..xg, with c_i the i-th elementary symmetric."""
+        bound = _bound("BundleClasses.from_roots", g, bound)
+        ring = GradedRing(tuple(f"x{i}" for i in range(1, g + 1)), (1,) * g, bound)
         return cls(g, tuple(elementary_symmetric(ring, k) for k in range(1, g + 1)), ring)
 
     def __repr__(self) -> str:
@@ -136,6 +139,15 @@ class BundleClasses:
 def dual_bundle(b: BundleClasses) -> BundleClasses:
     """The dual bundle: c_i goes to (-1)^i c_i, as e_i(-x) = (-1)^i e_i(x)."""
     return BundleClasses(b.rank, tuple(c * ((-1) ** i) for i, c in enumerate(b.chern, start=1)), b.ring)
+
+
+def _log_chern(b: BundleClasses, top: int, factor: Callable[[int], int | Fraction]) -> GradedPolynomial:
+    """log c(E) up to degree ``top``, in the bundle ring, with its degree-k
+    part times ``factor(k)``."""
+    log_c = graded_log(sum((c.truncate(top) for c in b.chern), b.ring.with_bound(top).one))
+    scale = [0] + [factor(k) for k in range(1, top + 1)]
+    degree = b.ring.degree
+    return GradedPolynomial(b.ring, {e: v for e, c in log_c.terms.items() if (v := c * scale[degree(e)])})
 
 
 def newton_power_sums(b: BundleClasses, k_max: int) -> list[GradedPolynomial]:
@@ -149,12 +161,10 @@ def newton_power_sums(b: BundleClasses, k_max: int) -> list[GradedPolynomial]:
     """
     _require_int("newton_power_sums", "k_max", k_max, 1)
     top = k_max if b.ring.bound is None else min(k_max, b.ring.bound)
-    log_c = graded_log(sum((c.truncate(top) for c in b.chern), b.ring.with_bound(top).one))
     parts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(k_max + 1)]
     degree = b.ring.degree
-    for e, c in log_c.terms.items():
-        k = degree(e)
-        parts[k][e] = c * ((-1) ** (k - 1) * k)
+    for e, c in _log_chern(b, top, lambda k: (-1) ** (k + 1) * k).terms.items():
+        parts[degree(e)][e] = c
     return [b.ring.constant(b.rank)] + [GradedPolynomial(b.ring, part) for part in parts[1:]]
 
 
@@ -166,25 +176,22 @@ def _ring_bound(b: BundleClasses) -> int:
 
 def chern_character(b: BundleClasses) -> GradedPolynomial:
     """rank + sum_{k>=1} p_k / k!, truncated at the bundle ring's bound."""
-    bound = _ring_bound(b)
-    acc = b.ring.constant(b.rank)
-    if b.rank > 0 and bound >= 1:
-        ps = newton_power_sums(b, bound)
-        for k in range(1, bound + 1):
-            acc = acc + ps[k] / factorial(k)
-    return acc
+    return b.rank + _log_chern(b, _ring_bound(b), lambda k: Fraction((-1) ** (k + 1), factorial(k - 1)))
 
 
 def _multiplicative_class(b: BundleClasses, series_name: str) -> GradedPolynomial:
     """exp(sum_k series[k] p_k) for a log generating series with zero constant term."""
     bound = _ring_bound(b)
-    if b.rank == 0 or bound == 0:
-        return b.ring.one
-    return graded_exp(substitute_power_sums(named_series(series_name, bound), newton_power_sums(b, bound)))
+    series = named_series(series_name, bound)
+    return graded_exp(_log_chern(b, bound, lambda k: (-1) ** (k + 1) * k * series[k]))
 
 
 def todd(b: BundleClasses) -> GradedPolynomial:
-    """Todd class: for a line bundle with first Chern class x this is x/(1 - e^{-x})."""
+    """Todd class: for a line bundle with first Chern class x this is x/(1 - e^{-x}).
+
+    >>> print(todd(BundleClasses.generators(2)))
+    1 + 1/2*c1 + 1/12*c2 + 1/12*c1^2 + 1/24*c1*c2
+    """
     return _multiplicative_class(b, "log_todd_gen")
 
 
@@ -332,18 +339,14 @@ def _to_elementary(g: int, numerators: dict[tuple[int, ...], int]) -> dict[tuple
     return out
 
 
-def _elementary_ring(g: int, bound: int | None, prefix: str) -> GradedRing:
-    return GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), bound)
-
-
-def symmetric_to_elementary(p: GradedPolynomial, prefix: str = "c") -> GradedPolynomial:
+def symmetric_to_elementary(p: GradedPolynomial) -> GradedPolynomial:
     """Rewrite a symmetric polynomial in the root variables as a polynomial in
     the elementary symmetrics, by leading-partition subtraction.
 
-    The result lives in the alphabet ``<prefix>1 .. <prefix>g`` with weights
-    1..g and the same truncation bound as the input.  A symmetric polynomial
-    is fixed by its coefficients on partitions, so only those are read; the
-    subtraction runs on integer numerators over their common denominator.
+    The result lives in the alphabet c1..cg with weights 1..g and the same
+    truncation bound as the input.  A symmetric polynomial is fixed by its
+    coefficients on partitions, so only those are read; the subtraction runs
+    on integer numerators over their common denominator.
     """
     ring = p.ring
     g = ring.ngens
@@ -355,7 +358,7 @@ def symmetric_to_elementary(p: GradedPolynomial, prefix: str = "c") -> GradedPol
     den = lcm(*(c.denominator for c in dominant.values()))
     numerators = {e: c.numerator * (den // c.denominator) for e, c in dominant.items()}
     out = _to_elementary(g, numerators)
-    return _elementary_ring(g, ring.bound, prefix).from_terms({e: Fraction(c, den) for e, c in out.items()})
+    return _chern_ring(g, ring.bound).from_terms({e: Fraction(c, den) for e, c in out.items()})
 
 
 def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPolynomial:
@@ -369,11 +372,7 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
     sum_nu prod_i (-1)^{nu_i} / (nu_i + 1)! m_nu, taken over one common
     denominator bound!.
     """
-    _require_int("exterior_alternating_sum_dual", "g", g, 1)
-    if bound is not None:
-        _require_int("exterior_alternating_sum_dual", "bound", bound, 0)
-    if bound is None:
-        bound = _default_bound(g)
+    bound = _bound("exterior_alternating_sum_dual", g, bound)
     den = factorial(bound)
     numerators: dict[tuple[int, ...], int] = {}
     for d in range(bound - g + 1):
@@ -383,7 +382,7 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
                 value //= factorial(v + 1)
             numerators[nu] = -value if d % 2 else value
     out = _to_elementary(g, numerators)
-    return _elementary_ring(g, bound, "c").from_terms({e[:-1] + (e[-1] + 1,): Fraction(c, den) for e, c in out.items()})
+    return _chern_ring(g, bound).from_terms({e[:-1] + (e[-1] + 1,): Fraction(c, den) for e, c in out.items()})
 
 
 class BorelSerreReport(NamedTuple):
@@ -401,8 +400,7 @@ def borel_serre_check(g: int) -> BorelSerreReport:
     """Compare ch(Lambda^* E-dual) from subset-sum roots against c_g * Td(E)^{-1}
     from the multiplicative-sequence route; the difference must vanish identically.
     """
-    _require_int("borel_serre_check", "g", g, 1)
-    bound = _default_bound(g)
+    bound = _bound("borel_serre_check", g, None)
     lhs = exterior_alternating_sum_dual(g, bound)
     b = BundleClasses.generators(g, bound)
     rhs = b.chern[g - 1] * _multiplicative_class(b, "log_one_minus_exp_neg_over_t")

@@ -38,7 +38,6 @@ __all__ = [
     "graded_exp",
     "graded_log",
     "named_series",
-    "substitute_power_sums",
 ]
 
 Exponents = tuple[int, ...]
@@ -255,10 +254,10 @@ class GradedRing:
             raise ValueError("one weight per generator is required")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
-        if any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in weights):
-            raise ValueError("weights must be positive integers")
-        if bound is not None and (isinstance(bound, bool) or not isinstance(bound, int) or bound < 0):
-            raise ValueError("truncation bound must be a non-negative integer or None")
+        for w in weights:
+            _require_int("GradedRing", "weights", w, 1)
+        if bound is not None:
+            _require_int("GradedRing", "bound", bound, 0)
         self.names = names
         self.weights = weights
         self.bound = bound
@@ -302,6 +301,7 @@ class GradedRing:
         return GradedPolynomial(self, {(0,) * self.ngens: c})
 
     def gen(self, index: int) -> "GradedPolynomial":
+        _require_int("GradedRing.gen", "index", index)
         if not 0 <= index < self.ngens:
             raise ValueError(f"generator index {index} out of range")
         exps = [0] * self.ngens
@@ -319,7 +319,7 @@ class GradedRing:
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
-            if len(exps) != self.ngens or any((not isinstance(e, int)) or e < 0 for e in exps):
+            if len(exps) != self.ngens or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for {self!r}")
             c = _as_fraction(coeff)
             if c == 0:
@@ -671,32 +671,3 @@ def named_series(name: str, order: int) -> tuple[Fraction, ...]:
     if exponentiate:
         series = graded_exp(series)
     return tuple(series.coefficient((k,)) for k in range(order + 1))
-
-
-def substitute_power_sums(series: Sequence[Fraction], power_sums: Sequence[GradedPolynomial]) -> GradedPolynomial:
-    """Return sum_k series[k] * power_sums[k], truncated in the common ring,
-    for a sequence of integer or Fraction coefficients ``series``.
-
-    ``power_sums[k]`` must be homogeneous of weighted degree k; the entry at
-    index 0 is never consulted because the series must have zero constant
-    term.
-    """
-    if not series:
-        raise ValueError("a series needs at least its constant coefficient")
-    if series[0] != 0:
-        raise ValueError("substitute_power_sums requires a series with zero constant term")
-    if len(power_sums) < 2:
-        raise ValueError("at least the degree-1 power sum must be supplied")
-    ring = power_sums[1].ring
-    acc = ring.zero
-    for k in range(1, len(series)):
-        c = series[k]
-        if c == 0:
-            continue
-        if k >= len(power_sums):
-            raise ValueError(f"series has a nonzero coefficient at {k} but only {len(power_sums) - 1} power sums were supplied")
-        pk = power_sums[k]
-        if not pk.is_homogeneous_of(k):
-            raise ValueError(f"power_sums[{k}] is not homogeneous of weighted degree {k}")
-        acc = acc + pk * c
-    return acc

@@ -175,23 +175,11 @@ def stratum_table(g: int, i: int | None = None) -> list[dict]:
     _require_int("stratum_table", "g", g, 1)
     if i is not None:
         _require_int("stratum_table", "i", i)
-        if not 0 <= i <= g:
-            raise ValueError(f"stratum index must satisfy 0 <= i <= g, got {i}")
+    exprs = [stratum_constant(g, idx) for idx in (range(g + 1) if i is None else (i,))]
     divisor = {expr.stratum_index: expr.coefficient for expr in leading_stratum_constants(g)}
     rows = []
-    indices = range(g + 1) if i is None else (i,)
-    for idx in indices:
-        expr = stratum_constant(g, idx)
-        matches = None
-        if idx in divisor:
-            matches = expr.coefficient == divisor[idx]
-        rows.append(
-            {
-                "g": g,
-                "i": idx,
-                "coefficient": str(expr.coefficient),
-                "label": list(expr.label),
-                "matches_thm34": matches,
-            }
-        )
+    for expr in exprs:
+        idx = expr.stratum_index
+        matches = expr.coefficient == divisor[idx] if idx in divisor else None
+        rows.append({"g": g, **expr.as_payload(), "matches_thm34": matches})
     return rows

@@ -18,7 +18,6 @@ from abtaut import (
     graded_log,
     named_series,
     newton_power_sums,
-    substitute_power_sums,
 )
 
 
@@ -233,7 +232,8 @@ def test_exp_log_recurrence_at_the_socle_bound():
     # socle bound 10, against the per-power Fraction sums
     b = BundleClasses.generators(4)
     assert b.ring.weights == (1, 2, 3, 4) and b.ring.bound == 10
-    log_todd = substitute_power_sums(named_series("log_todd_gen", 10), newton_power_sums(b, 10))
+    series, ps = named_series("log_todd_gen", 10), newton_power_sums(b, 10)
+    log_todd = sum((ps[k] * series[k] for k in range(1, 11)), b.ring.zero)
     todd_class = graded_exp(log_todd)
     assert todd_class.terms == graded_oracle.exp(log_todd).terms
     assert graded_log(todd_class).terms == graded_oracle.log(todd_class).terms == log_todd.terms
@@ -318,56 +318,36 @@ def test_graded_rejects_non_integers(value):
     x = GradedRing(("x",), (1,)).gen(0)
     with rejects(GradedPolynomial.__pow__, "n", (x, value)):
         x ** value
-    with pytest.raises(ValueError, match=r"^weights must be positive integers$"):
+    if type(value) is int:
+        weight_error = pytest.raises(ValueError, match=rf"^GradedRing requires weights >= 1, got {value}$")
+    else:
+        weight_error = pytest.raises(TypeError, match=r"^GradedRing requires an int weights, got ")
+    with weight_error:
         GradedRing(("t",), (value,))
     if value is not None:
-        with pytest.raises(ValueError, match=r"^truncation bound must be a non-negative integer or None$"):
+        with rejects(GradedRing, "bound", (("t",), (1,), value)):
             GradedRing(("t",), (1,), value)
 
 
-# -- substitute_power_sums -------------------------------------------------
+@pytest.mark.parametrize("value", [2.0, 2.5, "1", True, False, None, Fraction(1), 1 + 0j])
+def test_graded_ring_gen_rejects_non_integers(value):
+    R = GradedRing(("x", "y", "z"), (1, 1, 1))
+    with rejects(GradedRing.gen, "index", (R, value)):
+        R.gen(value)
 
 
-def test_substitute_identity_series():
-    R = GradedRing(("l1",), (1,), 3)
-    l1 = R.gen(0)
-    s = [0, 1]
-    assert substitute_power_sums(s, [None, l1]) == l1
+def test_graded_ring_gen_rejects_out_of_range_indices():
+    R = GradedRing(("x", "y"), (1, 1))
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match=rf"^generator index {index} out of range$"):
+            R.gen(index)
 
 
-def test_substitute_zero_series():
-    R = GradedRing(("l1",), (1,), 3)
-    l1 = R.gen(0)
-    s = [0, 0, 0]
-    assert substitute_power_sums(s, [None, l1, l1 * l1]) == 0
-
-
-def test_substitute_recovers_series_evaluation():
-    # with p_k = x^k the substitution is literally evaluation of the series at x
-    rng = random.Random(7)
-    R = GradedRing(("x",), (1,), 6)
-    x = R.gen(0)
-    powers = [None] + [x ** k for k in range(1, 7)]
-    for _ in range(10):
-        coeffs = [Fraction(0)] + [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)]
-        s = coeffs
-        expected = R.zero
-        for k in range(1, 7):
-            expected = expected + x ** k * coeffs[k]
-        assert substitute_power_sums(s, powers) == expected
-
-
-def test_substitute_preconditions():
-    R = GradedRing(("x",), (1,), 3)
-    x = R.gen(0)
-    with pytest.raises(ValueError):
-        substitute_power_sums([1, 1], [None, x])
-    with pytest.raises(ValueError):
-        substitute_power_sums([0, 1], [None, 1 + x])
-    with pytest.raises(ValueError):
-        substitute_power_sums([0, 1, 1], [None, x])
-    with pytest.raises(ValueError):
-        substitute_power_sums([], [None, x])
+@pytest.mark.parametrize("exponents", [(True, 0), (0, False)])
+def test_from_terms_rejects_bool_exponents(exponents):
+    R = GradedRing(("x", "y"), (1, 1))
+    with pytest.raises(ValueError, match=r"^bad exponent vector "):
+        R.monomial(exponents)
 
 
 # -- hashing ---------------------------------------------------------------
