@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
+from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 from .graded import GradedPolynomial, GradedRing, _as_fraction
@@ -127,9 +128,11 @@ class TautRing:
     the 2^g square-free basis monomials by weight.  Normal forms are filled
     in on first use, in two memos: the products NF(l_a * l_k) of a basis
     element and a generator, and the integer row of each monomial reached so
-    far, its parent's row times l_k.  Each memo entry is written once and
-    complete, so the ring is safe for concurrent queries without a lock:
-    threads that race on an entry write equal values.
+    far, its parent's row times l_k.  Rows are only asked for up to the
+    socle degree, so the row memo holds no monomial above it.  Each memo
+    entry is written once and complete, so the ring is safe for concurrent
+    queries without a lock: threads that race on an entry write equal
+    values.
     """
 
     def __init__(self, g: int):
@@ -240,14 +243,17 @@ class TautRing:
         degree vanish in the ring and are dropped.
         """
         self._check_polynomial(p)
-        degree = self.ring.degree
-        terms = [(exps, c) for exps, c in p.terms.items() if degree(exps) <= self.socle_degree]
-        # integer rows summed over one common denominator
-        den = lcm(*(c.denominator for _, c in terms))
+        rows, degree, socle = self._rows, self.ring.degree, self.socle_degree
+        # integer rows summed over one common denominator; a monomial's row
+        # is looked up first, since the memo holds none above the socle
+        den = lcm(*(c.denominator for c in p.terms.values()))
         coords: dict[Subset, int] = {}
-        for exps, c in terms:
+        for exps, c in p.terms.items():
+            row = rows.get(exps)
+            if row is None and degree(exps) > socle:
+                continue
             m = c.numerator * (den // c.denominator)
-            for subset, r in self._row(exps).items():
+            for subset, r in (self._row(exps) if row is None else row).items():
                 coords[subset] = coords.get(subset, 0) + m * r
         return TautRingElement._of_valid(self.genus, {s: Fraction(v, den) for s, v in coords.items() if v})
 
@@ -260,41 +266,49 @@ class TautRing:
         nf = self.normal_form(p)
         return nf.coefficient(range(1, self.genus + 1))
 
-    def pairing_matrix(self, d: int) -> list[list[Fraction]]:
-        """Socle ratios of basis products between degrees d and socle_degree - d."""
+    def pairing_matrix(self, d: int) -> list[list[int]]:
+        """Socle ratios of basis products between degrees d and socle_degree - d.
+
+        The entries are ints: every row of the memo is an integer vector.
+        """
         self._check_degree("TautRing.pairing_matrix", d)
         right = self._basis[self.socle_degree - d]
         full = tuple(range(1, self.genus + 1))
-        return [
-            [Fraction(self._row(tuple(x + y for x, y in zip(a, b))).get(full, 0)) for b in right]
-            for a in self._basis[d]
-        ]
+        return [[self._row(tuple(map(add, a, b))).get(full, 0) for b in right] for a in self._basis[d]]
 
 
-def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination; the empty matrix has determinant 1."""
+def determinant(matrix: Sequence[Sequence[int | Fraction]]) -> Fraction:
+    """Exact determinant of a square matrix of ints and Fractions; the empty
+    matrix has determinant 1.
+
+    Each row is scaled to integers by the lcm of its denominators, so an
+    integer matrix creates no Fraction.  One fraction-free elimination
+    follows (Bareiss, Math. Comp. 22, 1968), which moves each pivot row to
+    the top: every division by the previous pivot is exact, and the last
+    pivot, signed by the row moves, is the determinant of the scaled matrix.
+    """
     n = len(matrix)
-    if n == 0:
-        return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant requires a square matrix")
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    m, scale = [], 1
+    for row in matrix:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"determinant requires int or Fraction entries, got {x!r}")
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    sign, prev = 1, 1
+    while m:
+        pivot = next((r for r, row in enumerate(m) if row[0]), None)
         if pivot is None:
             return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+        # moving the pivot row to the top passes it over `pivot` rows
+        p, *top = m.pop(pivot)
+        sign *= (-1) ** pivot
+        m = [[(p * x - f * y) // prev for x, y in zip(row, top)] for f, *row in m]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def build_ring(g: int) -> TautRing:

@@ -66,7 +66,8 @@ def main(args: list[str]) -> int:
         for name, argv in REQUESTS:
             print(f"{name}\t{shlex.join(argv)}")
         return 0
-    if len(args) != 1:
+    # an option-like argument is a usage error, not a directory to create
+    if len(args) != 1 or args[0].startswith("-"):
         print(__doc__, file=sys.stderr)
         return 2
     record(Path(args[0]))

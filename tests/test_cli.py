@@ -370,6 +370,20 @@ def test_stdout_matches_golden(capsys, name, argv):
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["-x"], ["-"], ["--list", "x"], []])
+def test_golden_recorder_rejects_options(tmp_path, argv):
+    # run from an empty directory without PYTHONPATH: a usage error creates
+    # no directory and needs no abtaut import
+    script = Path(__file__).resolve().parent / "record_cli_golden.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(script), *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 2
+    assert "record_cli_golden.py OUTDIR" in done.stderr and "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_timing_outside_payload(capsys):
     code, out, err = run_cli(capsys, "constant", "--g", "2")
     assert "elapsed_ms=" in err

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from abtaut import TautRing, TautRingElement, build_ring, determinant, ring_report
 from abtaut.tautring import MAX_RING_GENUS
+import gauss_oracle
 from argument_contract import rejects
 from rowreduce_oracle import BasisError, reduce_degree, reduce_maps
 
@@ -205,6 +206,41 @@ def test_cold_rings_match_row_reduction(g):
             assert r.normal_form(r.ring.monomial(exps)).coordinates == oracle[exps], (g, exps)
 
 
+def _random_polynomial(rng: random.Random, r: TautRing, terms: int):
+    """Up to ``terms`` random monomials, each of a random degree up to the socle."""
+    poly = {}
+    for _ in range(terms):
+        exps, remaining = [0] * r.genus, rng.randint(0, r.socle_degree)
+        for i in rng.sample(range(1, r.genus + 1), r.genus):
+            exps[i - 1] = e = rng.randint(0, remaining // i)
+            remaining -= e * i
+        poly[tuple(exps)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1, 2, 3]))
+    return r.ring.from_terms(poly)
+
+
+@pytest.mark.parametrize("g", [4, 5, 6, 7, 8])
+def test_memo_stays_below_the_socle(g):
+    # normal_form looks each term up in the row memo before it checks the
+    # degree, which is sound only if the memo holds nothing above the socle;
+    # products of two elements up to the socle reach far past it
+    r, rng = TautRing(g), random.Random(f"memo{g}")
+    oracle = {e: c for table in reduce_maps(TautRing(g)) for e, c in table.items()}
+    above = 0
+    for _ in range(30):
+        p = _random_polynomial(rng, r, rng.randint(1, 8)) * _random_polynomial(rng, r, rng.randint(1, 8))
+        kept = {e: c for e, c in p.terms.items() if r.ring.degree(e) <= r.socle_degree}
+        above += len(p.terms) - len(kept)
+        nf = r.normal_form(p)
+        assert all(r.ring.degree(e) <= r.socle_degree for e in r._rows), g
+        assert r.normal_form(p) == nf
+        expected = {}
+        for e, c in kept.items():
+            for subset, v in oracle[e].items():
+                expected[subset] = expected.get(subset, 0) + c * v
+        assert nf.coordinates == {s: v for s, v in expected.items() if v}, g
+    assert above > 0
+
+
 def _answer(ring, query):
     kind, arg = query
     if kind == "pairing":
@@ -360,16 +396,23 @@ def test_pairing_matrix_examples(ring_cache):
     # degree-3 basis of g = 3 in graded-lex order: l3, l1*l2
     matrix = ring_cache(3).pairing_matrix(3)
     assert matrix == [[0, 1], [1, 4]]
-    assert determinant(matrix) != 0
+    assert determinant(matrix) == -1
 
 
-@pytest.mark.parametrize("g", list(range(1, 7)))
-def test_pairing_nonsingular_everywhere(g, ring_cache):
-    r = ring_cache(g)
+def _assert_unimodular_pairing(r: TautRing) -> None:
+    # every pairing matrix has int entries and determinant exactly +-1
     for d in range(r.socle_degree + 1):
         matrix = r.pairing_matrix(d)
-        assert len(matrix) == len(matrix[0] if matrix else [])
-        assert determinant(matrix) != 0, (g, d)
+        assert len(matrix) == len(r.basis_monomials(d))
+        assert all(len(row) == len(matrix) for row in matrix), (r.genus, d)
+        assert all(type(x) is int for row in matrix for x in row), (r.genus, d)
+        det = determinant(matrix)
+        assert type(det) is Fraction and det in (1, -1), (r.genus, d, det)
+
+
+@pytest.mark.parametrize("g", list(range(1, MAX_RING_GENUS + 1)))
+def test_pairing_nonsingular_everywhere(g, ring_cache):
+    _assert_unimodular_pairing(ring_cache(g))
 
 
 def test_pairing_degree_out_of_range(ring_cache):
@@ -381,8 +424,52 @@ def test_determinant_utility():
     assert determinant([]) == 1
     assert determinant([[Fraction(2)]]) == 2
     assert determinant([[1, 2], [2, 4]]) == 0
-    with pytest.raises(ValueError):
-        determinant([[1, 2]])
+    assert determinant([[0, 1], [1, 0]]) == -1
+    # rows of rationals: 1/10 - 1/12
+    assert determinant([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]) == Fraction(1, 60)
+    # a zero leading pivot, then a row move past two rows
+    assert determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert all(type(determinant(m)) is Fraction for m in ([], [[3]], [[0]], [[1, 2], [2, 4]]))
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2, 3]], [[1, 2], [3]], [[]]])
+def test_determinant_rejects_non_square(matrix):
+    with pytest.raises(ValueError, match="^determinant requires a square matrix$"):
+        determinant(matrix)
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, "1/2", "1", None, 1 + 0j])
+def test_determinant_rejects_non_rational_entries(entry):
+    # Fraction(x) used to accept floats and strings; an entry is an int or a Fraction
+    with pytest.raises(TypeError, match="^determinant requires int or Fraction entries, got "):
+        determinant([[1, entry], [Fraction(1, 2), 3]])
+
+
+_ENTRIES = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=5))
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(0, 6))
+    m = [draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # a row that depends on two others (or on one): singular
+        i = draw(st.integers(0, n - 1))
+        others = st.sampled_from([r for r in range(n) if r != i])
+        j, k, a, b = draw(others), draw(others), draw(_ENTRIES), draw(_ENTRIES)
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    if n and draw(st.booleans()):
+        m[0][0] = 0
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_matrices())
+def test_determinant_matches_gaussian_elimination(matrix):
+    det = determinant(matrix)
+    assert type(det) is Fraction
+    assert det == gauss_oracle.determinant(matrix)
 
 
 # -- construction guard rails -------------------------------------------------
@@ -398,12 +485,11 @@ def test_genus_cap_default():
 @pytest.mark.parametrize("g", [9, 10])
 def test_rings_past_the_cli_cap(g):
     # TautRing itself is uncapped; l1^N pairs to deg LG(g, 2g) and the
-    # pairing is nonsingular in every degree, as below the cap
+    # pairing is unimodular in every degree, as below the cap
     r = TautRing(g)
     assert sum(r.dimension_profile()) == 2 ** g
     assert r.socle_ratio(r.ring.gen(0) ** r.socle_degree) == _degree_lagrangian_grassmannian(g)
-    for d in range(r.socle_degree + 1):
-        assert determinant(r.pairing_matrix(d)) != 0, (g, d)
+    _assert_unimodular_pairing(r)
 
 
 def test_genus_must_be_positive():
