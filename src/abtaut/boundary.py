@@ -26,12 +26,10 @@ from .rationals import _require_int, bernoulli, boundary_constant, zeta_negative
 __all__ = [
     "BoundaryClass",
     "PushforwardResult",
-    "BinomialExpansionReport",
     "GrrReport",
     "boundary_ring",
     "pushforward",
     "sum_powers_quotient",
-    "binomial_expansion_check",
     "grr_coefficient",
     "grr_report",
 ]
@@ -102,30 +100,6 @@ def sum_powers_quotient(k: int) -> BoundaryClass:
     _require_int("sum_powers_quotient", "k", k, 1)
     terms = {(2 * k - 2 - r, r): Fraction(comb(2 * k - 1, r + 1) << r) for r in range(2 * k - 1)}
     return BoundaryClass(k, GradedPolynomial(_PI_T, terms))
-
-
-class BinomialExpansionReport(NamedTuple):
-    genus: int
-    ok: bool
-    lhs: GradedPolynomial
-    rhs: GradedPolynomial
-
-    def as_payload(self) -> dict:
-        return {"g": self.genus, "ok": self.ok, "lhs": str(self.lhs), "rhs": str(self.rhs)}
-
-
-def binomial_expansion_check(g: int) -> BinomialExpansionReport:
-    """Verify (-1)^(g-1) Pi^(g-1) (-Pi - 2T)^(g-1) =
-    sum_r C(g-1, r) Pi^(2g-2-r) (2T)^r exactly.
-
-    The left side is computed by the engine's powers and products, the side
-    under test; the right side is written down term by term, so the two
-    sides share no code."""
-    _require_int("binomial_expansion_check", "g", g, 1)
-    pi, t = _PI_T.gens()
-    lhs = (pi ** (g - 1)) * ((-pi - 2 * t) ** (g - 1)) * ((-1) ** (g - 1))
-    rhs = GradedPolynomial(_PI_T, {(2 * g - 2 - r, r): Fraction(comb(g - 1, r) << r) for r in range(g)})
-    return BinomialExpansionReport(genus=g, ok=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
 def grr_coefficient(g: int) -> Fraction:

@@ -306,7 +306,8 @@ def _elementary_expansions(g: int, top: int, width: int):
 def _to_elementary(g: int, numerators: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
     """Rewrite sum_lam numerators[lam] m_lam, over partitions lam with at most
     g parts, in the elementary symmetrics: {c-exponents: numerator} over the
-    same denominator.
+    same denominator.  Each lam is a nonincreasing g-tuple padded with zeros;
+    both callers pass only such keys, so none is checked here.
 
     Leading-partition subtraction, degree by degree: the lex-largest lam left
     is the leading partition of e_{lam'}, which is c_1^{lam_1 - lam_2} ...
@@ -314,11 +315,7 @@ def _to_elementary(g: int, numerators: dict[tuple[int, ...], int]) -> dict[tuple
     """
     top = max(map(sum, numerators), default=0)
     width = max(top, 1).bit_length()
-    work: dict[int, int] = {}
-    for lam, v in numerators.items():
-        if any(lam[i] < lam[i + 1] for i in range(g - 1)):
-            raise ValueError("leading exponent is not dominant; input is not symmetric")
-        work[_pack(lam, width)] = v
+    work = {_pack(lam, width): v for lam, v in numerators.items()}
     get = work.get
     out: dict[tuple[int, ...], int] = {}
     orbits: dict[int, int] = {}

@@ -64,14 +64,12 @@ def _emit(envelopes: list[dict], fmt: str, out) -> None:
         for env in envelopes:
             out.write(json.dumps(env, ensure_ascii=False) + "\n")
         return
-    if fmt == "text":
-        for env in envelopes:
-            out.write(f"command: {env['command']}\n")
-            out.write(f"status: {env['status']}\n")
-            for key, value in env["payload"].items():
-                out.write(f"{key}: {_text_value(value)}\n")
-        return
-    raise ValueError(f"unknown format {fmt!r}")
+    # argparse's choices leave "text" as the only other format here
+    for env in envelopes:
+        out.write(f"command: {env['command']}\n")
+        out.write(f"status: {env['status']}\n")
+        for key, value in env["payload"].items():
+            out.write(f"{key}: {_text_value(value)}\n")
 
 
 def _text_value(value) -> str:
@@ -129,19 +127,18 @@ def _cmd_ring(args) -> list[dict]:
             degrees = list(range(ring.socle_degree + 1))
         basis = {str(d): [str(m) for m in ring.basis_monomials(d)] for d in degrees}
         return [_envelope("ring", "info", {"g": g, "basis": basis})]
-    if args.show == "pairing":
-        if args.degree is None:
-            raise ValueError("--degree is required with --show pairing")
-        matrix = ring.pairing_matrix(args.degree)
-        det = tautring.determinant(matrix)
-        payload = {
-            "g": g,
-            "degree": args.degree,
-            "matrix": [[str(x) for x in row] for row in matrix],
-            "nonsingular": det != 0,
-        }
-        return [_envelope("ring", "info", payload)]
-    raise ValueError(f"unknown --show value {args.show!r}")
+    # argparse's choices leave "pairing" as the only other --show value here
+    if args.degree is None:
+        raise ValueError("--degree is required with --show pairing")
+    matrix = ring.pairing_matrix(args.degree)
+    det = tautring.determinant(matrix)
+    payload = {
+        "g": g,
+        "degree": args.degree,
+        "matrix": [[str(x) for x in row] for row in matrix],
+        "nonsingular": det != 0,
+    }
+    return [_envelope("ring", "info", payload)]
 
 
 def _cmd_reduce(args) -> list[dict]:

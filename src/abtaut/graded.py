@@ -329,33 +329,6 @@ class GradedRing:
             clean[exps] = clean.get(exps, Fraction(0)) + c
         return GradedPolynomial(self, {e: c for e, c in clean.items() if c != 0})
 
-    def monomials_of_degree(self, d: int) -> list[Exponents]:
-        """All exponent vectors of weighted degree exactly d, in ascending lex order."""
-        if d < 0:
-            return []
-        n = self.ngens
-        out: list[Exponents] = []
-        exps = [0] * n
-
-        def rec(i: int, remaining: int) -> None:
-            if i == n - 1:
-                w = self.weights[i]
-                if remaining % w == 0:
-                    exps[i] = remaining // w
-                    out.append(tuple(exps))
-                    exps[i] = 0
-                return
-            w = self.weights[i]
-            for e in range(remaining // w + 1):
-                exps[i] = e
-                rec(i + 1, remaining - e * w)
-            exps[i] = 0
-
-        if n == 0:
-            return [()] if d == 0 else []
-        rec(0, d)
-        return out
-
     def parse(self, text: str) -> "GradedPolynomial":
         """Parse the canonical text grammar: ``+``/``-`` separated terms, each a
         ``*``-joined product of an optional ``num`` or ``num/den`` coefficient and
@@ -410,13 +383,6 @@ class GradedPolynomial:
     @property
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.ngens, Fraction(0))
-
-    def max_degree(self) -> int:
-        """Largest weighted degree present (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        degree = self.ring.degree
-        return max(degree(e) for e in self.terms)
 
     def homogeneous_part(self, d: int) -> "GradedPolynomial":
         degree = self.ring.degree
@@ -520,37 +486,6 @@ class GradedPolynomial:
             if n:
                 base = base.mul(base, ring.bound)
         return GradedPolynomial(ring, packing.unpack(result))
-
-    def substitute(self, images: Sequence["GradedPolynomial"], ring: GradedRing | None = None) -> "GradedPolynomial":
-        """Evaluate with generator i replaced by ``images[i]``.
-
-        All images must share a ring (the target of the substitution).
-        """
-        if len(images) != self.ring.ngens:
-            raise ValueError("one image per generator is required")
-        if ring is None:
-            if not images:
-                raise ValueError("cannot infer the target ring without images")
-            ring = images[0].ring
-        for img in images:
-            if img.ring != ring:
-                raise ValueError("all substitution images must live in the target ring")
-        powers: dict[tuple[int, int], GradedPolynomial] = {}
-
-        def power(i: int, e: int) -> GradedPolynomial:
-            key = (i, e)
-            if key not in powers:
-                powers[key] = images[i] ** e
-            return powers[key]
-
-        acc = ring.zero
-        for exps, coeff in self.terms.items():
-            term = ring.constant(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        return acc
 
     # -- comparisons / display -------------------------------------------
 

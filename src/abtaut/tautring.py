@@ -86,7 +86,11 @@ class TautRingElement:
         return element
 
     def coefficient(self, subset: Sequence[int]) -> Fraction:
-        return self.coordinates.get(tuple(subset), Fraction(0))
+        """The coefficient of l_subset, with the subset checked as by the
+        constructor."""
+        subset = tuple(subset)
+        _check_subset(self.genus, subset)
+        return self.coordinates.get(subset, Fraction(0))
 
     def __bool__(self) -> bool:
         return bool(self.coordinates)
@@ -99,18 +103,18 @@ class TautRingElement:
     def __hash__(self) -> int:
         return hash((self.genus, frozenset(self.coordinates.items())))
 
-    def to_polynomial(self, ring: GradedRing) -> GradedPolynomial:
+    def to_polynomial(self) -> GradedPolynomial:
+        """The element as a polynomial in l1..lg."""
         terms: dict[Exponents, Fraction] = {}
         for subset, c in self.coordinates.items():
-            exps = [0] * ring.ngens
+            exps = [0] * self.genus
             for i in subset:
                 exps[i - 1] = 1
             terms[tuple(exps)] = c
-        return ring.from_terms(terms)
+        return _lambda_ring(self.genus).from_terms(terms)
 
     def __str__(self) -> str:
-        ring = _lambda_ring(self.genus)
-        return str(self.to_polynomial(ring))
+        return str(self.to_polynomial())
 
     def __repr__(self) -> str:
         return f"TautRingElement(g={self.genus}, {self})"
@@ -146,8 +150,7 @@ class TautRing:
             [((j, 2 * k - j) if j else (2 * k,), 2 * (-1) ** (k + j + 1)) for j in range(max(0, 2 * k - g), k)]
             for k in range(1, g + 1)
         ]
-        # product() yields the 0-1 vectors in ascending lex order, as
-        # GradedRing.monomials_of_degree lists them
+        # product() yields the 0-1 vectors in ascending lex order
         self._basis: list[list[Exponents]] = [[] for _ in range(self.socle_degree + 1)]
         for exps in product((0, 1), repeat=g):
             self._basis[sum(i for i, e in enumerate(exps, start=1) if e)].append(exps)
@@ -223,10 +226,6 @@ class TautRing:
         self._check_degree("TautRing.basis_monomials", d)
         return [self.ring.monomial(m) for m in self._basis[d]]
 
-    def socle_monomial(self) -> GradedPolynomial:
-        """The canonical socle generator l1*l2*...*lg."""
-        return self.ring.monomial((1,) * self.genus)
-
     def _check_degree(self, function: str, d: int) -> None:
         _require_int(function, "d", d)
         if not 0 <= d <= self.socle_degree:
@@ -263,8 +262,8 @@ class TautRing:
         self._check_polynomial(p)
         if not p.is_homogeneous_of(self.socle_degree):
             raise ValueError(f"socle_ratio requires a homogeneous polynomial of degree {self.socle_degree}")
-        nf = self.normal_form(p)
-        return nf.coefficient(range(1, self.genus + 1))
+        # the socle subset is valid by construction, so it is read directly
+        return self.normal_form(p).coordinates.get(tuple(range(1, self.genus + 1)), Fraction(0))
 
     def pairing_matrix(self, d: int) -> list[list[int]]:
         """Socle ratios of basis products between degrees d and socle_degree - d.

@@ -26,7 +26,7 @@ def to_elementary(p: GradedPolynomial, prefix: str = "c") -> GradedPolynomial:
     ring = p.ring
     g = ring.ngens
     target = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), ring.bound)
-    packing = _packing(ring, p.max_degree())
+    packing = _packing(ring, max(map(sum, p.terms), default=0))
     elementary = [None] + [packing.pack(elementary_symmetric(ring, k).terms) for k in range(1, g + 1)]
     expansions: dict[tuple[int, ...], _Kernel] = {(0,) * g: packing.pack(ring.one.terms)}
 

@@ -140,6 +140,17 @@ def reduce_degree(
     return pivots
 
 
+def monomials_by_degree(weights: Sequence[int], top: int) -> list[list[Exponents]]:
+    """Every exponent vector of weighted degree d, in ascending lex order,
+    for d = 0..top.  Degree d raises one exponent i of each vector of degree
+    d - w_i, which is listed already."""
+    levels = [[(0,) * len(weights)]]
+    for d in range(1, top + 1):
+        raised = {m[:i] + (m[i] + 1,) + m[i + 1 :] for i, w in enumerate(weights) if w <= d for m in levels[d - w]}
+        levels.append(sorted(raised))
+    return levels
+
+
 def reduce_maps(ring) -> list[dict[Exponents, dict[Subset, Fraction]]]:
     """Per degree 0..socle, every monomial of ``ring`` (a ``TautRing``) mapped
     to its square-free coordinates, by row reduction of the ideal slices."""
@@ -151,8 +162,7 @@ def reduce_maps(ring) -> list[dict[Exponents, dict[Subset, Fraction]]]:
     # to reduced echelon form.
     ideal_rows: list[list[IntRow]] = []
     maps: list[dict[Exponents, dict[Subset, Fraction]]] = []
-    for d in range(ring.socle_degree + 1):
-        monomials = ring.ring.monomials_of_degree(d)
+    for d, monomials in enumerate(monomials_by_degree(ring.ring.weights, ring.socle_degree)):
         square_free = [m for m in monomials if all(e <= 1 for e in m)]
         rows: list[IntRow] = []
         for i in range(1, g + 1):

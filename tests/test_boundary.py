@@ -10,7 +10,6 @@ import pytest
 from argument_contract import rejects
 
 from abtaut import (
-    binomial_expansion_check,
     boundary_constant,
     grr_coefficient,
     grr_report,
@@ -193,23 +192,16 @@ def test_quotient_rejects_k_zero():
         sum_powers_quotient(0)
 
 
-# -- binomial expansion check -------------------------------------------------
+# -- the binomial identity -----------------------------------------------------
 
 
-def test_binomial_expansion_genus_one():
-    report = binomial_expansion_check(1)
-    assert report.ok and report.lhs == 1 and report.rhs == 1
-
-
-def test_binomial_expansion_genus_two():
-    report = binomial_expansion_check(2)
-    assert report.ok
-    assert report.lhs == boundary_ring().parse("Pi^2 + 2*Pi*T")
-
-
-@pytest.mark.parametrize("g", [3, 4, 5])
-def test_binomial_expansion_larger(g):
-    assert binomial_expansion_check(g).ok
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_binomial_identity(g):
+    # (-1)^(g-1) Pi^(g-1) (-Pi - 2T)^(g-1) = sum_r C(g-1, r) Pi^(2g-2-r) (2T)^r,
+    # the left side by the engine's powers and products
+    pi, t = boundary_ring().gens()
+    lhs = (-1) ** (g - 1) * pi ** (g - 1) * (-pi - 2 * t) ** (g - 1)
+    assert lhs.terms == {(2 * g - 2 - r, r): comb(g - 1, r) << r for r in range(g)}
 
 
 # -- the coefficient pipeline ---------------------------------------------------
@@ -278,7 +270,6 @@ def test_grr_rejects_genus_zero():
     [
         (pushforward, "g", (boundary_ring().one,)),
         (sum_powers_quotient, "k", ()),
-        (binomial_expansion_check, "g", ()),
         (grr_coefficient, "g", ()),
         (grr_report, "g", ()),
     ],

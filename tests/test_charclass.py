@@ -31,7 +31,6 @@ from abtaut.charclass import (
     _partitions,
     _to_elementary,
     _unpack,
-    elementary_symmetric,
 )
 
 
@@ -60,20 +59,33 @@ def test_newton_small_cases():
     assert ps[3] == c1 ** 3 - 3 * c1 * c2 + 3 * c3
 
 
+def assert_power_sums_of_roots(g, bound):
+    b = BundleClasses.from_roots(g, bound=bound)
+    ps = newton_power_sums(b, bound)
+    assert ps[0] == g
+    for k in range(1, bound + 1):
+        assert ps[k] == explicit_power_sum(b.ring, k), (g, k)
+
+
 def test_newton_on_roots_bundle_is_sum_of_powers():
-    b = BundleClasses.from_roots(3, bound=6)
-    ps = newton_power_sums(b, 6)
-    assert ps[0] == 3
-    for k in range(1, 7):
-        assert ps[k] == explicit_power_sum(b.ring, k), k
+    assert_power_sums_of_roots(3, 6)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_newton_consistency_with_explicit_roots(g):
+    # the Chern-alphabet power sums are pinned by newton_oracle
+    assert_power_sums_of_roots(g, 10)
 
 
 def test_dual_of_roots_bundle_negates_the_roots():
+    # c(E-dual) = prod_j (1 - x_j), multiplied out by the engine
     b = BundleClasses.from_roots(3)
-    negated = [-x for x in b.ring.gens()]
+    expected = b.ring.one
+    for x in b.ring.gens():
+        expected = expected * (1 - x)
     dual = dual_bundle(b)
     for i in range(3):
-        assert dual.chern[i] == b.chern[i].substitute(negated, b.ring), i
+        assert dual.chern[i] == expected.homogeneous_part(i + 1), i
 
 
 def newton_cases():
@@ -109,19 +121,6 @@ def test_classes_require_a_bounded_ring():
     for f in (chern_character, todd, todd_dual):
         with pytest.raises(ValueError, match="a truncation bound is required"):
             f(line)
-
-
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_newton_consistency_with_explicit_roots(g):
-    # substituting the elementary symmetrics of explicit roots into p_k must
-    # reproduce sum_j x_j^k exactly
-    bound = 10
-    b = BundleClasses.generators(g, bound=bound)
-    ps = newton_power_sums(b, bound)
-    roots = root_ring(g, bound)
-    images = [elementary_symmetric(roots, i) for i in range(1, g + 1)]
-    for k in range(1, 11):
-        assert ps[k].substitute(images, roots) == explicit_power_sum(roots, k), (g, k)
 
 
 # -- Chern character -------------------------------------------------------
@@ -343,11 +342,6 @@ def test_zero_one_matrix_counts(g):
     assert seen == sum(len(_partitions(d, g)) for d in range(top + 1))
 
 
-def test_to_elementary_rejects_non_dominant_exponents():
-    with pytest.raises(ValueError, match="not dominant"):
-        _to_elementary(2, {(0, 1): 1})
-
-
 def test_symmetric_to_elementary_examples():
     R = root_ring(2, 6)
     x1, x2 = R.gens()
@@ -371,13 +365,11 @@ def test_symmetric_to_elementary_rejects_asymmetric_input():
 
 
 def test_symmetric_to_elementary_round_trip():
-    # convert back by substituting the elementary symmetrics for the c_i
+    # the oracle subtracts leading monomials of engine products of the e_i
     R = root_ring(3, 6)
     x1, x2, x3 = R.gens()
     p = (x1 + x2 + x3) ** 2 + 5 * x1 * x2 * x3
-    q = symmetric_to_elementary(p)
-    images = [elementary_symmetric(R, i) for i in range(1, 4)]
-    assert q.substitute(images, R) == p
+    assert symmetric_to_elementary(p) == roots_oracle.to_elementary(p)
 
 
 def test_symmetric_to_elementary_round_trip_mixed_denominators():
@@ -386,8 +378,28 @@ def test_symmetric_to_elementary_round_trip_mixed_denominators():
     p = (x1 + x2 + x3) ** 3 / 3 - Fraction(5, 7) * x1 * x2 * x3 + Fraction(1, 2)
     q = symmetric_to_elementary(p)
     assert q.ring.bound is None
-    images = [elementary_symmetric(R, i) for i in range(1, 4)]
-    assert q.substitute(images, R) == p
+    assert q == roots_oracle.to_elementary(p)
+
+
+def test_to_elementary_receives_only_partitions(monkeypatch):
+    # _to_elementary checks no key: both callers pass nonincreasing g-tuples
+    calls = []
+
+    def checked(g, numerators):
+        for lam in numerators:
+            assert len(lam) == g and list(lam) == sorted(lam, reverse=True), (g, lam)
+        calls.append(g)
+        return _to_elementary(g, numerators)
+
+    monkeypatch.setattr(charclass, "_to_elementary", checked)
+    for g in range(1, 7):
+        exterior_alternating_sum_dual(g)
+    assert calls == [1, 2, 3, 4, 5, 6]
+    test_symmetric_to_elementary_examples()
+    test_symmetric_to_elementary_matches_newton()
+    test_symmetric_to_elementary_round_trip()
+    test_symmetric_to_elementary_round_trip_mixed_denominators()
+    assert calls[6:] == [2, 2, 2, 2, 3, 3]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])

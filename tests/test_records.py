@@ -24,11 +24,6 @@ _RECORDS = [
     (boundary.BoundaryClass, {"genus": 2, "poly": _POLY}, None),
     (boundary.PushforwardResult, {"delta_coefficient": Fraction(3, 4)}, None),
     (
-        boundary.BinomialExpansionReport,
-        {"genus": 2, "ok": True, "lhs": _POLY, "rhs": _POLY},
-        {"g": 2, "ok": True, "lhs": "-2*T + Pi^2", "rhs": "-2*T + Pi^2"},
-    ),
-    (
         boundary.GrrReport,
         {
             "genus": 2,

@@ -13,7 +13,7 @@ from abtaut import TautRing, TautRingElement, build_ring, determinant, ring_repo
 from abtaut.tautring import MAX_RING_GENUS
 import gauss_oracle
 from argument_contract import rejects
-from rowreduce_oracle import BasisError, reduce_degree, reduce_maps
+from rowreduce_oracle import BasisError, monomials_by_degree, reduce_degree, reduce_maps
 
 
 # -- relation components ----------------------------------------------------
@@ -58,7 +58,7 @@ def test_structure_invariants(g, ring_cache):
     assert dims == dims[::-1]
     assert dims[-1] == 1
     assert r.socle_degree == g * (g + 1) // 2
-    assert r.basis_monomials(r.socle_degree) == [r.socle_monomial()]
+    assert r.basis_monomials(r.socle_degree) == [r.ring.monomial((1,) * g)]
 
 
 @pytest.mark.parametrize("g", list(range(1, 9)))
@@ -178,14 +178,15 @@ def test_normal_form_idempotent(ring_cache):
                 terms[exps] = Fraction(rng.randint(-5, 5))
             p = r.ring.from_terms(terms)
             nf = r.normal_form(p)
-            assert r.normal_form(nf.to_polynomial(r.ring)) == nf
+            assert r.normal_form(nf.to_polynomial()) == nf
 
 
 @pytest.mark.parametrize("g", list(range(1, 8)))
 def test_normal_forms_match_row_reduction(g, ring_cache):
     r = ring_cache(g)
+    monomials = monomials_by_degree(r.ring.weights, r.socle_degree)
     for d, oracle in enumerate(reduce_maps(r)):
-        square_free = [m for m in r.ring.monomials_of_degree(d) if all(e <= 1 for e in m)]
+        square_free = [m for m in monomials[d] if all(e <= 1 for e in m)]
         assert r.basis_monomials(d) == [r.ring.monomial(m) for m in square_free]
         for exps, coords in oracle.items():
             assert r.normal_form(r.ring.monomial(exps)).coordinates == coords, (g, exps)
@@ -295,7 +296,7 @@ def test_normal_form_is_multiplicative(data, g, ring_cache):
     r = ring_cache(g)
     a = data.draw(_polynomials(r.ring))
     b = data.draw(_polynomials(r.ring))
-    reduced = r.normal_form(a).to_polynomial(r.ring) * r.normal_form(b).to_polynomial(r.ring)
+    reduced = r.normal_form(a).to_polynomial() * r.normal_form(b).to_polynomial()
     assert r.normal_form(a * b) == r.normal_form(reduced)
 
 
@@ -347,6 +348,24 @@ def test_normal_forms_pass_the_element_checks(g, ring_cache):
         nf = r.normal_form(r.ring.monomial(exps) * Fraction(rng.randint(1, 9), rng.randint(1, 9)))
         assert TautRingElement(nf.genus, nf.coordinates) == nf
         assert all(type(c) is Fraction and c for c in nf.coordinates.values())
+
+
+@pytest.mark.parametrize("subset, error", [((2, 1), ValueError), ((7,), ValueError), ([1.0, 2.0], TypeError)])
+def test_coefficient_checks_its_subset(subset, error, ring_cache):
+    # l1^3 = 2 l1 l2 at g = 3
+    r = ring_cache(3)
+    nf = r.normal_form(r.ring.parse("l1^3"))
+    with pytest.raises(error) as info:
+        nf.coefficient(subset)
+    assert "\n" not in str(info.value)
+
+
+def test_coefficient_of_a_valid_subset(ring_cache):
+    r = ring_cache(3)
+    nf = r.normal_form(r.ring.parse("l1^3"))
+    assert str(nf) == "2*l1*l2"
+    assert nf.coefficient([1, 2]) == nf.coefficient(range(1, 3)) == 2
+    assert nf.coefficient(()) == nf.coefficient((1, 3)) == 0
 
 
 def test_element_keeps_exact_coordinates():
