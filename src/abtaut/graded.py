@@ -279,6 +279,14 @@ class GradedRing:
     def ngens(self) -> int:
         return len(self.names)
 
+    def _exponents(self, exponents: Sequence[int]) -> Exponents:
+        """The exponent vector as a tuple, checked: ``ngens`` entries, each a
+        non-bool int >= 0."""
+        exps = tuple(exponents)
+        if len(exps) != self.ngens or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
+            raise ValueError(f"bad exponent vector {exps!r} for {self!r}")
+        return exps
+
     def degree(self, exponents: Exponents) -> int:
         """Weighted degree of an exponent vector."""
         return sum(e * w for e, w in zip(exponents, self.weights))
@@ -318,9 +326,7 @@ class GradedRing:
         """Build a polynomial; zero coefficients and terms above the bound are dropped."""
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if len(exps) != self.ngens or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps!r} for {self!r}")
+            exps = self._exponents(exps)
             c = _as_fraction(coeff)
             if c == 0:
                 continue
@@ -378,7 +384,9 @@ class GradedPolynomial:
     # -- queries ---------------------------------------------------------
 
     def coefficient(self, exponents: Exponents) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+        """The coefficient of one monomial, with its exponent vector checked
+        as by :meth:`GradedRing.from_terms`."""
+        return self.terms.get(self.ring._exponents(exponents), Fraction(0))
 
     @property
     def constant_term(self) -> Fraction:

@@ -22,6 +22,15 @@ on demand: a normal form is computed when it is first asked for and kept.
 The engine's product c(E)c(E-dual) is formed only when
 :attr:`TautRing.relation_components` is read, so checking it against the
 rewrite is a second route that shares no code with it.
+
+The square-free basis ends at the socle degree N_g = g(g+1)/2, the degree of
+l1...lg, so R_g is zero above it.  A ring's polynomials therefore live in
+Q[l1..lg] truncated at max(N_g, 2g): at g >= 3 that is N_g, and at g = 1, 2
+it is 2g, the degree of the top relation rel_2g.  Products never form the
+degrees above the bound, and ``parse`` and ``from_terms`` drop input terms
+above it, which can change no normal form.  The untruncated ring is
+``TautRing.ring.with_bound(None)``; ``normal_form`` accepts its polynomials
+too and drops their terms above the socle.
 """
 
 from __future__ import annotations
@@ -121,22 +130,25 @@ class TautRingElement:
 
 
 def _lambda_ring(g: int) -> GradedRing:
-    return GradedRing(tuple(f"l{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), None)
+    # truncated where R_g is zero, but never below rel_2g (module docstring)
+    return GradedRing(tuple(f"l{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), max(g * (g + 1) // 2, 2 * g))
 
 
 class TautRing:
     """Normal forms, dimensions and the duality pairing for a fixed genus.
 
-    The rewrite of each l_k^2 is written down in closed form from the proven
-    Groebner basis (see the module docstring), and construction only groups
-    the 2^g square-free basis monomials by weight.  Normal forms are filled
-    in on first use, in two memos: the products NF(l_a * l_k) of a basis
-    element and a generator, and the integer row of each monomial reached so
-    far, its parent's row times l_k.  Rows are only asked for up to the
-    socle degree, so the row memo holds no monomial above it.  Each memo
-    entry is written once and complete, so the ring is safe for concurrent
-    queries without a lock: threads that race on an entry write equal
-    values.
+    ``ring`` is Q[l1..lg] truncated at max(socle_degree, 2g), where R_g is
+    already zero (see the module docstring).  The rewrite of each l_k^2 is
+    written down in closed form from the proven Groebner basis, and
+    construction only groups the 2^g square-free basis monomials by weight.
+    Normal forms are filled in on first use, in two memos: ``_products``,
+    the products NF(l_a * l_k) of a basis element and a generator, and
+    ``_rows``, the integer row of each monomial reached so far, its parent's
+    row times l_k.  Rows are only asked for up to the socle degree, so the
+    row memo holds no monomial above it.  A third memo, ``_pairings``, keeps
+    each degree's pairing matrix.  Each memo entry is written once and
+    complete, so the ring is safe for concurrent queries without a lock:
+    threads that race on an entry write equal values.
     """
 
     def __init__(self, g: int):
@@ -156,6 +168,7 @@ class TautRing:
             self._basis[sum(i for i, e in enumerate(exps, start=1) if e)].append(exps)
         self._products: dict[tuple[Subset, int], dict[Subset, int]] = {}
         self._rows: dict[Exponents, dict[Subset, int]] = {(0,) * g: {(): 1}}
+        self._pairings: dict[int, list[list[int]]] = {}
 
     @cached_property
     def relation_components(self) -> dict[int, GradedPolynomial]:
@@ -269,11 +282,16 @@ class TautRing:
         """Socle ratios of basis products between degrees d and socle_degree - d.
 
         The entries are ints: every row of the memo is an integer vector.
+        Each degree's matrix is kept, and every call returns a fresh copy.
         """
         self._check_degree("TautRing.pairing_matrix", d)
-        right = self._basis[self.socle_degree - d]
-        full = tuple(range(1, self.genus + 1))
-        return [[self._row(tuple(map(add, a, b))).get(full, 0) for b in right] for a in self._basis[d]]
+        matrix = self._pairings.get(d)
+        if matrix is None:
+            right = self._basis[self.socle_degree - d]
+            full = tuple(range(1, self.genus + 1))
+            matrix = [[self._row(tuple(map(add, a, b))).get(full, 0) for b in right] for a in self._basis[d]]
+            self._pairings[d] = matrix
+        return [row[:] for row in matrix]
 
 
 def determinant(matrix: Sequence[Sequence[int | Fraction]]) -> Fraction:

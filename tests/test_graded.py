@@ -14,6 +14,7 @@ from abtaut import (
     GradedPolynomial,
     GradedRing,
     bernoulli,
+    boundary_ring,
     graded_exp,
     graded_log,
     named_series,
@@ -348,6 +349,19 @@ def test_from_terms_rejects_bool_exponents(exponents):
     R = GradedRing(("x", "y"), (1, 1))
     with pytest.raises(ValueError, match=r"^bad exponent vector "):
         R.monomial(exponents)
+
+
+@pytest.mark.parametrize("exponents", [(2,), (2, 0, 0), [2.0, 0], (2, -1), (True, 0)])
+def test_coefficient_rejects_bad_exponent_vectors(exponents):
+    pi_sq = boundary_ring().parse("Pi^2")
+    with pytest.raises(ValueError, match=r"^bad exponent vector "):
+        pi_sq.coefficient(exponents)
+
+
+def test_coefficient_accepts_any_sequence_of_exponents():
+    pi_sq = boundary_ring().parse("Pi^2")
+    assert pi_sq.coefficient((2, 0)) == pi_sq.coefficient([2, 0]) == 1
+    assert pi_sq.coefficient((0, 2)) == 0
 
 
 # -- hashing ---------------------------------------------------------------

@@ -167,6 +167,39 @@ def test_normal_form_drops_above_socle(ring_cache):
     assert not r.normal_form(r.ring.parse("l2^2"))
 
 
+# -- the truncation bound -----------------------------------------------------
+
+
+@pytest.mark.parametrize("g", list(range(1, 9)))
+def test_ring_is_truncated_at_the_socle(g):
+    r, n = build_ring(g), g * (g + 1) // 2
+    assert r.ring.bound == max(n, 2 * g)
+    if g >= 3:
+        assert r.ring.parse(f"l1^{n + 1}") == r.ring.zero
+    else:
+        # the top relation rel_2g, whose leading term is l_g^2, survives
+        assert r.ring.parse(f"l{g}^2") != r.ring.zero
+
+
+@pytest.mark.parametrize("g", list(range(1, 9)))
+def test_socle_ratio_rejects_untruncated_input_above_the_socle(g):
+    r = build_ring(g)
+    above = r.ring.with_bound(None).parse(f"l1^{r.socle_degree + 1}")
+    assert above
+    with pytest.raises(ValueError, match="socle_ratio requires a homogeneous polynomial"):
+        r.socle_ratio(above)
+
+
+@pytest.mark.parametrize("g", list(range(1, 9)))
+def test_truncated_products_keep_their_normal_forms(g, ring_cache):
+    r, rng = ring_cache(g), random.Random(f"bound{g}")
+    for _ in range(20):
+        a, b = (_random_polynomial(rng, r, rng.randint(1, 8)) for _ in range(2))
+        free = a.truncate(None) * b.truncate(None)
+        assert a * b == free.truncate(r.ring.bound)
+        assert r.normal_form(a * b) == r.normal_form(free)
+
+
 def test_normal_form_idempotent(ring_cache):
     rng = random.Random(31415)
     for g in (2, 3, 4):
@@ -223,12 +256,14 @@ def _random_polynomial(rng: random.Random, r: TautRing, terms: int):
 def test_memo_stays_below_the_socle(g):
     # normal_form looks each term up in the row memo before it checks the
     # degree, which is sound only if the memo holds nothing above the socle;
-    # products of two elements up to the socle reach far past it
+    # products of two elements up to the socle, formed in the untruncated
+    # ring, reach far past it
     r, rng = TautRing(g), random.Random(f"memo{g}")
     oracle = {e: c for table in reduce_maps(TautRing(g)) for e, c in table.items()}
     above = 0
     for _ in range(30):
-        p = _random_polynomial(rng, r, rng.randint(1, 8)) * _random_polynomial(rng, r, rng.randint(1, 8))
+        a, b = (_random_polynomial(rng, r, rng.randint(1, 8)).truncate(None) for _ in range(2))
+        p = a * b
         kept = {e: c for e, c in p.terms.items() if r.ring.degree(e) <= r.socle_degree}
         above += len(p.terms) - len(kept)
         nf = r.normal_form(p)
@@ -432,6 +467,16 @@ def _assert_unimodular_pairing(r: TautRing) -> None:
 @pytest.mark.parametrize("g", list(range(1, MAX_RING_GENUS + 1)))
 def test_pairing_nonsingular_everywhere(g, ring_cache):
     _assert_unimodular_pairing(ring_cache(g))
+
+
+@pytest.mark.parametrize("g", list(range(1, 9)))
+def test_pairing_matrix_returns_independent_copies(g):
+    r, fresh = TautRing(g), TautRing(g)
+    for d in range(r.socle_degree + 1):
+        matrix = r.pairing_matrix(d)
+        matrix[0][0] += 1
+        matrix.append([])
+        assert r.pairing_matrix(d) == fresh.pairing_matrix(d), (g, d)
 
 
 def test_pairing_degree_out_of_range(ring_cache):
