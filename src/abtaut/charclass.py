@@ -1,30 +1,31 @@
 """Characteristic-class calculus for a formal bundle of rank g.
 
 A bundle is one object, its rank and Chern classes c_1..c_g in a graded
-ring, whichever the alphabet: weight-graded Chern generators, or the
-elementary symmetrics of g weight-1 formal roots.  Every class is read off
-one logarithm, log c(E) = sum_k (-1)^(k-1) p_k / k, scaled degree by degree:
-its degree-k part times (-1)^(k-1) k is the power sum p_k, times
-(-1)^(k-1) / (k-1)! it is the degree-k part of the Chern character, and
-times (-1)^(k-1) k s_k it is the logarithm of the multiplicative class
-exp(sum_k s_k p_k) of a series s.  The cross-check
-``borel_serre_check`` compares the alternating Chern character of exterior
-powers of the dual against c_g * Td^{-1}.  The first route is the root
-product prod_i (1 - e^{-x_i}), read off on partitions and rewritten in the
-Chern classes through the monomial expansions of products of elementary
-symmetrics, which count 0-1 matrices with given row and column sums
-(Macdonald, Symmetric Functions and Hall Polynomials, I.6).  The second is
-the multiplicative class of log((1 - e^{-t})/t) over log c(E), with no
-roots anywhere.  The two routes share no code.
+ring.  The weight-graded Chern generators are the only alphabet built here;
+any other, such as the elementary symmetrics of formal roots, goes through
+the constructor.  Every class is read off one logarithm,
+log c(E) = sum_k (-1)^(k-1) p_k / k, scaled degree by degree: its degree-k
+part times (-1)^(k-1) k is the power sum p_k, times (-1)^(k-1) / (k-1)! it
+is the degree-k part of the Chern character, and times (-1)^(k-1) k s_k it
+is the logarithm of the multiplicative class exp(sum_k s_k p_k) of a series
+s.  The cross-check ``borel_serre_check`` compares the alternating Chern
+character of exterior powers of the dual against c_g * Td^{-1}.  The first
+route is the root product prod_i (1 - e^{-x_i}), read off on partitions and
+rewritten in the Chern classes by ``symmetric_to_elementary`` through the
+monomial expansions of products of elementary symmetrics, which count 0-1
+matrices with given row and column sums (Macdonald, Symmetric Functions and
+Hall Polynomials, I.6).  The second is the multiplicative class of
+log((1 - e^{-t})/t) over log c(E), with no roots anywhere.  The two routes
+share no code.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import groupby
 from math import comb, factorial, lcm
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .graded import (
     GradedPolynomial,
@@ -63,44 +64,14 @@ def _chern_ring(g: int, bound: int | None) -> GradedRing:
     return GradedRing(tuple(f"c{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), bound)
 
 
-def _swap_variables(p: GradedPolynomial, i: int, j: int) -> GradedPolynomial:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, c in p.terms.items():
-        e = list(exps)
-        e[i], e[j] = e[j], e[i]
-        out[tuple(e)] = c
-    return GradedPolynomial(p.ring, out)
-
-
-def is_symmetric(p: GradedPolynomial) -> bool:
-    """True when p is invariant under every transposition of adjacent variables."""
-    for i in range(p.ring.ngens - 1):
-        if _swap_variables(p, i, i + 1).terms != p.terms:
-            return False
-    return True
-
-
-def elementary_symmetric(ring: GradedRing, k: int) -> GradedPolynomial:
-    """The k-th elementary symmetric polynomial in all generators of ``ring``."""
-    n = ring.ngens
-    if k < 0 or k > n:
-        raise ValueError(f"elementary symmetric index {k} out of range for {n} variables")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for subset in combinations(range(n), k):
-        exps = [0] * n
-        for i in subset:
-            exps[i] = 1
-        terms[tuple(exps)] = Fraction(1)
-    return GradedPolynomial(ring, terms)
-
-
 class BundleClasses:
     """A rank together with formal Chern classes c_1..c_rank in one ring.
 
-    The alphabet is free: weight-graded Chern generators (``generators``) or
-    the elementary symmetrics of rank weight-1 roots (``from_roots``).  Every
-    class below is a formal expression in the c_i, so it is the same
-    polynomial in either alphabet.
+    ``generators`` builds the weight-graded Chern generators, the only
+    alphabet built here; any other, such as the elementary symmetrics of
+    formal roots, is passed to the constructor.  Every class below is a
+    formal expression in the c_i, so it is the same polynomial in any
+    alphabet.
     """
 
     __slots__ = ("rank", "chern", "ring")
@@ -124,13 +95,6 @@ class BundleClasses:
         """Rank-g bundle whose i-th Chern class is the generator ``ci`` of weight i."""
         ring = _chern_ring(g, _bound("BundleClasses.generators", g, bound))
         return cls(g, ring.gens(), ring)
-
-    @classmethod
-    def from_roots(cls, g: int, bound: int | None = None) -> "BundleClasses":
-        """Rank-g bundle over the roots x1..xg, with c_i the i-th elementary symmetric."""
-        bound = _bound("BundleClasses.from_roots", g, bound)
-        ring = GradedRing(tuple(f"x{i}" for i in range(1, g + 1)), (1,) * g, bound)
-        return cls(g, tuple(elementary_symmetric(ring, k) for k in range(1, g + 1)), ring)
 
     def __repr__(self) -> str:
         return f"BundleClasses(rank={self.rank}, ring={self.ring!r})"
@@ -303,28 +267,41 @@ def _elementary_expansions(g: int, top: int, width: int):
         window.append((level, [{} for _ in range(g + 1)]))
 
 
-def _to_elementary(g: int, numerators: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """Rewrite sum_lam numerators[lam] m_lam, over partitions lam with at most
-    g parts, in the elementary symmetrics: {c-exponents: numerator} over the
-    same denominator.  Each lam is a nonincreasing g-tuple padded with zeros;
-    both callers pass only such keys, so none is checked here.
+def symmetric_to_elementary(g: int, coefficients: Mapping[tuple[int, ...], int | Fraction]) -> GradedPolynomial:
+    """Rewrite sum_lam coefficients[lam] m_lam in the elementary symmetrics of
+    g variables: a polynomial in c1..cg, of weights 1..g, with no bound.
 
-    Leading-partition subtraction, degree by degree: the lex-largest lam left
-    is the leading partition of e_{lam'}, which is c_1^{lam_1 - lam_2} ...
-    c_g^{lam_g}, and its expansion only reaches partitions lex-below lam.
+    Each key lam is a partition with at most g parts, written as a
+    nonincreasing g-tuple of ints >= 0; each value is an int or a Fraction.
+    A symmetric polynomial is fixed by its coefficients on partitions, so
+    every one is such a mapping, and the input is symmetric by construction.
+
+    Leading-partition subtraction, degree by degree, on integer numerators
+    over their common denominator: the lex-largest lam left is the leading
+    partition of e_{lam'}, which is c_1^{lam_1 - lam_2} ... c_g^{lam_g}, and
+    its expansion only reaches partitions lex-below lam.
+
+    >>> print(symmetric_to_elementary(2, {(2, 0): 1}))
+    -2*c2 + c1^2
     """
-    top = max(map(sum, numerators), default=0)
+    _require_int("symmetric_to_elementary", "g", g, 1)
+    for lam in coefficients:
+        ints = type(lam) is tuple and len(lam) == g and all(type(v) is int for v in lam)
+        if not (ints and all(a >= b >= 0 for a, b in zip(lam, lam[1:] + (0,)))):
+            raise ValueError(f"symmetric_to_elementary requires each key to be a nonincreasing {g}-tuple of ints >= 0, got {lam!r}")
+    den = lcm(*(c.denominator for c in coefficients.values()))
+    top = max(map(sum, coefficients), default=0)
     width = max(top, 1).bit_length()
-    work = {_pack(lam, width): v for lam, v in numerators.items()}
+    work = {_pack(lam, width): c.numerator * (den // c.denominator) for lam, c in coefficients.items()}
     get = work.get
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[tuple[int, ...], Fraction] = {}
     orbits: dict[int, int] = {}
     for key, expansion in _elementary_expansions(g, top, width):
         coeff = get(key)
         if not coeff:
             continue
         lam = _unpack(key, g, width)
-        out[tuple(lam[i] - (lam[i + 1] if i + 1 < g else 0) for i in range(g))] = coeff
+        out[tuple(lam[i] - (lam[i + 1] if i + 1 < g else 0) for i in range(g))] = Fraction(coeff, den)
         for nu, count in expansion.items():
             orbit = orbits.get(nu)
             if orbit is None:
@@ -333,29 +310,7 @@ def _to_elementary(g: int, numerators: dict[tuple[int, ...], int]) -> dict[tuple
                     orbit //= factorial(len(list(run)))
                 orbits[nu] = orbit
             work[nu] = get(nu, 0) - coeff * (count // orbit)
-    return out
-
-
-def symmetric_to_elementary(p: GradedPolynomial) -> GradedPolynomial:
-    """Rewrite a symmetric polynomial in the root variables as a polynomial in
-    the elementary symmetrics, by leading-partition subtraction.
-
-    The result lives in the alphabet c1..cg with weights 1..g and the same
-    truncation bound as the input.  A symmetric polynomial is fixed by its
-    coefficients on partitions, so only those are read; the subtraction runs
-    on integer numerators over their common denominator.
-    """
-    ring = p.ring
-    g = ring.ngens
-    if any(w != 1 for w in ring.weights):
-        raise ValueError("symmetric_to_elementary expects a root ring with all weights 1")
-    if not is_symmetric(p):
-        raise ValueError("input is not symmetric under transpositions of the root variables")
-    dominant = {e: c for e, c in p.terms.items() if all(e[i] >= e[i + 1] for i in range(g - 1))}
-    den = lcm(*(c.denominator for c in dominant.values()))
-    numerators = {e: c.numerator * (den // c.denominator) for e, c in dominant.items()}
-    out = _to_elementary(g, numerators)
-    return _chern_ring(g, ring.bound).from_terms({e: Fraction(c, den) for e, c in out.items()})
+    return GradedPolynomial(_chern_ring(g, None), out)
 
 
 def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPolynomial:
@@ -366,20 +321,20 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
     coefficient on m_lam is prod_i (-1)^{lam_i + 1} / lam_i! when lam has
     exactly g positive parts, and 0 otherwise.  Such a lam is nu + (1^g) with
     m_lam = e_g m_nu, so the product is c_g times the rewrite of
-    sum_nu prod_i (-1)^{nu_i} / (nu_i + 1)! m_nu, taken over one common
-    denominator bound!.
+    sum_nu prod_i (-1)^{nu_i} / (nu_i + 1)! m_nu, each coefficient a Fraction
+    over bound!.
     """
     bound = _bound("exterior_alternating_sum_dual", g, bound)
     den = factorial(bound)
-    numerators: dict[tuple[int, ...], int] = {}
+    coefficients: dict[tuple[int, ...], Fraction] = {}
     for d in range(bound - g + 1):
         for nu in _partitions(d, g):
             value = den
             for v in nu:
                 value //= factorial(v + 1)
-            numerators[nu] = -value if d % 2 else value
-    out = _to_elementary(g, numerators)
-    return _chern_ring(g, bound).from_terms({e[:-1] + (e[-1] + 1,): Fraction(c, den) for e, c in out.items()})
+            coefficients[nu] = Fraction(-value if d % 2 else value, den)
+    out = symmetric_to_elementary(g, coefficients)
+    return GradedPolynomial(_chern_ring(g, bound), {e[:-1] + (e[-1] + 1,): c for e, c in out.terms.items()})
 
 
 class BorelSerreReport(NamedTuple):

@@ -1,13 +1,19 @@
-"""Reference route for the alternating Chern character of exterior powers,
-by subset sums of formal roots.
+"""Reference routes over formal roots, and the root alphabet itself.
 
 ``charclass.exterior_alternating_sum_dual`` reads the product
 prod_i (1 - e^{-x_i}) off on partitions and converts it through counts of
-0-1 matrices.  This module is its former body: it sums the 2^g exponentials
-e^{-(x_S)} of the negated subset sums with sign (-1)^{|S|} and rewrites the
-symmetric total in the elementary symmetrics by leading-monomial subtraction
-on full root monomials, each product of elementary symmetrics expanded by
-multiplication.  Tests compare the two routes polynomial by polynomial.
+0-1 matrices.  This module keeps its former body: it sums the 2^g
+exponentials e^{-(x_S)} of the negated subset sums with sign (-1)^{|S|} and
+rewrites the symmetric total in the elementary symmetrics by
+leading-monomial subtraction on full root monomials, each product of
+elementary symmetrics expanded by multiplication.  Tests compare the two
+routes polynomial by polynomial.
+
+The library builds no bundle over roots, so the root alphabet lives here:
+``bundle_from_roots`` is the rank-g bundle whose Chern classes are the
+elementary symmetrics of x1..xg, and ``symmetric_to_elementary`` takes a
+symmetric polynomial in the roots to the library's rewrite, which reads
+its coefficients on partitions.
 """
 
 from __future__ import annotations
@@ -15,9 +21,62 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from abtaut import GradedPolynomial, GradedRing
-from abtaut.charclass import elementary_symmetric
+from abtaut import BundleClasses, GradedPolynomial, GradedRing, charclass
 from abtaut.graded import _Kernel, _packing
+
+
+def _swap_variables(p: GradedPolynomial, i: int, j: int) -> GradedPolynomial:
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in p.terms.items():
+        e = list(exps)
+        e[i], e[j] = e[j], e[i]
+        out[tuple(e)] = c
+    return GradedPolynomial(p.ring, out)
+
+
+def is_symmetric(p: GradedPolynomial) -> bool:
+    """True when p is invariant under every transposition of adjacent variables."""
+    for i in range(p.ring.ngens - 1):
+        if _swap_variables(p, i, i + 1).terms != p.terms:
+            return False
+    return True
+
+
+def elementary_symmetric(ring: GradedRing, k: int) -> GradedPolynomial:
+    """The k-th elementary symmetric polynomial in all generators of ``ring``."""
+    n = ring.ngens
+    if k < 0 or k > n:
+        raise ValueError(f"elementary symmetric index {k} out of range for {n} variables")
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for subset in combinations(range(n), k):
+        exps = [0] * n
+        for i in subset:
+            exps[i] = 1
+        terms[tuple(exps)] = Fraction(1)
+    return GradedPolynomial(ring, terms)
+
+
+def bundle_from_roots(g: int, bound: int | None = None) -> BundleClasses:
+    """Rank-g bundle over the roots x1..xg, with c_i the i-th elementary
+    symmetric; the bound defaults to the socle degree g(g+1)/2."""
+    if bound is None:
+        bound = g * (g + 1) // 2
+    ring = GradedRing(tuple(f"x{i}" for i in range(1, g + 1)), (1,) * g, bound)
+    return BundleClasses(g, tuple(elementary_symmetric(ring, k) for k in range(1, g + 1)), ring)
+
+
+def symmetric_to_elementary(p: GradedPolynomial) -> GradedPolynomial:
+    """The symmetric polynomial ``p`` in weight-1 roots, rewritten by
+    ``charclass.symmetric_to_elementary`` from its coefficients on partitions
+    and truncated at p's bound."""
+    ring = p.ring
+    g = ring.ngens
+    if any(w != 1 for w in ring.weights):
+        raise ValueError("symmetric_to_elementary expects a root ring with all weights 1")
+    if not is_symmetric(p):
+        raise ValueError("input is not symmetric under transpositions of the root variables")
+    dominant = {e: c for e, c in p.terms.items() if list(e) == sorted(e, reverse=True)}
+    return charclass.symmetric_to_elementary(g, dominant).truncate(ring.bound)
 
 
 def to_elementary(p: GradedPolynomial, prefix: str = "c") -> GradedPolynomial:
