@@ -1,9 +1,12 @@
 """Characteristic-class calculus for a formal bundle of rank g.
 
 A bundle is one object, its rank and Chern classes c_1..c_g in a graded
-ring.  The weight-graded Chern generators are the only alphabet built here;
-any other, such as the elementary symmetrics of formal roots, goes through
-the constructor.  Every class is read off one logarithm,
+ring with a truncation bound.  The rank-g Hodge bundle lives on the
+toroidal compactification of A_g, of dimension N_g = g(g+1)/2, so the
+weight-graded Chern generators and the roots route truncate at that socle
+degree.  The generators are the only alphabet built here; any other
+alphabet or bound, such as the elementary symmetrics of formal roots, goes
+through the constructor.  Every class is read off one logarithm,
 log c(E) = sum_k (-1)^(k-1) p_k / k, scaled degree by degree: its degree-k
 part times (-1)^(k-1) k is the power sum p_k, times (-1)^(k-1) / (k-1)! it
 is the degree-k part of the Chern character, and times (-1)^(k-1) k s_k it
@@ -30,6 +33,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .graded import (
     GradedPolynomial,
     GradedRing,
+    _as_fraction,
     graded_exp,
     graded_log,
     named_series,
@@ -49,15 +53,6 @@ __all__ = [
     "borel_serre_check",
 ]
 
-def _bound(function: str, g: int, bound: int | None) -> int:
-    """Check ``function``'s g and bound.  A bound of None is the socle degree
-    g(g+1)/2, above which nothing is ever consulted."""
-    _require_int(function, "g", g, 1)
-    if bound is None:
-        return g * (g + 1) // 2
-    _require_int(function, "bound", bound, 0)
-    return bound
-
 
 def _chern_ring(g: int, bound: int | None) -> GradedRing:
     """The ring of the Chern classes c1..cg, of weights 1..g."""
@@ -65,7 +60,8 @@ def _chern_ring(g: int, bound: int | None) -> GradedRing:
 
 
 class BundleClasses:
-    """A rank together with formal Chern classes c_1..c_rank in one ring.
+    """A rank together with formal Chern classes c_1..c_rank in one ring,
+    which must have a truncation bound; every class is truncated there.
 
     ``generators`` builds the weight-graded Chern generators, the only
     alphabet built here; any other, such as the elementary symmetrics of
@@ -81,6 +77,8 @@ class BundleClasses:
         chern = tuple(chern)
         if len(chern) != rank:
             raise ValueError("exactly one Chern class per rank is required")
+        if ring.bound is None:
+            raise ValueError("BundleClasses requires a ring with a truncation bound")
         for i, c in enumerate(chern, start=1):
             if c.ring != ring:
                 raise ValueError("all Chern classes must live in the bundle ring")
@@ -91,9 +89,11 @@ class BundleClasses:
         self.ring = ring
 
     @classmethod
-    def generators(cls, g: int, bound: int | None = None) -> "BundleClasses":
-        """Rank-g bundle whose i-th Chern class is the generator ``ci`` of weight i."""
-        ring = _chern_ring(g, _bound("BundleClasses.generators", g, bound))
+    def generators(cls, g: int) -> "BundleClasses":
+        """Rank-g bundle whose i-th Chern class is the generator ``ci`` of
+        weight i, in the ring truncated above the socle degree g(g+1)/2."""
+        _require_int("BundleClasses.generators", "g", g, 1)
+        ring = _chern_ring(g, g * (g + 1) // 2)
         return cls(g, ring.gens(), ring)
 
     def __repr__(self) -> str:
@@ -105,11 +105,10 @@ def dual_bundle(b: BundleClasses) -> BundleClasses:
     return BundleClasses(b.rank, tuple(c * ((-1) ** i) for i, c in enumerate(b.chern, start=1)), b.ring)
 
 
-def _log_chern(b: BundleClasses, top: int, factor: Callable[[int], int | Fraction]) -> GradedPolynomial:
-    """log c(E) up to degree ``top``, in the bundle ring, with its degree-k
-    part times ``factor(k)``."""
-    log_c = graded_log(sum((c.truncate(top) for c in b.chern), b.ring.with_bound(top).one))
-    scale = [0] + [factor(k) for k in range(1, top + 1)]
+def _log_chern(b: BundleClasses, factor: Callable[[int], int | Fraction]) -> GradedPolynomial:
+    """log c(E) in the bundle ring, with its degree-k part times ``factor(k)``."""
+    log_c = graded_log(sum(b.chern, b.ring.one))
+    scale = [0] + [factor(k) for k in range(1, b.ring.bound + 1)]
     degree = b.ring.degree
     return GradedPolynomial(b.ring, {e: v for e, c in log_c.terms.items() if (v := c * scale[degree(e)])})
 
@@ -120,34 +119,26 @@ def newton_power_sums(b: BundleClasses, k_max: int) -> list[GradedPolynomial]:
     Index k of the returned list holds p_k, so p_0 is the constant rank.
     Newton's identities in closed form, log(1 + c_1 + ... + c_rank) =
     sum_k (-1)^(k-1) p_k / k (Macdonald, I.2, eq. 2.10'), are taken up to
-    degree k_max or the bundle ring's bound, whichever is lower, and p_k is
-    read off the degree-k part; above the bound it is zero.
+    the bundle ring's bound, and p_k is read off the degree-k part; above
+    the bound it is zero.
     """
     _require_int("newton_power_sums", "k_max", k_max, 1)
-    top = k_max if b.ring.bound is None else min(k_max, b.ring.bound)
-    parts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(k_max + 1)]
+    parts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(max(k_max, b.ring.bound) + 1)]
     degree = b.ring.degree
-    for e, c in _log_chern(b, top, lambda k: (-1) ** (k + 1) * k).terms.items():
+    for e, c in _log_chern(b, lambda k: (-1) ** (k + 1) * k).terms.items():
         parts[degree(e)][e] = c
-    return [b.ring.constant(b.rank)] + [GradedPolynomial(b.ring, part) for part in parts[1:]]
-
-
-def _ring_bound(b: BundleClasses) -> int:
-    if b.ring.bound is None:
-        raise ValueError("a truncation bound is required")
-    return b.ring.bound
+    return [b.ring.constant(b.rank)] + [GradedPolynomial(b.ring, part) for part in parts[1 : k_max + 1]]
 
 
 def chern_character(b: BundleClasses) -> GradedPolynomial:
     """rank + sum_{k>=1} p_k / k!, truncated at the bundle ring's bound."""
-    return b.rank + _log_chern(b, _ring_bound(b), lambda k: Fraction((-1) ** (k + 1), factorial(k - 1)))
+    return b.rank + _log_chern(b, lambda k: Fraction((-1) ** (k + 1), factorial(k - 1)))
 
 
 def _multiplicative_class(b: BundleClasses, series_name: str) -> GradedPolynomial:
     """exp(sum_k series[k] p_k) for a log generating series with zero constant term."""
-    bound = _ring_bound(b)
-    series = named_series(series_name, bound)
-    return graded_exp(_log_chern(b, bound, lambda k: (-1) ** (k + 1) * k * series[k]))
+    series = named_series(series_name, b.ring.bound)
+    return graded_exp(_log_chern(b, lambda k: (-1) ** (k + 1) * k * series[k]))
 
 
 def todd(b: BundleClasses) -> GradedPolynomial:
@@ -272,7 +263,8 @@ def symmetric_to_elementary(g: int, coefficients: Mapping[tuple[int, ...], int |
     g variables: a polynomial in c1..cg, of weights 1..g, with no bound.
 
     Each key lam is a partition with at most g parts, written as a
-    nonincreasing g-tuple of ints >= 0; each value is an int or a Fraction.
+    nonincreasing g-tuple of ints >= 0; each value is an int or a Fraction,
+    as ``GradedRing.from_terms`` requires, else a TypeError.
     A symmetric polynomial is fixed by its coefficients on partitions, so
     every one is such a mapping, and the input is symmetric by construction.
 
@@ -289,7 +281,7 @@ def symmetric_to_elementary(g: int, coefficients: Mapping[tuple[int, ...], int |
         ints = type(lam) is tuple and len(lam) == g and all(type(v) is int for v in lam)
         if not (ints and all(a >= b >= 0 for a, b in zip(lam, lam[1:] + (0,)))):
             raise ValueError(f"symmetric_to_elementary requires each key to be a nonincreasing {g}-tuple of ints >= 0, got {lam!r}")
-    den = lcm(*(c.denominator for c in coefficients.values()))
+    den = lcm(*(_as_fraction(c).denominator for c in coefficients.values()))
     top = max(map(sum, coefficients), default=0)
     width = max(top, 1).bit_length()
     work = {_pack(lam, width): c.numerator * (den // c.denominator) for lam, c in coefficients.items()}
@@ -313,7 +305,7 @@ def symmetric_to_elementary(g: int, coefficients: Mapping[tuple[int, ...], int |
     return GradedPolynomial(_chern_ring(g, None), out)
 
 
-def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPolynomial:
+def exterior_alternating_sum_dual(g: int) -> GradedPolynomial:
     """sum_{i=0}^{g} (-1)^i ch(Lambda^i E-dual), computed from formal roots.
 
     The Chern roots of Lambda^i E-dual are the negated i-fold subset sums of
@@ -322,9 +314,10 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
     exactly g positive parts, and 0 otherwise.  Such a lam is nu + (1^g) with
     m_lam = e_g m_nu, so the product is c_g times the rewrite of
     sum_nu prod_i (-1)^{nu_i} / (nu_i + 1)! m_nu, each coefficient a Fraction
-    over bound!.
+    over N!, up to the socle degree N = g(g+1)/2.
     """
-    bound = _bound("exterior_alternating_sum_dual", g, bound)
+    _require_int("exterior_alternating_sum_dual", "g", g, 1)
+    bound = g * (g + 1) // 2
     den = factorial(bound)
     coefficients: dict[tuple[int, ...], Fraction] = {}
     for d in range(bound - g + 1):
@@ -352,9 +345,9 @@ def borel_serre_check(g: int) -> BorelSerreReport:
     """Compare ch(Lambda^* E-dual) from subset-sum roots against c_g * Td(E)^{-1}
     from the multiplicative-sequence route; the difference must vanish identically.
     """
-    bound = _bound("borel_serre_check", g, None)
-    lhs = exterior_alternating_sum_dual(g, bound)
-    b = BundleClasses.generators(g, bound)
+    _require_int("borel_serre_check", "g", g, 1)
+    lhs = exterior_alternating_sum_dual(g)
+    b = BundleClasses.generators(g)
     rhs = b.chern[g - 1] * _multiplicative_class(b, "log_one_minus_exp_neg_over_t")
     diff = lhs - rhs
     return BorelSerreReport(genus=g, ok=not diff, difference=diff)

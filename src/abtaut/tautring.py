@@ -294,27 +294,24 @@ class TautRing:
         return [row[:] for row in matrix]
 
 
-def determinant(matrix: Sequence[Sequence[int | Fraction]]) -> Fraction:
-    """Exact determinant of a square matrix of ints and Fractions; the empty
+def determinant(matrix: Sequence[Sequence[int]]) -> Fraction:
+    """Exact determinant of a square matrix of ints, as a Fraction; the empty
     matrix has determinant 1.
 
-    Each row is scaled to integers by the lcm of its denominators, so an
-    integer matrix creates no Fraction.  One fraction-free elimination
-    follows (Bareiss, Math. Comp. 22, 1968), which moves each pivot row to
-    the top: every division by the previous pivot is exact, and the last
-    pivot, signed by the row moves, is the determinant of the scaled matrix.
+    Entries are ints, as ``pairing_matrix`` returns them; any other entry,
+    a bool or a Fraction included, is a TypeError.  One fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968) moves each pivot row to the
+    top: every division by the previous pivot is exact, and the last pivot,
+    signed by the row moves, is the determinant.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant requires a square matrix")
-    m, scale = [], 1
     for row in matrix:
         for x in row:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"determinant requires int or Fraction entries, got {x!r}")
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
+            if type(x) is not int:
+                raise TypeError(f"determinant requires int entries, got {x!r}")
+    m = list(matrix)
     sign, prev = 1, 1
     while m:
         pivot = next((r for r, row in enumerate(m) if row[0]), None)
@@ -325,7 +322,7 @@ def determinant(matrix: Sequence[Sequence[int | Fraction]]) -> Fraction:
         sign *= (-1) ** pivot
         m = [[(p * x - f * y) // prev for x, y in zip(row, top)] for f, *row in m]
         prev = p
-    return Fraction(sign * prev, scale)
+    return Fraction(sign * prev)
 
 
 def build_ring(g: int) -> TautRing:

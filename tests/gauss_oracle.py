@@ -1,8 +1,8 @@
 """Reference determinant by Gaussian elimination over ``Fraction``.
 
-``tautring.determinant`` scales each row to integers and runs Bareiss's
-fraction-free elimination.  This module is its former body, unchanged: a
-pivot search, row swaps and division by the pivot, all in ``Fraction``.  It
+``tautring.determinant`` runs Bareiss's fraction-free elimination on an
+integer matrix.  This module is its former body, unchanged: a pivot
+search, row swaps and division by the pivot, all in ``Fraction``.  It
 shares no code with the package, and tests compare the two routes.
 """
 

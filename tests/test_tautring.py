@@ -486,11 +486,10 @@ def test_pairing_degree_out_of_range(ring_cache):
 
 def test_determinant_utility():
     assert determinant([]) == 1
-    assert determinant([[Fraction(2)]]) == 2
+    assert determinant([[2]]) == 2
     assert determinant([[1, 2], [2, 4]]) == 0
     assert determinant([[0, 1], [1, 0]]) == -1
-    # rows of rationals: 1/10 - 1/12
-    assert determinant([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]) == Fraction(1, 60)
+    assert determinant([[2, 3], [4, 5]]) == -2
     # a zero leading pivot, then a row move past two rows
     assert determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
     assert determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
@@ -503,14 +502,14 @@ def test_determinant_rejects_non_square(matrix):
         determinant(matrix)
 
 
-@pytest.mark.parametrize("entry", [0.5, 1.0, "1/2", "1", None, 1 + 0j])
+@pytest.mark.parametrize("entry", [0.5, 1.0, "1/2", "1", None, 1 + 0j, True, Fraction(1, 2), Fraction(3)])
 def test_determinant_rejects_non_rational_entries(entry):
-    # Fraction(x) used to accept floats and strings; an entry is an int or a Fraction
-    with pytest.raises(TypeError, match="^determinant requires int or Fraction entries, got "):
-        determinant([[1, entry], [Fraction(1, 2), 3]])
+    # an entry is exactly an int: bools and Fractions, even integral ones, are refused
+    with pytest.raises(TypeError, match=r"^determinant requires int entries, got [^\n]+\Z"):
+        determinant([[1, entry], [2, 3]])
 
 
-_ENTRIES = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=5))
+_ENTRIES = st.integers(-6, 6)
 
 
 @st.composite
