@@ -15,10 +15,10 @@ is applied as a rewrite rule on monomials, never re-derived.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import NamedTuple
 
 from .graded import GradedPolynomial, GradedRing
 from .rationals import _require_int, bernoulli, boundary_constant, zeta_negative_odd
@@ -43,21 +43,20 @@ def boundary_ring() -> GradedRing:
     return _PI_T
 
 
-class BoundaryClass(NamedTuple):
+class BoundaryClass(namedtuple("BoundaryClass", "genus poly")):
     """A polynomial in Pi and T together with the genus whose pushforward
     rule is meant to consume it."""
 
-    genus: int
-    poly: GradedPolynomial
+    __slots__ = ()
 
     def __str__(self) -> str:
         return str(self.poly)
 
 
-class PushforwardResult(NamedTuple):
+class PushforwardResult(namedtuple("PushforwardResult", "delta_coefficient")):
     """The multiple of the boundary cycle class produced by a pushforward."""
 
-    delta_coefficient: Fraction
+    __slots__ = ()
 
 
 _NO_DELTA = PushforwardResult(Fraction(0))
@@ -120,7 +119,7 @@ def grr_coefficient(g: int) -> Fraction:
     return factor * pushforward(g, sum_powers_quotient(g)).delta_coefficient
 
 
-class GrrReport(NamedTuple):
+class GrrReport(namedtuple("GrrReport", "genus q magnitude_ok sign_matches_theorem sign_matches_zeta")):
     """Sign ledger for the pipeline output q at one genus.
 
     Only the magnitude is asserted anywhere; the two sign flags report
@@ -128,11 +127,7 @@ class GrrReport(NamedTuple):
     zeta(1-2g) itself, so the ledger is machine-checked rather than assumed.
     """
 
-    genus: int
-    q: Fraction
-    magnitude_ok: bool
-    sign_matches_theorem: bool
-    sign_matches_zeta: bool
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -24,11 +24,11 @@ share no code.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from itertools import groupby
 from math import comb, factorial, lcm
-from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .graded import (
     GradedPolynomial,
@@ -330,12 +330,10 @@ def exterior_alternating_sum_dual(g: int) -> GradedPolynomial:
     return GradedPolynomial(_chern_ring(g, bound), {e[:-1] + (e[-1] + 1,): c for e, c in out.terms.items()})
 
 
-class BorelSerreReport(NamedTuple):
+class BorelSerreReport(namedtuple("BorelSerreReport", "genus ok difference")):
     """Outcome of the dual-route exterior-power identity check."""
 
-    genus: int
-    ok: bool
-    difference: GradedPolynomial
+    __slots__ = ()
 
     def as_payload(self) -> dict:
         return {"g": self.genus, "ok": self.ok, "difference": str(self.difference)}

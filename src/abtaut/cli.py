@@ -5,22 +5,26 @@ Each invocation writes one line-delimited JSON object per result to stdout
 (``--format text`` for humans, ``--format csv`` for the satake table).
 Timing goes to stderr so that identical invocations produce byte-identical
 stdout.  Exit codes: 0 pass/info, 1 check failure, 2 usage error.
+
+The options are read from the command table ``_COMMANDS`` by ``_parse``,
+which follows argparse's rules without importing it: argparse and the
+gettext and locale modules it loads cost a fresh request more than abtaut's
+own modules do.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 import time
+from types import SimpleNamespace
 
 from . import boundary, charclass, satake, tautring
 from .rationals import bernoulli, boundary_constant, zeta_negative_odd
 
 __all__ = [
     "main",
-    "build_parser",
     "MAX_BERNOULLI_N",
     "MAX_ZETA_GENUS",
     "MAX_BOREL_SERRE_GENUS",
@@ -64,7 +68,7 @@ def _emit(envelopes: list[dict], fmt: str, out) -> None:
         for env in envelopes:
             out.write(json.dumps(env, ensure_ascii=False) + "\n")
         return
-    # argparse's choices leave "text" as the only other format here
+    # the parser's choices leave "text" as the only other format here
     for env in envelopes:
         out.write(f"command: {env['command']}\n")
         out.write(f"status: {env['status']}\n")
@@ -127,7 +131,7 @@ def _cmd_ring(args) -> list[dict]:
             degrees = list(range(ring.socle_degree + 1))
         basis = {str(d): [str(m) for m in ring.basis_monomials(d)] for d in degrees}
         return [_envelope("ring", "info", {"g": g, "basis": basis})]
-    # argparse's choices leave "pairing" as the only other --show value here
+    # the parser's choices leave "pairing" as the only other --show value here
     if args.degree is None:
         raise ValueError("--degree is required with --show pairing")
     matrix = ring.pairing_matrix(args.degree)
@@ -226,81 +230,154 @@ def _satake_csv(envelopes: list[dict], out) -> None:
         )
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports its own usage errors in one stderr line, as the handlers do;
-    subparsers are built from the same class."""
+# -- the command line ----------------------------------------------------
 
-    def error(self, message: str):
-        self.exit(2, f"abtaut: error: {message}\n")
+# command: (handler, help, options), each option (type, choices or None,
+# required, help).  An option that is not given is None, --format "json".
+_GENUS = (int, None, True, "genus")
+_FORMAT = (str, ("json", "text"), False, "output format")
+_COMMANDS = {
+    "bernoulli": (_cmd_bernoulli, "Bernoulli number B_n", {"--n": (int, None, True, "index"), "--format": _FORMAT}),
+    "zeta": (_cmd_zeta, "zeta(1-2g)", {"--g": _GENUS, "--format": _FORMAT}),
+    "constant": (_cmd_constant, "the boundary constant (-1)^g zeta(1-2g)", {"--g": _GENUS, "--format": _FORMAT}),
+    "ring": (
+        _cmd_ring,
+        "tautological ring structure queries",
+        {
+            "--g": _GENUS,
+            "--show": (str, ("dims", "basis", "pairing"), True, "what to print"),
+            "--degree": (int, None, False, "one degree of the basis; required with pairing"),
+            "--format": _FORMAT,
+        },
+    ),
+    "reduce": (
+        _cmd_reduce,
+        "normal form of a polynomial in l1..lg",
+        {"--g": _GENUS, "--monomial": (str, None, True, "e.g. 'l1^6' or '2*l2 - l1^2'"), "--format": _FORMAT},
+    ),
+    "verify": (
+        _cmd_verify,
+        "run a verification",
+        {
+            "--check": (str, (*_CHECKS, "all"), True, "the check to run"),
+            "--g": (int, None, False, "run the check for this genus"),
+            "--gmax": (int, None, False, "run the check for every genus 1..GMAX"),
+            "--format": _FORMAT,
+        },
+    ),
+    "satake": (
+        _cmd_satake,
+        "stratum-class constant table",
+        {
+            "--g": _GENUS,
+            "--i": (int, None, False, "one stratum index"),
+            "--p": (int, None, False, "also emit the p-rank-zero constant for this prime"),
+            "--format": (str, ("json", "text", "csv"), False, "output format"),
+        },
+    ),
+}
+# (command, option): the option it cannot be given with
+_EXCLUDES = {("verify", "--g"): "--gmax", ("verify", "--gmax"): "--g"}
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="abtaut",
-        description="Exact computations in the tautological ring of moduli of abelian varieties.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(message: str):
+    print(f"abtaut: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    def add_format(p, csv_ok=False):
-        choices = ["json", "text", "csv"] if csv_ok else ["json", "text"]
-        p.add_argument("--format", choices=choices, default="json", help="output format")
 
-    p = sub.add_parser("bernoulli", help="Bernoulli number B_n")
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(handler=_cmd_bernoulli)
+def _help(commands: list[str]):
+    lines = [
+        f"usage: abtaut {'|'.join(commands)} [OPTIONS]",
+        "",
+        "Exact computations in the tautological ring of moduli of abelian varieties.",
+    ]
+    for command in commands:
+        _, summary, options = _COMMANDS[command]
+        lines += ["", f"{command}: {summary}"]
+        for name, (_, choices, required, text) in options.items():
+            value = "{" + ",".join(choices) + "}" if choices else name[2:].upper()
+            lines.append(f"  {name} {value}{' (required)' if required else ''}  {text}")
+    print("\n".join(lines))
+    raise SystemExit(0)
 
-    p = sub.add_parser("zeta", help="zeta(1-2g)")
-    p.add_argument("--g", type=int, required=True)
-    add_format(p)
-    p.set_defaults(handler=_cmd_zeta)
 
-    p = sub.add_parser("constant", help="the boundary constant (-1)^g zeta(1-2g)")
-    p.add_argument("--g", type=int, required=True)
-    add_format(p)
-    p.set_defaults(handler=_cmd_constant)
+def _option(word: str, names) -> tuple | None:
+    """argparse's reading of one word: None for a value, else the option it
+    names exactly or by a unique prefix (None for no option) and the value
+    after its "=" (None without one)."""
+    if word[:1] != "-" or word == "-":
+        return None
+    name, sep, value = word.partition("=")
+    if word != "--":  # argparse's end of options, which names no option here
+        matches = [n for n in names if n == name] or [n for n in names if name[:2] == "--" and n.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if sep else None
+    if _NEGATIVE_NUMBER.match(word) or " " in word:
+        return None
+    return None, None
 
-    p = sub.add_parser("ring", help="tautological ring structure queries")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--show", choices=["dims", "basis", "pairing"], required=True)
-    p.add_argument("--degree", type=int, default=None)
-    add_format(p)
-    p.set_defaults(handler=_cmd_ring)
 
-    p = sub.add_parser("reduce", help="normal form of a polynomial in l1..lg")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--monomial", type=str, required=True, help="e.g. 'l1^6' or '2*l2 - l1^2'")
-    add_format(p)
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = sub.add_parser("verify", help="run a verification")
-    p.add_argument("--check", choices=[*_CHECKS, "all"], required=True)
-    genus = p.add_mutually_exclusive_group()
-    genus.add_argument("--g", type=int, default=None)
-    genus.add_argument("--gmax", type=int, default=None, help="run the check for every genus 1..GMAX")
-    add_format(p)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("satake", help="stratum-class constant table")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--p", type=int, default=None, help="also emit the p-rank-zero constant for this prime")
-    add_format(p, csv_ok=True)
-    p.set_defaults(handler=_cmd_satake)
-
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command, its handler and its option values, as argparse's
+    namespace held them, read by argparse's rules: --opt value or
+    --opt=value, a unique prefix for a name, the last value of a repeated
+    option.  A usage error is one stderr line and SystemExit(2), except
+    --opt=--, a ValueError as the handlers raise."""
+    if not argv:
+        _usage_error("the following arguments are required: command")
+    command = argv[0]
+    name, _ = _option(command, _HELP) or (None, None)
+    if name:
+        _help(list(_COMMANDS))
+    if command not in _COMMANDS:
+        _usage_error(f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
+    handler, _, options = _COMMANDS[command]
+    names = [*options, *_HELP]
+    values = {name[2:]: None for name in options}
+    values["format"] = "json"
+    extras = []
+    words = iter(argv[1:])
+    for word in words:
+        name, value = _option(word, names) or (None, None)
+        if name is None:
+            extras.append(word)
+            continue
+        if name in _HELP:
+            _help([command])
+        if value is None:
+            value = next(words, None)
+            if value is None or _option(value, names) is not None:
+                _usage_error(f"argument {name}: expected one argument")
+        elif value == "--":
+            raise ValueError(f"argument {name}: expected a value, got '--'")
+        kind, choices, _, _ = options[name]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {name}: invalid int value: {value!r}")
+        if choices and value not in choices:
+            _usage_error(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(choices)})")
+        other = _EXCLUDES.get((command, name))
+        if other and values[other[2:]] is not None:
+            _usage_error(f"argument {name}: not allowed with argument {other}")
+        values[name[2:]] = value
+    missing = [name for name, (_, _, required, _) in options.items() if required and values[name[2:]] is None]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, handler=handler, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # argparse hands an empty list to a valued option given as --opt=--
-    missing = [name for name, value in vars(args).items() if value == []]
-    if missing:
-        print(f"abtaut: error: argument --{missing[0]}: expected a value, got '--'", file=sys.stderr)
-        return 2
-    started = time.perf_counter()
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        started = time.perf_counter()
         envelopes = args.handler(args)
     except ValueError as exc:
         print(f"abtaut: error: {exc}", file=sys.stderr)

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import re
 import struct
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
 
 from .rationals import _require_int
 
@@ -49,7 +49,7 @@ _COEFF_RE = re.compile(r"^\d+(?:/\d+)?$")
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
 
@@ -502,7 +502,8 @@ class GradedPolynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
+            # a bool compares as the number it is, as it does with a Fraction
+            return self.terms.keys() <= {(0,) * self.ring.ngens} and self.constant_term == other
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms

@@ -9,8 +9,8 @@ silently.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .rationals import _is_prime, _require_int, zeta_negative_odd
 
@@ -28,12 +28,10 @@ __all__ = [
 ]
 
 
-class SatakeClassExpression(NamedTuple):
+class SatakeClassExpression(namedtuple("SatakeClassExpression", "stratum_index coefficient label")):
     """A rational multiple of one pushed-down class l_a."""
 
-    stratum_index: int
-    coefficient: Fraction
-    label: tuple[int, ...]
+    __slots__ = ()
 
     def as_payload(self) -> dict:
         return {
@@ -87,12 +85,10 @@ def leading_stratum_constants(g: int) -> tuple[SatakeClassExpression, ...]:
     return (first, second)
 
 
-class StratumComparison(NamedTuple):
-    stratum_index: int
-    closed_form: Fraction
-    divisor_route: Fraction
-    equal: bool
-    factor: Fraction
+class StratumComparison(namedtuple("StratumComparison", "stratum_index closed_form divisor_route equal factor")):
+    """One stratum constant by both routes, with factor = closed_form / divisor_route."""
+
+    __slots__ = ()
 
     def as_payload(self) -> dict:
         return {
@@ -104,12 +100,11 @@ class StratumComparison(NamedTuple):
         }
 
 
-class ConsistencyReport(NamedTuple):
+class ConsistencyReport(namedtuple("ConsistencyReport", "genus comparisons")):
     """Exact comparison of the closed-form family against the divisor-route
     pair; at i = 1 the two routes' signs disagree exactly when g is even."""
 
-    genus: int
-    comparisons: tuple[StratumComparison, ...]
+    __slots__ = ()
 
     @property
     def all_equal(self) -> bool:
@@ -141,13 +136,11 @@ def consistency_report(g: int) -> ConsistencyReport:
     return ConsistencyReport(genus=g, comparisons=tuple(comparisons))
 
 
-class RecursionReport(NamedTuple):
+class RecursionReport(namedtuple("RecursionReport", "genus ok steps")):
     """One-step descent check: each stratum constant is the previous one
     times -1 / zeta(2i-1-2g)."""
 
-    genus: int
-    ok: bool
-    steps: tuple[tuple[int, bool], ...]
+    __slots__ = ()
 
     def as_payload(self) -> dict:
         return {

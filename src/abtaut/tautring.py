@@ -35,12 +35,13 @@ too and drops their terms above the socle.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
 from operator import add
-from typing import Mapping, NamedTuple, Sequence
 
 from .graded import GradedPolynomial, GradedRing, _as_fraction
 from .rationals import _require_int
@@ -333,13 +334,10 @@ def build_ring(g: int) -> TautRing:
     return TautRing(g)
 
 
-class RingReport(NamedTuple):
+class RingReport(namedtuple("RingReport", "genus ok dims checks")):
     """Structural checks of R_g: the dimension profile and six named verdicts."""
 
-    genus: int
-    ok: bool
-    dims: tuple[int, ...]
-    checks: tuple[tuple[str, bool], ...]
+    __slots__ = ()
 
     def as_payload(self) -> dict:
         return {"g": self.genus, "dims": list(self.dims), **dict(self.checks)}

@@ -4,7 +4,7 @@ An argument that is not an int, or is a bool, is a TypeError that names the
 function and the argument.  An int below the argument's lower bound is the one
 ValueError ``{function} requires {name} >= {low}, got {value}``; the tables
 give such an int only as low - 1.  A mapping of coefficients with one value
-that is not an int or a Fraction is the TypeError
+that is not an int or a Fraction, or is a bool, is the TypeError
 ``expected an integer or Fraction, got {value!r}`` of
 ``GradedRing.from_terms``.
 """
@@ -22,7 +22,7 @@ def rejects(function, name, args):
     breaks the contract."""
     value = args[list(inspect.signature(function).parameters).index(name)]
     if isinstance(value, Mapping):
-        [bad] = [c for c in value.values() if not isinstance(c, (int, Fraction))]
+        [bad] = [c for c in value.values() if isinstance(c, bool) or not isinstance(c, (int, Fraction))]
         return pytest.raises(TypeError, match=rf"^expected an integer or Fraction, got {re.escape(repr(bad))}\Z")
     qualname = re.escape(function.__qualname__)
     if type(value) is int:

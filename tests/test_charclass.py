@@ -515,6 +515,7 @@ def _contract_cases():
         + [(symmetric_to_elementary, "g", (value, {})) for value in NON_INTEGERS]
         + [(symmetric_to_elementary, "g", (0, {}))]
         + [(symmetric_to_elementary, "coefficients", (2, {(1, 0): value})) for value in (0.5, "1", None)]
+        + [(symmetric_to_elementary, "coefficients", (2, {(1, 0): value})) for value in (True, False)]
     )
     return [
         pytest.param(function, name, args, id=f"{function.__name__}-{name}-args{i}")

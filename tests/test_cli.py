@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abtaut
+import argparse_oracle
 from abtaut import build_ring, charclass, cli, tautring
 from abtaut.cli import main
 from record_cli_golden import GOLDEN_DIR, REQUESTS
@@ -426,26 +427,35 @@ def test_exit_code_on_failure(capsys, monkeypatch):
 # -- import graph --------------------------------------------------------------
 
 _IMPORT_PROBE = """
-import json, sys
+import io, json, sys
 before = set(sys.modules)
 import abtaut.cli
-print(json.dumps(sorted(set(sys.modules) - before)))
+imported = sorted(set(sys.modules) - before)
+sys.stdout = io.StringIO()
+code = abtaut.cli.main(["constant", "--g", "2"])
+out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+print(json.dumps({"imported": imported, "loaded": sorted(sys.modules), "code": code, "out": out}))
 """
 
 
 def test_cli_import_graph():
-    # Every request pays for what `import abtaut.cli` loads.  The library
-    # modules stay eager: a tracer that wraps the loaded abtaut modules after
-    # this import must find all of them.
+    # Every request pays for what `import abtaut.cli` loads and for what
+    # serving it loads.  `-S` keeps site from preloading modules such as
+    # typing, which would hide an import of them.  The library modules stay
+    # eager: a tracer that wraps the loaded abtaut modules after this import
+    # must find all of them.
     src = str(Path(abtaut.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-S", "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
     )
-    loaded = set(json.loads(probe.stdout))
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "csv"}
+    result = json.loads(probe.stdout)
+    assert result["code"] == 0 and json.loads(result["out"])["payload"] == {"g": 2, "value": "1/120"}
+    imported = set(result["imported"])
+    assert not imported & {"dataclasses", "inspect", "ast", "dis", "csv"}
+    assert not set(result["loaded"]) & {"argparse", "gettext", "locale", "typing"}
     library = {f"abtaut.{name}" for name in ("rationals", "graded", "charclass", "tautring", "boundary", "satake")}
-    assert library <= loaded
+    assert library <= imported
 
 
 # -- every argument vector ends in a result or a usage error --------------------
@@ -539,3 +549,69 @@ def test_every_argument_vector_succeeds_or_is_a_usage_error(argv):
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     else:
         assert code == 0 and out.getvalue()
+
+
+# -- the CLI's parser reads argument vectors as argparse did --------------------
+
+
+def _parsed(parse, argv):
+    """parse(argv) with its stderr discarded, or None where it rejects argv."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parse(argv)
+        except (SystemExit, ValueError):
+            return None
+
+
+def _parsers_agree(argv) -> bool:
+    """Assert that the CLI's parser and argparse both reject argv or both
+    read the same command, handler and values; return whether they accepted
+    it."""
+    namespace = _parsed(argparse_oracle.build_parser().parse_args, argv)
+    parsed = _parsed(cli._parse, argv)
+    if namespace is None:
+        assert parsed is None
+        return False
+    assert vars(parsed) == vars(namespace)
+    return True
+
+
+# argparse's reading of "--" changed in Python 3.13; test_dashdash... covers it
+@settings(max_examples=500, deadline=None)
+@given(_argv().filter(lambda argv: not any("--" in (word, word.partition("=")[2]) for word in argv)))
+def test_parser_agrees_with_argparse(argv):
+    _parsers_agree(argv)
+
+
+_RULE_CASES = [
+    (["reduce", "--g", "3", "--mono", "l1^6"], True),
+    (["verify", "--ch=grr", "--gm", "3"], True),
+    (["reduce", "--g", "3", "--monomial", "-l1 + l2"], True),
+    (["reduce", "--g", "3", "--monomial=-l1"], True),
+    (["reduce", "--g", "3", "--monomial", "-l1"], False),
+    (["reduce", "--g", "3", "--monomial", "-"], True),
+    (["satake", "--g", "3", "--i", "-1"], True),
+    (["satake", "--g", "3", "--i", "-.5"], False),
+    (["zeta", "--g", "2", "--g", "3", "--format", "text", "--form", "json"], True),
+    (["verify", "--check", "grr", "--gmax", "2", "--g", "3"], False),
+    (["constant", "--g", "2", "x"], False),
+    (["constant", "--g"], False),
+    (["constant", "--g="], False),
+]
+
+
+@pytest.mark.parametrize("argv, accepted", _RULE_CASES, ids=[" ".join(argv) for argv, _ in _RULE_CASES])
+def test_parser_rules_agree_with_argparse(argv, accepted):
+    assert _parsers_agree(argv) is accepted
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"], ["reduce", "--g", "3", "--h"]])
+def test_help_lists_the_commands_and_their_options(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (excinfo.value.code, captured.err) == (0, "")
+    commands = cli._COMMANDS if len(argv) == 1 else [argv[0]]
+    for command in commands:
+        assert f"\n{command}: " in captured.out
+        assert all(f"  {option} " in captured.out for option in cli._COMMANDS[command][2])

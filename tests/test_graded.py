@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -349,6 +350,28 @@ def test_from_terms_rejects_bool_exponents(exponents):
     R = GradedRing(("x", "y"), (1, 1))
     with pytest.raises(ValueError, match=r"^bad exponent vector "):
         R.monomial(exponents)
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, "1", None])
+def test_coefficients_reject_bools_and_inexact_values(value):
+    R = GradedRing(("x",), (1,), 2)
+    for build in (lambda: R.from_terms({(1,): value}), lambda: R.monomial((1,), value), lambda: R.constant(value)):
+        with pytest.raises(TypeError, match=rf"^expected an integer or Fraction, got {re.escape(repr(value))}\Z"):
+            build()
+
+
+def test_bool_operands_are_refused():
+    (x,) = GradedRing(("x",), (1,), 2).gens()
+    for operation in (lambda: x + True, lambda: True - x, lambda: x * False, lambda: x / True):
+        with pytest.raises(TypeError, match=r"^expected an integer or Fraction, got (True|False)\Z"):
+            operation()
+
+
+def test_bools_compare_as_numbers():
+    R = GradedRing(("x",), (1,), 2)
+    (x,) = R.gens()
+    assert (R.one == True) is True and (R.zero == False) is True
+    assert (R.one == False) is False and (x == True) is False
 
 
 @pytest.mark.parametrize("exponents", [(2,), (2, 0, 0), [2.0, 0], (2, -1), (True, 0)])

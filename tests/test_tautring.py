@@ -344,7 +344,7 @@ def test_normal_form_wrong_alphabet(ring_cache):
         r.normal_form(other.gen(0))
 
 
-@pytest.mark.parametrize("value", [0.1, 0.0, "1/3", 2 + 0j])
+@pytest.mark.parametrize("value", [0.1, 0.0, "1/3", 2 + 0j, True, False])
 def test_element_rejects_inexact_coordinates(value):
     with pytest.raises(TypeError, match=r"^expected an integer or Fraction, got "):
         TautRingElement(2, {(1,): value})
