@@ -4,7 +4,8 @@ generation, all with exact rational output.
 Each invocation writes one line-delimited JSON object per result to stdout
 (``--format text`` for humans, ``--format csv`` for the satake table).
 Timing goes to stderr so that identical invocations produce byte-identical
-stdout.  Exit codes: 0 pass/info, 1 check failure, 2 usage error.
+stdout.  Exit codes: 0 pass/info, 1 check failure, 2 usage error or output
+that cannot be written.
 
 The options are read from the command table ``_COMMANDS`` by ``_parse``,
 which follows argparse's rules without importing it: argparse and the
@@ -15,9 +16,11 @@ own modules do.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 import time
+from collections import namedtuple
 from types import SimpleNamespace
 
 from . import boundary, charclass, satake, tautring
@@ -34,8 +37,10 @@ __all__ = [
     "MAX_SATAKE_PRIME",
 ]
 
-# Input caps, each checked before any work starts.  Python reads and prints
-# integers of at most 4300 digits by default (MAX_PRINTED_DIGITS).  B_2064 is
+# Input caps, each checked before any work starts.  The least value and the
+# cap of an option are fields of its row in the command table _COMMANDS, and
+# verify's caps per check are in _CHECKS.  Python reads and prints integers of at
+# most 4300 digits by default (MAX_PRINTED_DIGITS).  B_2064 is
 # the first Bernoulli number with a longer numerator, zeta(1-2g) has one from
 # g = 1032 on, and the satake table has one from g = 75 on.  The p-rank
 # constant (p - 1)(p^2 - 1)...(p^g - 1) has about g(g+1)/2 log10(p) digits,
@@ -63,63 +68,23 @@ def _envelope(command: str, status: str, payload: dict) -> dict:
     return {"command": command, "status": status, "payload": payload}
 
 
-def _emit(envelopes: list[dict], fmt: str, out) -> None:
-    if fmt == "json":
-        for env in envelopes:
-            out.write(json.dumps(env, ensure_ascii=False) + "\n")
-        return
-    # the parser's choices leave "text" as the only other format here
-    for env in envelopes:
-        out.write(f"command: {env['command']}\n")
-        out.write(f"status: {env['status']}\n")
-        for key, value in env["payload"].items():
-            out.write(f"{key}: {_text_value(value)}\n")
-
-
-def _text_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (list, dict)):
-        return json.dumps(value, ensure_ascii=False)
-    return str(value)
-
-
-def _positive(name: str, value: int) -> int:
-    if value < 1:
-        raise ValueError(f"--{name} must be >= 1, got {value}")
-    return value
-
-
-def _capped(name: str, value: int, cap: int) -> int:
-    if value > cap:
-        raise ValueError(f"--{name} is capped at {cap}, got {value}")
-    return value
-
-
 # -- command handlers ----------------------------------------------------
 
 
 def _cmd_bernoulli(args) -> list[dict]:
-    if args.n < 0:
-        raise ValueError(f"--n must be >= 0, got {args.n}")
-    _capped("n", args.n, MAX_BERNOULLI_N)
     return [_envelope("bernoulli", "info", {"n": args.n, "value": str(bernoulli(args.n))})]
 
 
 def _cmd_zeta(args) -> list[dict]:
-    g = _capped("g", _positive("g", args.g), MAX_ZETA_GENUS)
-    return [_envelope("zeta", "info", {"g": g, "value": str(zeta_negative_odd(g))})]
+    return [_envelope("zeta", "info", {"g": args.g, "value": str(zeta_negative_odd(args.g))})]
 
 
 def _cmd_constant(args) -> list[dict]:
-    g = _capped("g", _positive("g", args.g), MAX_ZETA_GENUS)
-    return [_envelope("constant", "info", {"g": g, "value": str(boundary_constant(g))})]
+    return [_envelope("constant", "info", {"g": args.g, "value": str(boundary_constant(args.g))})]
 
 
 def _cmd_ring(args) -> list[dict]:
-    g = _positive("g", args.g)
+    g = args.g
     ring = tautring.build_ring(g)
     if args.show == "dims":
         payload = {"g": g, "socle_degree": ring.socle_degree, "dims": ring.dimension_profile()}
@@ -146,8 +111,7 @@ def _cmd_ring(args) -> list[dict]:
 
 
 def _cmd_reduce(args) -> list[dict]:
-    g = _positive("g", args.g)
-    ring = tautring.build_ring(g)
+    ring = tautring.build_ring(args.g)
     if re.search(rf"\d{{{MAX_PRINTED_DIGITS + 1}}}", args.monomial):
         raise ValueError(f"--monomial has a number of more than {MAX_PRINTED_DIGITS} digits")
     poly = ring.ring.parse(args.monomial)
@@ -155,7 +119,7 @@ def _cmd_reduce(args) -> list[dict]:
     limit = 10 ** MAX_PRINTED_DIGITS
     if any(abs(c.numerator) >= limit or c.denominator >= limit for c in nf.coordinates.values()):
         raise ValueError(f"the normal form of --monomial has a coefficient of more than {MAX_PRINTED_DIGITS} digits")
-    payload = {"g": g, "input": args.monomial, "value": str(nf)}
+    payload = {"g": args.g, "input": args.monomial, "value": str(nf)}
     return [_envelope("reduce", "info", payload)]
 
 
@@ -175,7 +139,7 @@ def _cmd_verify(args) -> list[dict]:
         raise ValueError("verify requires --g or --gmax")
     # The caps are checked on the top genus before the genera are listed, so
     # that a huge --gmax is a usage error rather than a huge list.
-    top = _positive("gmax", args.gmax) if args.gmax is not None else _positive("g", args.g)
+    top = args.g if args.gmax is None else args.gmax
     names = list(_CHECKS) if args.check == "all" else [args.check]
     for name in names:
         cap = _CHECKS[name][2]
@@ -195,9 +159,7 @@ def _cmd_verify(args) -> list[dict]:
 def _cmd_satake(args) -> list[dict]:
     if args.p is not None and args.format == "csv":
         raise ValueError("--p cannot be combined with --format csv: the p-rank constant has no stratum columns")
-    g = _capped("g", _positive("g", args.g), MAX_SATAKE_GENUS)
-    if args.p is not None:
-        _capped("p", args.p, MAX_SATAKE_PRIME)
+    g = args.g
     rows = satake.stratum_table(g, args.i)
     envelopes = [_envelope("satake", "info", row) for row in rows]
     if args.p is not None:
@@ -212,56 +174,79 @@ def _cmd_satake(args) -> list[dict]:
     return envelopes
 
 
-def _satake_csv(envelopes: list[dict], out) -> None:
+def _render(envelopes: list[dict], fmt: str) -> str:
+    """The text of the envelopes in one output format.  In text format a
+    value prints as is if it is a str and as JSON otherwise."""
+    if fmt == "json":
+        return "".join(json.dumps(env, ensure_ascii=False) + "\n" for env in envelopes)
+    if fmt == "text":
+        lines = []
+        for env in envelopes:
+            lines += [f"command: {env['command']}", f"status: {env['status']}"]
+            for key, value in env["payload"].items():
+                lines.append(f"{key}: {value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)}")
+        return "".join(line + "\n" for line in lines)
+    # the parser's choices leave the satake table as the only csv output
     import csv  # only this path needs it; the other requests skip its import
+    import io
 
+    out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["g", "i", "coefficient", "label", "matches_thm34"])
-    for env in envelopes:
-        row = env["payload"]
-        writer.writerow(
-            [
-                row["g"],
-                row["i"],
-                row["coefficient"],
-                "{" + ",".join(str(x) for x in row["label"]) + "}",
-                "" if row["matches_thm34"] is None else str(row["matches_thm34"]).lower(),
-            ]
-        )
+    for row in (env["payload"] for env in envelopes):
+        label = "{" + ",".join(str(x) for x in row["label"]) + "}"
+        matches = "" if row["matches_thm34"] is None else str(row["matches_thm34"]).lower()
+        writer.writerow([row["g"], row["i"], row["coefficient"], label, matches])
+    return out.getvalue()
 
 
 # -- the command line ----------------------------------------------------
 
-# command: (handler, help, options), each option (type, choices or None,
-# required, help).  An option that is not given is None, --format "json".
-_GENUS = (int, None, True, "genus")
-_FORMAT = (str, ("json", "text"), False, "output format")
+# command: (handler, help, options).  An option that is not given is None,
+# --format "json"; main checks a given int against its least value and its
+# cap, where the option has them, before the handler runs.
+_Option = namedtuple("_Option", "kind choices required help least cap", defaults=(None, None))
+_FORMAT = _Option(str, ("json", "text"), False, "output format")
+
+
+def _genus(cap: int | None = None) -> _Option:
+    return _Option(int, None, True, "genus", 1, cap)
+
+
 _COMMANDS = {
-    "bernoulli": (_cmd_bernoulli, "Bernoulli number B_n", {"--n": (int, None, True, "index"), "--format": _FORMAT}),
-    "zeta": (_cmd_zeta, "zeta(1-2g)", {"--g": _GENUS, "--format": _FORMAT}),
-    "constant": (_cmd_constant, "the boundary constant (-1)^g zeta(1-2g)", {"--g": _GENUS, "--format": _FORMAT}),
+    "bernoulli": (
+        _cmd_bernoulli,
+        "Bernoulli number B_n",
+        {"--n": _Option(int, None, True, "index", 0, MAX_BERNOULLI_N), "--format": _FORMAT},
+    ),
+    "zeta": (_cmd_zeta, "zeta(1-2g)", {"--g": _genus(MAX_ZETA_GENUS), "--format": _FORMAT}),
+    "constant": (
+        _cmd_constant,
+        "the boundary constant (-1)^g zeta(1-2g)",
+        {"--g": _genus(MAX_ZETA_GENUS), "--format": _FORMAT},
+    ),
     "ring": (
         _cmd_ring,
         "tautological ring structure queries",
         {
-            "--g": _GENUS,
-            "--show": (str, ("dims", "basis", "pairing"), True, "what to print"),
-            "--degree": (int, None, False, "one degree of the basis; required with pairing"),
+            "--g": _genus(),
+            "--show": _Option(str, ("dims", "basis", "pairing"), True, "what to print"),
+            "--degree": _Option(int, None, False, "one degree of the basis; required with pairing"),
             "--format": _FORMAT,
         },
     ),
     "reduce": (
         _cmd_reduce,
         "normal form of a polynomial in l1..lg",
-        {"--g": _GENUS, "--monomial": (str, None, True, "e.g. 'l1^6' or '2*l2 - l1^2'"), "--format": _FORMAT},
+        {"--g": _genus(), "--monomial": _Option(str, None, True, "e.g. 'l1^6' or '2*l2 - l1^2'"), "--format": _FORMAT},
     ),
     "verify": (
         _cmd_verify,
         "run a verification",
         {
-            "--check": (str, (*_CHECKS, "all"), True, "the check to run"),
-            "--g": (int, None, False, "run the check for this genus"),
-            "--gmax": (int, None, False, "run the check for every genus 1..GMAX"),
+            "--check": _Option(str, (*_CHECKS, "all"), True, "the check to run"),
+            "--g": _Option(int, None, False, "run the check for this genus", 1),
+            "--gmax": _Option(int, None, False, "run the check for every genus 1..GMAX", 1),
             "--format": _FORMAT,
         },
     ),
@@ -269,10 +254,10 @@ _COMMANDS = {
         _cmd_satake,
         "stratum-class constant table",
         {
-            "--g": _GENUS,
-            "--i": (int, None, False, "one stratum index"),
-            "--p": (int, None, False, "also emit the p-rank-zero constant for this prime"),
-            "--format": (str, ("json", "text", "csv"), False, "output format"),
+            "--g": _genus(MAX_SATAKE_GENUS),
+            "--i": _Option(int, None, False, "one stratum index"),
+            "--p": _Option(int, None, False, "also emit the p-rank-zero constant for this prime", cap=MAX_SATAKE_PRIME),
+            "--format": _Option(str, ("json", "text", "csv"), False, "output format"),
         },
     ),
 }
@@ -282,12 +267,7 @@ _HELP = ("-h", "--help")
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _usage_error(message: str):
-    print(f"abtaut: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _help(commands: list[str]):
+def _help(commands: list[str]) -> str:
     lines = [
         f"usage: abtaut {'|'.join(commands)} [OPTIONS]",
         "",
@@ -296,11 +276,10 @@ def _help(commands: list[str]):
     for command in commands:
         _, summary, options = _COMMANDS[command]
         lines += ["", f"{command}: {summary}"]
-        for name, (_, choices, required, text) in options.items():
-            value = "{" + ",".join(choices) + "}" if choices else name[2:].upper()
-            lines.append(f"  {name} {value}{' (required)' if required else ''}  {text}")
-    print("\n".join(lines))
-    raise SystemExit(0)
+        for name, option in options.items():
+            value = "{" + ",".join(option.choices) + "}" if option.choices else name[2:].upper()
+            lines.append(f"  {name} {value}{' (required)' if option.required else ''}  {option.help}")
+    return "\n".join(lines) + "\n"
 
 
 def _option(word: str, names) -> tuple | None:
@@ -313,7 +292,7 @@ def _option(word: str, names) -> tuple | None:
     if word != "--":  # argparse's end of options, which names no option here
         matches = [n for n in names if n == name] or [n for n in names if name[:2] == "--" and n.startswith(name)]
         if len(matches) > 1:
-            _usage_error(f"ambiguous option: {name} could match {', '.join(matches)}")
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(matches)}")
         if matches:
             return matches[0], value if sep else None
     if _NEGATIVE_NUMBER.match(word) or " " in word:
@@ -321,20 +300,20 @@ def _option(word: str, names) -> tuple | None:
     return None, None
 
 
-def _parse(argv: list[str]) -> SimpleNamespace:
+def _parse(argv: list[str]) -> SimpleNamespace | str:
     """The command, its handler and its option values, as argparse's
     namespace held them, read by argparse's rules: --opt value or
     --opt=value, a unique prefix for a name, the last value of a repeated
-    option.  A usage error is one stderr line and SystemExit(2), except
-    --opt=--, a ValueError as the handlers raise."""
+    option.  The help text for -h or --help; a ValueError for a usage
+    error."""
     if not argv:
-        _usage_error("the following arguments are required: command")
+        raise ValueError("the following arguments are required: command")
     command = argv[0]
     name, _ = _option(command, _HELP) or (None, None)
     if name:
-        _help(list(_COMMANDS))
+        return _help(list(_COMMANDS))
     if command not in _COMMANDS:
-        _usage_error(f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
+        raise ValueError(f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
     handler, _, options = _COMMANDS[command]
     names = [*options, *_HELP]
     values = {name[2:]: None for name in options}
@@ -347,48 +326,75 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             extras.append(word)
             continue
         if name in _HELP:
-            _help([command])
+            return _help([command])
         if value is None:
             value = next(words, None)
             if value is None or _option(value, names) is not None:
-                _usage_error(f"argument {name}: expected one argument")
+                raise ValueError(f"argument {name}: expected one argument")
         elif value == "--":
             raise ValueError(f"argument {name}: expected a value, got '--'")
-        kind, choices, _, _ = options[name]
-        if kind is int:
+        option = options[name]
+        if option.kind is int:
             try:
                 value = int(value)
             except ValueError:
-                _usage_error(f"argument {name}: invalid int value: {value!r}")
-        if choices and value not in choices:
-            _usage_error(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(choices)})")
+                raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
+        if option.choices and value not in option.choices:
+            raise ValueError(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(option.choices)})")
         other = _EXCLUDES.get((command, name))
         if other and values[other[2:]] is not None:
-            _usage_error(f"argument {name}: not allowed with argument {other}")
+            raise ValueError(f"argument {name}: not allowed with argument {other}")
         values[name[2:]] = value
-    missing = [name for name, (_, _, required, _) in options.items() if required and values[name[2:]] is None]
+    missing = [name for name, option in options.items() if option.required and values[name[2:]] is None]
     if missing:
-        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     if extras:
-        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(command=command, handler=handler, **values)
 
 
+def _check_bounds(args: SimpleNamespace) -> None:
+    for name, option in _COMMANDS[args.command][2].items():
+        value = getattr(args, name[2:])
+        if value is not None and option.least is not None and value < option.least:
+            raise ValueError(f"{name} must be >= {option.least}, got {value}")
+        if value is not None and option.cap is not None and value > option.cap:
+            raise ValueError(f"{name} is capped at {option.cap}, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Serve one request and return its exit code.  _parse reads argv, the
+    bounds are checked, the handler computes and _render makes the text;
+    only main writes, stdout in one write, so a failed write ends in exit 2
+    and one stderr line rather than a traceback."""
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        started = time.perf_counter()
-        envelopes = args.handler(args)
+        if isinstance(args, str):
+            text, code, elapsed_ms = args, 0, None
+        else:
+            _check_bounds(args)
+            started = time.perf_counter()
+            envelopes = args.handler(args)
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            text = _render(envelopes, args.format)
+            code = 1 if any(env["status"] == "fail" for env in envelopes) else 0
     except ValueError as exc:
         print(f"abtaut: error: {exc}", file=sys.stderr)
         return 2
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if args.format == "csv":
-        _satake_csv(envelopes, sys.stdout)
-    else:
-        _emit(envelopes, args.format, sys.stdout)
-    print(f"elapsed_ms={elapsed_ms:.3f}", file=sys.stderr)
-    return 1 if any(env["status"] == "fail" for env in envelopes) else 0
+    try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # As the SIGPIPE note of the signal module's docs advises: the flush
+        # at exit then writes what is left to devnull and cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        print(f"abtaut: error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
+    if elapsed_ms is not None:
+        print(f"elapsed_ms={elapsed_ms:.3f}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -159,33 +159,34 @@ def test_verify_requires_genus(capsys):
 
 
 def test_verify_genus_options_are_exclusive(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--check", "grr", "--g", "3", "--gmax", "2"])
-    captured = capsys.readouterr()
-    assert (excinfo.value.code, captured.out) == (2, "")
-    assert captured.err.count("\n") == 1 and "not allowed with argument --g" in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["bernoulli", "--n", str(cli.MAX_BERNOULLI_N + 1)],
-        ["zeta", "--g", str(cli.MAX_ZETA_GENUS + 1)],
-        ["constant", "--g", str(cli.MAX_ZETA_GENUS + 1)],
-        ["verify", "--check", "borel-serre", "--g", str(cli.MAX_BOREL_SERRE_GENUS + 2)],
-        ["verify", "--check", "all", "--gmax", str(cli.MAX_BOREL_SERRE_GENUS + 1)],
-        ["verify", "--check", "grr", "--g", str(cli.MAX_GRR_GENUS + 1)],
-        ["verify", "--check", "recursion", "--gmax", str(cli.MAX_RECURSION_GENUS + 1)],
-        ["verify", "--check", "grr", "--gmax", "9" * 30],
-        ["satake", "--g", str(cli.MAX_SATAKE_GENUS + 1)],
-        ["satake", "--g", "3", "--p", str(cli.MAX_SATAKE_PRIME + 1)],
-    ],
-    ids=" ".join,
-)
-def test_input_caps_are_usage_errors(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, "verify", "--check", "grr", "--g", "3", "--gmax", "2")
     assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and "capped at" in err
+    assert err.count("\n") == 1 and "not allowed with argument --g" in err
+
+
+def _cap_case(argv, option, cap):
+    return [*argv, option, str(cap + 1)], f"{option} is capped at {cap}, got {cap + 1}"
+
+
+_BS, _GRR, _REC = cli.MAX_BOREL_SERRE_GENUS, cli.MAX_GRR_GENUS, cli.MAX_RECURSION_GENUS
+_CAP_CASES = [
+    _cap_case(["bernoulli"], "--n", cli.MAX_BERNOULLI_N),
+    _cap_case(["zeta"], "--g", cli.MAX_ZETA_GENUS),
+    _cap_case(["constant"], "--g", cli.MAX_ZETA_GENUS),
+    (["verify", "--check", "borel-serre", "--g", str(_BS + 2)], f"borel-serre is capped at genus {_BS}, got {_BS + 2}"),
+    (["verify", "--check", "all", "--gmax", str(_BS + 1)], f"borel-serre is capped at genus {_BS}, got {_BS + 1}"),
+    (["verify", "--check", "grr", "--g", str(_GRR + 1)], f"grr is capped at genus {_GRR}, got {_GRR + 1}"),
+    (["verify", "--check", "recursion", "--gmax", str(_REC + 1)], f"recursion is capped at genus {_REC}, got {_REC + 1}"),
+    (["verify", "--check", "grr", "--gmax", "9" * 30], f"grr is capped at genus {_GRR}, got {'9' * 30}"),
+    _cap_case(["satake"], "--g", cli.MAX_SATAKE_GENUS),
+    _cap_case(["satake", "--g", "3"], "--p", cli.MAX_SATAKE_PRIME),
+]
+
+
+@pytest.mark.parametrize("argv, message", _CAP_CASES, ids=[" ".join(argv) for argv, _ in _CAP_CASES])
+def test_input_caps_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"abtaut: error: {message}\n")
 
 
 def test_inputs_at_the_caps_print(capsys):
@@ -284,9 +285,9 @@ def test_verify_looks_up_each_check_when_it_runs(capsys, monkeypatch):
 
 
 def test_verify_unknown_check(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--check", "bogus", "--g", "2"])
-    assert excinfo.value.code == 2
+    code, out, err = run_cli(capsys, "verify", "--check", "bogus", "--g", "2")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "invalid choice: 'bogus'" in err
 
 
 # -- satake ------------------------------------------------------------------
@@ -329,9 +330,9 @@ def test_satake_csv_rejects_p_rank(capsys):
 
 
 def test_csv_unavailable_elsewhere(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["constant", "--g", "2", "--format", "csv"])
-    assert excinfo.value.code == 2
+    code, out, err = run_cli(capsys, "constant", "--g", "2", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "invalid choice: 'csv'" in err
 
 
 @pytest.mark.parametrize(
@@ -347,11 +348,9 @@ def test_csv_unavailable_elsewhere(capsys):
     ids=" ".join,
 )
 def test_argparse_errors_are_one_line(capsys, argv):
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    captured = capsys.readouterr()
-    assert (excinfo.value.code, captured.out) == (2, "")
-    assert captured.err.count("\n") == 1 and captured.err.startswith("abtaut: error: ")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("abtaut: error: ")
 
 
 # -- output contracts ----------------------------------------------------------
@@ -407,10 +406,22 @@ def test_text_format(capsys):
     assert out == "command: constant\nstatus: info\ng: 2\nvalue: 1/120\n"
 
 
-def test_usage_error_names_precondition(capsys):
-    code, out, err = run_cli(capsys, "constant", "--g", "0")
-    assert code == 2
-    assert "--g must be >= 1" in err
+_LEAST_CASES = [
+    (["bernoulli", "--n", "-1"], "--n must be >= 0, got -1"),
+    (["zeta", "--g", "0"], "--g must be >= 1, got 0"),
+    (["constant", "--g", "0"], "--g must be >= 1, got 0"),
+    (["ring", "--g", "0", "--show", "dims"], "--g must be >= 1, got 0"),
+    (["reduce", "--g", "0", "--monomial", "l1"], "--g must be >= 1, got 0"),
+    (["satake", "--g", "0"], "--g must be >= 1, got 0"),
+    (["verify", "--check", "grr", "--g", "0"], "--g must be >= 1, got 0"),
+    (["verify", "--check", "grr", "--gmax", "0"], "--gmax must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _LEAST_CASES, ids=[" ".join(argv) for argv, _ in _LEAST_CASES])
+def test_usage_error_names_precondition(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"abtaut: error: {message}\n")
 
 
 def test_exit_code_on_failure(capsys, monkeypatch):
@@ -438,16 +449,21 @@ print(json.dumps({"imported": imported, "loaded": sorted(sys.modules), "code": c
 """
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's abtaut first on PYTHONPATH."""
+    src = str(Path(abtaut.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_graph():
     # Every request pays for what `import abtaut.cli` loads and for what
     # serving it loads.  `-S` keeps site from preloading modules such as
     # typing, which would hide an import of them.  The library modules stay
     # eager: a tracer that wraps the loaded abtaut modules after this import
     # must find all of them.
-    src = str(Path(abtaut.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = subprocess.run(
-        [sys.executable, "-S", "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-S", "-c", _IMPORT_PROBE],
+        env=_src_env(), capture_output=True, text=True, check=True, timeout=60,
     )
     result = json.loads(probe.stdout)
     assert result["code"] == 0 and json.loads(result["out"])["payload"] == {"g": 2, "value": "1/120"}
@@ -456,6 +472,43 @@ def test_cli_import_graph():
     assert not set(result["loaded"]) & {"argparse", "gettext", "locale", "typing"}
     library = {f"abtaut.{name}" for name in ("rationals", "graded", "charclass", "tautring", "boundary", "satake")}
     assert library <= imported
+
+
+# -- stdout that cannot be written ----------------------------------------------
+
+
+def _assert_one_line_write_error(done):
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("abtaut: error: "), done.stderr
+
+
+_UNWRITTEN = [*REQUESTS, ("help", ["--help"]), ("zeta_help", ["zeta", "--help"])]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in _UNWRITTEN], ids=[name for name, _ in _UNWRITTEN])
+def test_closed_pipe_is_a_usage_error(argv):
+    # the read end is closed before the request starts, so every write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "abtaut.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=_src_env(), text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    _assert_one_line_write_error(done)
+
+
+@pytest.mark.parametrize("redirect", ["> /dev/full", ">&-"], ids=["full device", "closed descriptor"])
+@pytest.mark.parametrize("argv", [["constant", "--g", "2"], ["--help"]], ids=" ".join)
+def test_unwritable_stdout_is_a_usage_error(argv, redirect):
+    done = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "abtaut.cli", *argv],
+        stderr=subprocess.PIPE, env=_src_env(), text=True, timeout=60,
+    )
+    _assert_one_line_write_error(done)
 
 
 # -- every argument vector ends in a result or a usage error --------------------
@@ -540,10 +593,7 @@ def _argv(draw):
 def test_every_argument_vector_succeeds_or_is_a_usage_error(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
@@ -554,12 +604,13 @@ def test_every_argument_vector_succeeds_or_is_a_usage_error(argv):
 # -- the CLI's parser reads argument vectors as argparse did --------------------
 
 
-def _parsed(parse, argv):
-    """parse(argv) with its stderr discarded, or None where it rejects argv."""
+def _parsed(parse, argv, rejection):
+    """parse(argv) with its stderr discarded, or None where it rejects argv
+    by raising the exception rejection."""
     with contextlib.redirect_stderr(io.StringIO()):
         try:
             return parse(argv)
-        except (SystemExit, ValueError):
+        except rejection:
             return None
 
 
@@ -567,8 +618,8 @@ def _parsers_agree(argv) -> bool:
     """Assert that the CLI's parser and argparse both reject argv or both
     read the same command, handler and values; return whether they accepted
     it."""
-    namespace = _parsed(argparse_oracle.build_parser().parse_args, argv)
-    parsed = _parsed(cli._parse, argv)
+    namespace = _parsed(argparse_oracle.build_parser().parse_args, argv, SystemExit)
+    parsed = _parsed(cli._parse, argv, ValueError)
     if namespace is None:
         assert parsed is None
         return False
@@ -607,11 +658,9 @@ def test_parser_rules_agree_with_argparse(argv, accepted):
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"], ["reduce", "--g", "3", "--h"]])
 def test_help_lists_the_commands_and_their_options(capsys, argv):
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    captured = capsys.readouterr()
-    assert (excinfo.value.code, captured.err) == (0, "")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
     commands = cli._COMMANDS if len(argv) == 1 else [argv[0]]
     for command in commands:
-        assert f"\n{command}: " in captured.out
-        assert all(f"  {option} " in captured.out for option in cli._COMMANDS[command][2])
+        assert f"\n{command}: " in out
+        assert all(f"  {option} " in out for option in cli._COMMANDS[command][2])
