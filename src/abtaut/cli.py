@@ -5,7 +5,8 @@ Each invocation writes one line-delimited JSON object per result to stdout
 (``--format text`` for humans, ``--format csv`` for the satake table).
 Timing goes to stderr so that identical invocations produce byte-identical
 stdout.  Exit codes: 0 pass/info, 1 check failure, 2 usage error or output
-that cannot be written.
+that stdout cannot take (closed, full or unable to encode it); a stderr that
+cannot be written changes no exit code.
 
 The options are read from the command table ``_COMMANDS`` by ``_parse``,
 which follows argparse's rules without importing it: argparse and the
@@ -362,38 +363,57 @@ def _check_bounds(args: SimpleNamespace) -> None:
             raise ValueError(f"{name} is capped at {option.cap}, got {value}")
 
 
+def _write(name: str, text: str) -> Exception | None:
+    """Write text to sys.<name> and flush it.  None, or the error when the
+    stream is None or cannot take the text; then, as the SIGPIPE note of the
+    signal module's docs advises, its descriptor points at os.devnull, so the
+    flush at exit writes what is left there and cannot fail again."""
+    stream = getattr(sys, name)
+    try:
+        if stream is None:
+            raise OSError(f"{name} is closed")
+        stream.write(text)
+        stream.flush()
+        return None
+    except (OSError, UnicodeEncodeError) as exc:
+        try:
+            fd = stream.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+        except (AttributeError, OSError, ValueError):
+            return exc  # no descriptor to point anywhere
+        try:
+            os.dup2(devnull, fd)
+        finally:
+            os.close(devnull)
+        return exc
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Serve one request and return its exit code.  _parse reads argv, the
-    bounds are checked, the handler computes and _render makes the text;
-    only main writes, stdout in one write, so a failed write ends in exit 2
-    and one stderr line rather than a traceback."""
+    """Serve one request and return its exit code; no failed write escapes.
+    _parse reads argv, the bounds are checked, the handler computes and
+    _render makes the text.  Then _write writes stdout once and stderr at
+    most once: a usage error or the elapsed time.  A stdout that cannot take
+    the text ends in exit 2 with one stderr line; a stderr that cannot be
+    written changes no exit code."""
+    line = None
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if isinstance(args, str):
-            text, code, elapsed_ms = args, 0, None
+            text, code = args, 0
         else:
             _check_bounds(args)
             started = time.perf_counter()
             envelopes = args.handler(args)
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            line = f"elapsed_ms={(time.perf_counter() - started) * 1000.0:.3f}"
             text = _render(envelopes, args.format)
             code = 1 if any(env["status"] == "fail" for env in envelopes) else 0
     except ValueError as exc:
-        print(f"abtaut: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if sys.stdout is None:
-            raise OSError("stdout is closed")
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except OSError as exc:
-        # As the SIGPIPE note of the signal module's docs advises: the flush
-        # at exit then writes what is left to devnull and cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        print(f"abtaut: error: cannot write the output: {exc}", file=sys.stderr)
-        return 2
-    if elapsed_ms is not None:
-        print(f"elapsed_ms={elapsed_ms:.3f}", file=sys.stderr)
+        text, code, line = "", 2, f"abtaut: error: {exc}"
+    failure = _write("stdout", text) if text else None
+    if failure is not None:
+        code, line = 2, f"abtaut: error: cannot write the output: {failure}"
+    if line is not None:
+        _write("stderr", line + "\n")
     return code
 
 

@@ -482,18 +482,17 @@ class GradedPolynomial:
         return NotImplemented
 
     def __pow__(self, n: int):
+        """Square-and-multiply over ``*``, so that a wrapper on ``__mul__``
+        sees every product."""
         _require_int("GradedPolynomial.__pow__", "n", n, 0)
-        ring = self.ring
-        packing = _packing(ring, ring.bound if ring.bound is not None else n * _max_exponent(self.terms))
-        result = _ONE
-        base = packing.pack(self.terms)
+        result, base = self.ring.one, self
         while n:
             if n & 1:
-                result = result.mul(base, ring.bound)
+                result = result * base
             n >>= 1
             if n:
-                base = base.mul(base, ring.bound)
-        return GradedPolynomial(ring, packing.unpack(result))
+                base = base * base
+        return result
 
     # -- comparisons / display -------------------------------------------
 

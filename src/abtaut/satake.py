@@ -90,15 +90,6 @@ class StratumComparison(namedtuple("StratumComparison", "stratum_index closed_fo
 
     __slots__ = ()
 
-    def as_payload(self) -> dict:
-        return {
-            "i": self.stratum_index,
-            "closed_form": str(self.closed_form),
-            "divisor_route": str(self.divisor_route),
-            "equal": self.equal,
-            "factor": str(self.factor),
-        }
-
 
 class ConsistencyReport(namedtuple("ConsistencyReport", "genus comparisons")):
     """Exact comparison of the closed-form family against the divisor-route
@@ -109,13 +100,6 @@ class ConsistencyReport(namedtuple("ConsistencyReport", "genus comparisons")):
     @property
     def all_equal(self) -> bool:
         return all(c.equal for c in self.comparisons)
-
-    def as_payload(self) -> dict:
-        return {
-            "g": self.genus,
-            "all_equal": self.all_equal,
-            "comparisons": [c.as_payload() for c in self.comparisons],
-        }
 
 
 def consistency_report(g: int) -> ConsistencyReport:

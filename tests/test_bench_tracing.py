@@ -1,8 +1,8 @@
 """The benchmark's tracer, ``bench/tracing.py``, wraps library functions by
 name from outside the package, so a renamed function would break it without
 failing any library test.  These tests load it by path: every target it
-names must resolve, and a traced Borel-Serre check must report time in both
-layers of the roots route."""
+names must resolve, a traced Borel-Serre check must report time in both
+layers of the roots route, and a traced power must report its products."""
 
 import importlib
 import importlib.util
@@ -50,12 +50,16 @@ print(json.dumps(tracing.per_layer(tracer.spans, tracer.counters)))
 """
 
 
-def test_traced_borel_serre_check_reports_the_roots_layers():
+def _src_env() -> dict:
+    """The environment with this checkout's abtaut first on PYTHONPATH."""
     src = str(Path(abtaut.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_traced_borel_serre_check_reports_the_roots_layers():
     done = subprocess.run(
         [sys.executable, "-c", _TRACED_BOREL_SERRE, str(_TRACING)],
-        env=env,
+        env=_src_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -64,3 +68,34 @@ def test_traced_borel_serre_check_reports_the_roots_layers():
     layers = json.loads(done.stdout)
     assert layers["charclass.roots_route_ms"] > 0
     assert layers["charclass.sym_to_elem_ms"] > 0
+
+
+
+_TRACED_POWER = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from abtaut.graded import GradedRing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+(x,) = GradedRing(("x",), (1,), 8).gens()
+power = (1 + x) ** 5
+layers = tracing.per_layer(tracer.spans, tracer.counters)
+print(json.dumps({"mul_calls": layers["graded.mul_calls"], "power": str(power)}))
+"""
+
+
+def test_traced_power_reports_its_products():
+    # a power multiplies through GradedPolynomial.__mul__, which the tracer wraps
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_POWER, str(_TRACING)],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    result = json.loads(done.stdout)
+    assert result["mul_calls"] > 0
+    assert result["power"] == "1 + 5*x + 10*x^2 + 10*x^3 + 5*x^4 + x^5"

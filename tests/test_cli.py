@@ -511,6 +511,116 @@ def test_unwritable_stdout_is_a_usage_error(argv, redirect):
     _assert_one_line_write_error(done)
 
 
+# -- stderr that cannot be written -------------------------------------------
+
+# (argv, exit code): a result, a usage error and the help text
+_STDERR_REQUESTS = [(["constant", "--g", "2"], 0), (["constant", "--g", "0"], 2), (["--help"], 0)]
+_STDERR_IDS = [" ".join(argv) for argv, _ in _STDERR_REQUESTS]
+_DEAD_STREAMS = ["pipe", "/dev/full", "closed"]
+
+
+def _run_with_dead_stderr(argv, stderr, stdout_too=False):
+    """Run the CLI as a fresh process whose stderr is a pipe with no reader,
+    /dev/full or closed; with ``stdout_too`` its stdout is the same."""
+    command = [sys.executable, "-m", "abtaut.cli", *argv]
+    if stderr == "pipe":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run(
+                command, stdout=write if stdout_too else subprocess.PIPE, stderr=write,
+                env=_src_env(), text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+    redirect = {"/dev/full": "2> /dev/full", "closed": "2>&-"}[stderr]
+    if stdout_too:
+        redirect += " > /dev/full" if stderr == "/dev/full" else " >&-"
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", *command],
+        stdout=None if stdout_too else subprocess.PIPE, env=_src_env(), text=True, timeout=60,
+    )
+
+
+def _stdout_of(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(list(argv))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("stderr", _DEAD_STREAMS)
+@pytest.mark.parametrize("argv, code", _STDERR_REQUESTS, ids=_STDERR_IDS)
+def test_unwritable_stderr_changes_no_exit_code(argv, code, stderr):
+    # an uncaught error would end in exit 1, or 120 if the flush at exit failed
+    done = _run_with_dead_stderr(argv, stderr)
+    assert done.returncode == code
+    assert done.stdout == _stdout_of(argv)
+
+
+@pytest.mark.parametrize("stderr", _DEAD_STREAMS)
+@pytest.mark.parametrize("argv", [argv for argv, _ in _STDERR_REQUESTS], ids=_STDERR_IDS)
+def test_unwritable_stdout_and_stderr_exit_2(argv, stderr):
+    assert _run_with_dead_stderr(argv, stderr, stdout_too=True).returncode == 2
+
+
+def test_output_stdout_cannot_encode_is_a_usage_error():
+    # \d in the polynomial grammar reads the Arabic-Indic digit three, and
+    # the payload echoes the input, which ascii cannot encode
+    done = subprocess.run(
+        [sys.executable, "-m", "abtaut.cli", "reduce", "--g", "2", "--monomial", "\u0663*l1"],
+        capture_output=True, env={**_src_env(), "PYTHONIOENCODING": "ascii"}, text=True, timeout=60,
+    )
+    _assert_one_line_write_error(done)
+    assert done.stdout == ""
+    assert done.stderr.startswith("abtaut: error: cannot write the output: 'ascii' codec can't encode")
+
+
+class _Unwritable(io.StringIO):
+    """A stream whose every write raises ``error``."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+_WRITE_ERRORS = [
+    BrokenPipeError(32, "Broken pipe"),
+    OSError(28, "No space left on device"),
+    UnicodeEncodeError("ascii", "\u0663", 0, 1, "ordinal not in range(128)"),
+]
+
+
+@pytest.mark.parametrize("error", _WRITE_ERRORS, ids=lambda error: type(error).__name__)
+def test_main_returns_its_code_when_stderr_fails(monkeypatch, error):
+    from abtaut import boundary
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(_Unwritable(error)):
+        assert main(["constant", "--g", "2"]) == 0
+        assert main(["constant", "--g", "0"]) == 2
+        monkeypatch.setattr(boundary, "boundary_constant", lambda g: Fraction(1))
+        assert main(["verify", "--check", "grr", "--g", "2"]) == 1
+
+
+@pytest.mark.parametrize("error", _WRITE_ERRORS, ids=lambda error: type(error).__name__)
+def test_main_returns_2_when_stdout_fails(error):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_Unwritable(error)), contextlib.redirect_stderr(err):
+        assert main(["constant", "--g", "2"]) == 2
+    assert err.getvalue() == f"abtaut: error: cannot write the output: {error}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_main_returns_0_with_stderr_on_a_full_device():
+    out = io.StringIO()
+    with open("/dev/full", "w") as full, contextlib.redirect_stdout(out), contextlib.redirect_stderr(full):
+        assert main(["constant", "--g", "2"]) == 0
+    assert json.loads(out.getvalue())["payload"] == {"g": 2, "value": "1/120"}
+
+
 # -- every argument vector ends in a result or a usage error --------------------
 
 _NUMBER = "9" * 30

@@ -1,5 +1,6 @@
 """The report records: keyword construction, immutability, a repr that names
-the class and its fields in order, and the payloads the CLI prints."""
+the class and its fields in order, and the payloads the CLI prints.  Only
+the records the CLI prints have a payload."""
 
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ _COMPARISON_FIELDS = {
     "factor": Fraction(-1),
 }
 _COMPARISON = satake.StratumComparison(**_COMPARISON_FIELDS)
-_COMPARISON_PAYLOAD = {"i": 1, "closed_form": "-120", "divisor_route": "120", "equal": False, "factor": "-1"}
 
 # (record type, its fields in declaration order, as_payload() or None where the type has none)
 _RECORDS = [
@@ -44,12 +44,8 @@ _RECORDS = [
         {"stratum_index": 2, "coefficient": Fraction(-1440), "label": (1, 2)},
         {"i": 2, "coefficient": "-1440", "label": [1, 2]},
     ),
-    (satake.StratumComparison, _COMPARISON_FIELDS, _COMPARISON_PAYLOAD),
-    (
-        satake.ConsistencyReport,
-        {"genus": 2, "comparisons": (_COMPARISON,)},
-        {"g": 2, "all_equal": False, "comparisons": [_COMPARISON_PAYLOAD]},
-    ),
+    (satake.StratumComparison, _COMPARISON_FIELDS, None),
+    (satake.ConsistencyReport, {"genus": 2, "comparisons": (_COMPARISON,)}, None),
     (
         satake.RecursionReport,
         {"genus": 2, "ok": True, "steps": ((1, True), (2, True))},
