@@ -64,8 +64,8 @@ _NO_DELTA = PushforwardResult(Fraction(0))
 
 def _as_poly(p: BoundaryClass | GradedPolynomial) -> GradedPolynomial:
     poly = p.poly if isinstance(p, BoundaryClass) else p
-    if poly.ring.names != _PI_T.names or poly.ring.weights != _PI_T.weights:
-        raise ValueError("pushforward expects a polynomial in the Pi, T alphabet")
+    if poly.ring != _PI_T:
+        raise ValueError(f"pushforward expects a polynomial of {_PI_T!r}, got one of {poly.ring!r}")
     return poly
 
 

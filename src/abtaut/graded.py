@@ -70,27 +70,20 @@ class _Kernel:
 
     @staticmethod
     def reduced(den: int, parts: dict[int, dict[int, int]]) -> "_Kernel":
-        """Divide out the content that ``den`` shares with the numerators;
-        ``parts`` holds no zero numerator and no empty degree."""
-        common = den
-        for part in parts.values():
-            if common == 1:
-                return _Kernel(den, parts)
-            common = gcd(common, *part.values())
+        """The kernel of ``parts[d][key] / den``: zero numerators and empty
+        degrees are dropped, and the content that ``den`` shares with the
+        numerators is divided out."""
+        kept, common = {}, den
+        for d, part in parts.items():
+            if 0 in part.values():
+                part = {k: v for k, v in part.items() if v}
+            if part:
+                kept[d] = part
+                if common != 1:
+                    common = gcd(common, *part.values())
         if common == 1:
-            return _Kernel(den, parts)
-        return _Kernel(den // common, {d: {k: v // common for k, v in part.items()} for d, part in parts.items()})
-
-    @staticmethod
-    def cleaned(den: int, out: dict[int, dict[int, int]]) -> "_Kernel":
-        """``reduced`` after dropping zero numerators and empty degrees."""
-        parts = {}
-        for d, acc in out.items():
-            if 0 in acc.values():
-                acc = {k: v for k, v in acc.items() if v}
-            if acc:
-                parts[d] = acc
-        return _Kernel.reduced(den, parts)
+            return _Kernel(den, kept)
+        return _Kernel(den // common, {d: {k: v // common for k, v in part.items()} for d, part in kept.items()})
 
     def mul(self, other: "_Kernel", bound: int | None) -> "_Kernel":
         """The product, without the degrees above ``bound`` (None keeps all)."""
@@ -110,7 +103,7 @@ class _Kernel:
                     for ka, ca in left:
                         k = ka + kb
                         acc[k] = get(k, 0) + ca * cb
-        return _Kernel.cleaned(self.den * other.den, out)
+        return _Kernel.reduced(self.den * other.den, out)
 
     @staticmethod
     def total(kernels: Iterable["_Kernel"]) -> "_Kernel":
@@ -128,7 +121,7 @@ class _Kernel:
                 get = acc.get
                 for k, v in part.items():
                     acc[k] = get(k, 0) + v * f
-        return _Kernel.cleaned(den, out)
+        return _Kernel.reduced(den, out)
 
     def scaled(self, num: int, den: int = 1) -> "_Kernel":
         """The polynomial times num/den, for integers num != 0 and den > 0."""

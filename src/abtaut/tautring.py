@@ -28,9 +28,8 @@ l1...lg, so R_g is zero above it.  A ring's polynomials therefore live in
 Q[l1..lg] truncated at max(N_g, 2g): at g >= 3 that is N_g, and at g = 1, 2
 it is 2g, the degree of the top relation rel_2g.  Products never form the
 degrees above the bound, and ``parse`` and ``from_terms`` drop input terms
-above it, which can change no normal form.  The untruncated ring is
-``TautRing.ring.with_bound(None)``; ``normal_form`` accepts its polynomials
-too and drops their terms above the socle.
+above it, which can change no normal form.  A ring's queries take only
+polynomials of its own ring, ``TautRing.ring``.
 """
 
 from __future__ import annotations
@@ -145,11 +144,10 @@ class TautRing:
     Normal forms are filled in on first use, in two memos: ``_products``,
     the products NF(l_a * l_k) of a basis element and a generator, and
     ``_rows``, the integer row of each monomial reached so far, its parent's
-    row times l_k.  Rows are only asked for up to the socle degree, so the
-    row memo holds no monomial above it.  A third memo, ``_pairings``, keeps
-    each degree's pairing matrix.  Each memo entry is written once and
-    complete, so the ring is safe for concurrent queries without a lock:
-    threads that race on an entry write equal values.
+    row times l_k.  A third memo, ``_pairings``, keeps each degree's pairing
+    matrix.  Each memo entry is written once and complete, so the ring is
+    safe for concurrent queries without a lock: threads that race on an
+    entry write equal values.
     """
 
     def __init__(self, g: int):
@@ -246,27 +244,23 @@ class TautRing:
             raise ValueError(f"degree must lie in 0..{self.socle_degree}, got {d}")
 
     def _check_polynomial(self, p: GradedPolynomial) -> None:
-        if p.ring.names != self.ring.names or p.ring.weights != self.ring.weights:
-            raise ValueError(f"polynomial alphabet {p.ring!r} does not match this ring (genus {self.genus})")
+        if p.ring != self.ring:
+            raise ValueError(f"polynomial ring {p.ring!r} is not the ring {self.ring!r} of genus {self.genus}")
 
     def normal_form(self, p: GradedPolynomial) -> TautRingElement:
-        """Coordinates of p in the square-free basis.
+        """Coordinates of p, a polynomial of ``ring``, in the square-free basis.
 
         Linear over the rationals; terms of weighted degree above the socle
-        degree vanish in the ring and are dropped.
+        degree reduce to 0.
         """
         self._check_polynomial(p)
-        rows, degree, socle = self._rows, self.ring.degree, self.socle_degree
-        # integer rows summed over one common denominator; a monomial's row
-        # is looked up first, since the memo holds none above the socle
+        rows = self._rows
+        # integer rows summed over one common denominator
         den = lcm(*(c.denominator for c in p.terms.values()))
         coords: dict[Subset, int] = {}
         for exps, c in p.terms.items():
-            row = rows.get(exps)
-            if row is None and degree(exps) > socle:
-                continue
             m = c.numerator * (den // c.denominator)
-            for subset, r in (self._row(exps) if row is None else row).items():
+            for subset, r in (rows.get(exps) or self._row(exps)).items():
                 coords[subset] = coords.get(subset, 0) + m * r
         return TautRingElement._of_valid(self.genus, {s: Fraction(v, den) for s, v in coords.items() if v})
 

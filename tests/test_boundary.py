@@ -80,6 +80,11 @@ def test_pushforward_rejects_wrong_alphabet():
 
     with pytest.raises(ValueError):
         pushforward(2, GradedRing(("a", "b"), (1, 1), None).one)
+    # a bounded copy of the Pi, T ring is another ring
+    bounded = boundary_ring().with_bound(2)
+    message = r"^pushforward expects a polynomial of GradedRing\(Pi:1, T:1; bound=inf\), got one of .*bound=2\)$"
+    with pytest.raises(ValueError, match=message):
+        pushforward(2, bounded.gen(0) ** 2)
 
 
 # -- the quotient term --------------------------------------------------------
