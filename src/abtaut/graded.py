@@ -8,11 +8,15 @@ canonical graded-lex text form such as ``2*l2 - l1^2``.
 
 ``GradedPolynomial.terms`` is the one public representation.  Products,
 powers, ``graded_exp`` and ``graded_log`` run on a private integer kernel
-instead: a common denominator times a map from packed exponent keys to
-integer numerators, grouped by weighted degree (the layout of FLINT's
-``fmpq_mpoly``, with the packed monomials of Monagan–Pearce), so that no
-``Fraction`` is normalised inside a loop.  They convert once on the way in
-and once on the way out.
+instead: a common denominator times one flat map from packed exponent keys
+to integer numerators, so that no ``Fraction`` is normalised inside a loop.
+Each key carries the weighted degree in the field above the exponent
+fields, as Monagan and Pearce pack monomials for graded orders ("Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007): a monomial product is one integer addition, integer order is graded
+order, and truncation at a degree bound is one integer comparison, so a
+product is one pass over the pairs of terms.  They convert once on the way
+in and once on the way out.
 
 ``graded_exp`` and ``graded_log`` are one recurrence in the degree
 operator, which multiplies each pair of homogeneous parts once.  The named
@@ -28,7 +32,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import attrgetter
+from operator import mul
 
 from .rationals import _require_int
 
@@ -55,83 +59,80 @@ def _as_fraction(value) -> Fraction:
 
 
 class _Kernel:
-    """Integer form of a polynomial: the sum of ``parts[d][key] / den``.
+    """Integer form of a polynomial: the sum of ``terms[key] / den``.
 
-    ``den`` is a positive common denominator and ``parts`` maps each weighted
-    degree to its packed monomials (see :class:`_Packing`) and their nonzero
-    integer numerators.  Values are never mutated after construction.
+    ``den`` is a positive common denominator and ``terms`` is one flat map
+    from monomial keys to nonzero integer numerators.  Each key holds the
+    weighted degree above the packed exponents (see :class:`_Packing`;
+    Monagan–Pearce 2007), so integer order on the keys is graded order and
+    a degree bound is a bound on the keys.  Values are never mutated after
+    construction.
     """
 
-    __slots__ = ("den", "parts")
+    __slots__ = ("den", "terms")
 
-    def __init__(self, den: int, parts: dict[int, dict[int, int]]):
+    def __init__(self, den: int, terms: dict[int, int]):
         self.den = den
-        self.parts = parts
+        self.terms = terms
 
     @staticmethod
-    def reduced(den: int, parts: dict[int, dict[int, int]]) -> "_Kernel":
-        """The kernel of ``parts[d][key] / den``: zero numerators and empty
-        degrees are dropped, and the content that ``den`` shares with the
-        numerators is divided out."""
-        kept, common = {}, den
-        for d, part in parts.items():
-            if 0 in part.values():
-                part = {k: v for k, v in part.items() if v}
-            if part:
-                kept[d] = part
-                if common != 1:
-                    common = gcd(common, *part.values())
+    def reduced(den: int, terms: dict[int, int]) -> "_Kernel":
+        """The kernel of ``terms[key] / den``: zero numerators are dropped,
+        and the content that ``den`` shares with the numerators is divided
+        out."""
+        if 0 in terms.values():
+            terms = {k: v for k, v in terms.items() if v}
+        common = gcd(den, *terms.values())
         if common == 1:
-            return _Kernel(den, kept)
-        return _Kernel(den // common, {d: {k: v // common for k, v in part.items()} for d, part in kept.items()})
+            return _Kernel(den, terms)
+        return _Kernel(den // common, {k: v // common for k, v in terms.items()})
 
-    def mul(self, other: "_Kernel", bound: int | None) -> "_Kernel":
-        """The product, without the degrees above ``bound`` (None keeps all)."""
-        out: dict[int, dict[int, int]] = {}
-        right = sorted(other.parts.items())
-        for da, pa in self.parts.items():
-            left = pa.items()
-            for db, pb in right:
-                d = da + db
-                if bound is not None and d > bound:
+    def mul(self, other: "_Kernel", limit: int | None = None) -> "_Kernel":
+        """The product, without the keys from ``limit`` on (None keeps all).
+
+        One double loop: the right operand is walked in key order, so each
+        left term stops at the first product key that reaches the limit."""
+        right = sorted(other.terms.items())
+        if limit is None:
+            # no product key reaches the sum of the largest keys
+            limit = max(self.terms, default=0) + max(other.terms, default=0) + 1
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca in self.terms.items():
+            for kb, cb in right:
+                k = ka + kb
+                if k >= limit:
                     break
-                acc = out.get(d)
-                if acc is None:
-                    acc = out[d] = {}
-                get = acc.get
-                for kb, cb in pb.items():
-                    for ka, ca in left:
-                        k = ka + kb
-                        acc[k] = get(k, 0) + ca * cb
+                out[k] = get(k, 0) + ca * cb
         return _Kernel.reduced(self.den * other.den, out)
 
     @staticmethod
     def total(kernels: Iterable["_Kernel"]) -> "_Kernel":
         """The sum, over one common denominator."""
-        kernels = [k for k in kernels if k.parts]
+        kernels = [k for k in kernels if k.terms]
         den = lcm(*(k.den for k in kernels))
-        out: dict[int, dict[int, int]] = {}
+        out: dict[int, int] = {}
+        get = out.get
         for kernel in kernels:
             f = den // kernel.den
-            for d, part in kernel.parts.items():
-                acc = out.get(d)
-                if acc is None:
-                    out[d] = {k: v * f for k, v in part.items()}
-                    continue
-                get = acc.get
-                for k, v in part.items():
-                    acc[k] = get(k, 0) + v * f
+            for k, v in kernel.terms.items():
+                out[k] = get(k, 0) + v * f
         return _Kernel.reduced(den, out)
 
     def scaled(self, num: int, den: int = 1) -> "_Kernel":
         """The polynomial times num/den, for integers num != 0 and den > 0."""
         if num == 1:
-            return _Kernel.reduced(self.den * den, self.parts)
-        return _Kernel.reduced(self.den * den, {d: {k: v * num for k, v in part.items()} for d, part in self.parts.items()})
+            return _Kernel.reduced(self.den * den, self.terms)
+        return _Kernel.reduced(self.den * den, {k: v * num for k, v in self.terms.items()})
 
-    def homogeneous(self, bound: int) -> dict[int, "_Kernel"]:
-        """The nonzero homogeneous parts of degree at most ``bound``, by degree."""
-        return {d: _Kernel.reduced(self.den, {d: part}) for d, part in self.parts.items() if d <= bound}
+    def homogeneous(self, shift: int, bound: int) -> dict[int, "_Kernel"]:
+        """The nonzero homogeneous parts of degree at most ``bound``, by
+        degree, for keys whose degree field starts at bit ``shift``."""
+        parts: dict[int, dict[int, int]] = {}
+        for k, v in self.terms.items():
+            if (d := k >> shift) <= bound:
+                parts.setdefault(d, {})[k] = v
+        return {d: _Kernel.reduced(self.den, part) for d, part in parts.items()}
 
     # The degree operator D (D x = deg(x) x on homogeneous x) is a derivation,
     # so F = exp(L) solves D F = D(L) F and L = log(1 + A) solves
@@ -139,81 +140,74 @@ class _Kernel:
     #   n F_n = sum_{k=1..n} M_k F_{n-k},   M_n = n A_n - sum_{k=1..n-1} M_k A_{n-k}.
     # Each pair of homogeneous parts is multiplied once (Brent–Kung, 1978).
 
-    def exp(self, bound: int) -> "_Kernel":
+    def exp(self, shift: int, bound: int) -> "_Kernel":
         """sum_k self^k / k! up to degree ``bound``, for zero constant term."""
-        m = {k: part.scaled(k) for k, part in self.homogeneous(bound).items()}
+        m = {k: part.scaled(k) for k, part in self.homogeneous(shift, bound).items()}
         f = [_ONE]
         for n in range(1, bound + 1):
-            f.append(_Kernel.total(mk.mul(f[n - k], None) for k, mk in m.items() if k <= n).scaled(1, n))
+            f.append(_Kernel.total(mk.mul(f[n - k]) for k, mk in m.items() if k <= n).scaled(1, n))
         return _Kernel.total(f)
 
-    def log1p(self, bound: int) -> "_Kernel":
+    def log1p(self, shift: int, bound: int) -> "_Kernel":
         """sum_{k>=1} (-1)^(k+1) self^k / k up to degree ``bound``, for zero
         constant term."""
-        a = self.homogeneous(bound)
+        a = self.homogeneous(shift, bound)
         m: dict[int, _Kernel] = {}
         for n in range(1, bound + 1):
-            lower = _Kernel.total(mk.mul(a[n - k], None) for k, mk in m.items() if n - k in a)
+            lower = _Kernel.total(mk.mul(a[n - k]) for k, mk in m.items() if n - k in a)
             mn = _Kernel.total((a.get(n, _ZERO).scaled(n), lower.scaled(-1)))
-            if mn.parts:
+            if mn.terms:
                 m[n] = mn
         return _Kernel.total(mk.scaled(1, k) for k, mk in m.items())
 
 
 _ZERO = _Kernel(1, {})
-_ONE = _Kernel(1, {0: {0: 1}})
+_ONE = _Kernel(1, {0: 1})
 
 
 _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
-_denominator = attrgetter("denominator")
 
 
 class _Packing:
-    """Packs the exponent vectors of one ring into integer keys.
+    """Packs the exponent vectors of one ring into degree-tagged integer keys.
 
-    Exponent i occupies bits [(n-1-i)w, (n-i)w) of the key, so a monomial
-    product is one integer addition and integer order is the lex order of
-    the exponent vectors.  Callers choose the field width w so that no
-    exponent of a result reaches 2^w; then no field carries into the next.
-    w is 8, 16, 32, ... bits, so that a key of fields up to 64 bits wide
-    decodes in one ``struct`` call.
+    Exponent i occupies bits [(n-1-i)w, (n-i)w) of the key and the weighted
+    degree the bits from ``shift`` = nw up, the layout of Monagan and Pearce
+    (CASC 2007) for graded orders.  So a monomial product is one integer
+    addition, integer order is graded order (by degree, then lex on the
+    exponent vectors), and truncation at a degree bound d is the one
+    comparison key < (d + 1) << shift.  A key is the sum of the generators'
+    keys, each taken as often as its exponent.  Callers choose the field
+    width w so that no exponent of a result reaches 2^w; then no field
+    carries into the next.  w is 8, 16, 32, ... bits, so that a key of
+    fields up to 64 bits wide decodes in one ``struct`` call.
     """
 
-    __slots__ = ("weights", "shifts", "exponents")
+    __slots__ = ("gens", "shift", "exponents")
 
     def __init__(self, weights: tuple[int, ...], width: int):
         n = len(weights)
-        self.weights = weights
-        self.shifts = tuple(range(width * (n - 1), -1, -width))
+        self.shift = shift = width * n
+        self.gens = tuple((w << shift) + (1 << width * (n - 1 - i)) for i, w in enumerate(weights))
         code = _FIELD_CODES.get(width)
         if code is not None:
-            size, unpack = width // 8 * n, struct.Struct(">" + code * n).unpack
-            self.exponents = lambda key: unpack(key.to_bytes(size, "big"))
+            mask, size, unpack = (1 << shift) - 1, shift // 8, struct.Struct(">" + code * n).unpack
+            self.exponents = lambda key: unpack((key & mask).to_bytes(size, "big"))
         else:
-            mask, shifts = (1 << width) - 1, self.shifts
-            self.exponents = lambda key: tuple([(key >> s) & mask for s in shifts])
+            field, shifts = (1 << width) - 1, range(shift - width, -1, -width)
+            self.exponents = lambda key: tuple([(key >> s) & field for s in shifts])
 
     def pack(self, terms: Mapping[Exponents, Fraction]) -> _Kernel:
-        den = lcm(*map(_denominator, terms.values()))
-        parts: dict[int, dict[int, int]] = {}
-        weights, shifts = self.weights, self.shifts
-        for exps, c in terms.items():
-            key = d = 0
-            for e, w, s in zip(exps, weights, shifts):
-                key += e << s
-                d += e * w
-            part = parts.get(d)
-            if part is None:
-                part = parts[d] = {}
-            part[key] = c.numerator * (den // c.denominator)
-        return _Kernel(den, parts)
+        ratios = [c.as_integer_ratio() for c in terms.values()]
+        den = lcm(*[d for _, d in ratios])
+        gens = self.gens
+        return _Kernel(den, {sum(map(mul, exps, gens)): n * (den // d) for exps, (n, d) in zip(terms, ratios)})
 
     def unpack(self, kernel: _Kernel) -> dict[Exponents, Fraction]:
-        den = kernel.den
-        exponents = self.exponents
+        den, exponents = kernel.den, self.exponents
         if den == 1:
-            return {exponents(k): Fraction(v) for part in kernel.parts.values() for k, v in part.items()}
-        return {exponents(k): Fraction(v, den) for part in kernel.parts.values() for k, v in part.items()}
+            return {exponents(k): Fraction(v) for k, v in kernel.terms.items()}
+        return {exponents(k): Fraction(v, den) for k, v in kernel.terms.items()}
 
 
 @lru_cache(maxsize=None)
@@ -464,7 +458,8 @@ class GradedPolynomial:
             return ring.zero
         top = ring.bound if ring.bound is not None else _max_exponent(self.terms) + _max_exponent(other.terms)
         packing = _packing(ring, top)
-        product = packing.pack(self.terms).mul(packing.pack(other.terms), ring.bound)
+        limit = None if ring.bound is None else (ring.bound + 1) << packing.shift
+        product = packing.pack(self.terms).mul(packing.pack(other.terms), limit)
         return GradedPolynomial(ring, packing.unpack(product))
 
     __rmul__ = __mul__
@@ -550,7 +545,7 @@ def graded_exp(a: GradedPolynomial) -> GradedPolynomial:
     if bound is None:
         raise ValueError("graded_exp requires a truncation bound on the ring")
     packing = _packing(a.ring, bound)
-    return GradedPolynomial(a.ring, packing.unpack(packing.pack(a.terms).exp(bound)))
+    return GradedPolynomial(a.ring, packing.unpack(packing.pack(a.terms).exp(packing.shift, bound)))
 
 
 def graded_log(a: GradedPolynomial) -> GradedPolynomial:
@@ -561,7 +556,7 @@ def graded_log(a: GradedPolynomial) -> GradedPolynomial:
     if bound is None:
         raise ValueError("graded_log requires a truncation bound on the ring")
     packing = _packing(a.ring, bound)
-    return GradedPolynomial(a.ring, packing.unpack(packing.pack((a - 1).terms).log1p(bound)))
+    return GradedPolynomial(a.ring, packing.unpack(packing.pack((a - 1).terms).log1p(packing.shift, bound)))
 
 
 # name: (s, sign, exponentiate) for sign * log((e^{st} - 1) / (st)), then exp

@@ -143,11 +143,15 @@ class TautRing:
     construction only groups the 2^g square-free basis monomials by weight.
     Normal forms are filled in on first use, in two memos: ``_products``,
     the products NF(l_a * l_k) of a basis element and a generator, and
-    ``_rows``, the integer row of each monomial reached so far, its parent's
-    row times l_k.  A third memo, ``_pairings``, keeps each degree's pairing
-    matrix.  Each memo entry is written once and complete, so the ring is
-    safe for concurrent queries without a lock: threads that race on an
-    entry write equal values.
+    ``_rows``, the integer row of each monomial reached so far, built as
+    NF(NF(m / l_k) * l_k) from whichever parent m / l_k is known.  Any
+    parent gives the same row: the ring is commutative, so m = (m / l_k) l_k
+    for every l_k dividing m; NF(m / l_k) * l_k then differs from m by an
+    element of the ideal, and modulo a Groebner basis the normal form of a
+    class is unique.  A third memo, ``_pairings``, keeps each degree's
+    pairing matrix.  Each memo entry is written once and complete, so the
+    ring is safe for concurrent queries without a lock: threads that race
+    on an entry write equal values.
     """
 
     def __init__(self, g: int):
@@ -211,12 +215,20 @@ class TautRing:
         return out
 
     def _row(self, exps: Exponents) -> dict[Subset, int]:
-        """The integer normal form of a monomial.  Its parent drops one
-        factor of the last generator present; the missing ancestors are
-        filled in from the nearest one already known."""
+        """The integer normal form of a monomial.  A missing row is its
+        parent's row times l_k, for any parent exps - e_k already known;
+        failing that, the parent that drops one factor of the last generator
+        present is followed down to the nearest known ancestor, and the rows
+        between are filled in."""
         rows = self._rows
-        missing = []
         row = rows.get(exps)
+        if row is not None:
+            return row
+        for k, e in enumerate(exps, start=1):
+            if e and (parent := rows.get(exps[: k - 1] + (e - 1,) + exps[k:])) is not None:
+                row = rows[exps] = self._times(parent, k)
+                return row
+        missing = []
         while row is None:
             k = max(i for i, e in enumerate(exps, start=1) if e)
             missing.append((exps, k))
@@ -255,13 +267,21 @@ class TautRing:
         """
         self._check_polynomial(p)
         rows = self._rows
-        # integer rows summed over one common denominator
-        den = lcm(*(c.denominator for c in p.terms.values()))
+        # integer rows summed over one common denominator; a row of 0 is {}
+        ratios = [c.as_integer_ratio() for c in p.terms.values()]
+        den = lcm(*[d for _, d in ratios])
         coords: dict[Subset, int] = {}
-        for exps, c in p.terms.items():
-            m = c.numerator * (den // c.denominator)
-            for subset, r in (rows.get(exps) or self._row(exps)).items():
-                coords[subset] = coords.get(subset, 0) + m * r
+        get = coords.get
+        for exps, (n, d) in zip(p.terms, ratios):
+            row = rows.get(exps)
+            if row is None:
+                row = self._row(exps)
+            if row:
+                m = n * (den // d)
+                for subset, r in row.items():
+                    coords[subset] = get(subset, 0) + m * r
+        if den == 1:
+            return TautRingElement._of_valid(self.genus, {s: Fraction(v) for s, v in coords.items() if v})
         return TautRingElement._of_valid(self.genus, {s: Fraction(v, den) for s, v in coords.items() if v})
 
     def socle_ratio(self, p: GradedPolynomial) -> Fraction:

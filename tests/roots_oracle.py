@@ -95,29 +95,29 @@ def to_elementary(p: GradedPolynomial, prefix: str = "c") -> GradedPolynomial:
         i = max(k for k, e in enumerate(c_exps) if e > 0)
         prev = list(c_exps)
         prev[i] -= 1
-        result = expansion(tuple(prev)).mul(elementary[i + 1], None)
+        result = expansion(tuple(prev)).mul(elementary[i + 1])
         expansions[c_exps] = result
         return result
 
     numerators = packing.pack(p.terms)
     out: dict[tuple[int, ...], int] = {}
-    for d, part in sorted(numerators.parts.items()):
-        work = dict(part)
-        while work:
-            lead_key = max(work)
-            lead = packing.exponents(lead_key)
-            if any(lead[i] < lead[i + 1] for i in range(g - 1)):
-                raise ValueError("leading exponent is not dominant; input is not symmetric")
-            coeff = work[lead_key]
-            c_exps = tuple(lead[i] - (lead[i + 1] if i + 1 < g else 0) for i in range(g))
-            get = work.get
-            for key, v in expansion(c_exps).parts[d].items():
-                r = get(key, 0) - coeff * v
-                if r:
-                    work[key] = r
-                else:
-                    del work[key]
-            out[c_exps] = out.get(c_exps, 0) + coeff
+    # keys order by degree, then lex: the largest key is a leading monomial
+    work = dict(numerators.terms)
+    get = work.get
+    while work:
+        lead_key = max(work)
+        lead = packing.exponents(lead_key)
+        if any(lead[i] < lead[i + 1] for i in range(g - 1)):
+            raise ValueError("leading exponent is not dominant; input is not symmetric")
+        coeff = work[lead_key]
+        c_exps = tuple(lead[i] - (lead[i + 1] if i + 1 < g else 0) for i in range(g))
+        for key, v in expansion(c_exps).terms.items():
+            r = get(key, 0) - coeff * v
+            if r:
+                work[key] = r
+            else:
+                del work[key]
+        out[c_exps] = out.get(c_exps, 0) + coeff
     return target.from_terms({e: Fraction(c, numerators.den) for e, c in out.items()})
 
 
@@ -135,5 +135,5 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
             s = roots.zero
             for j in subset:
                 s = s - xs[j]
-            total = _Kernel.total((total, packing.pack(s.terms).exp(bound).scaled(sign)))
+            total = _Kernel.total((total, packing.pack(s.terms).exp(packing.shift, bound).scaled(sign)))
     return to_elementary(GradedPolynomial(roots, packing.unpack(total)))

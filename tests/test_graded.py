@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import graded_oracle
 import series_oracle
 from argument_contract import rejects
+from abtaut import charclass, graded
 from abtaut import (
     BundleClasses,
     GradedPolynomial,
@@ -175,6 +176,83 @@ def test_kernel_wide_exponents():
     ):
         assert (a * b).terms == graded_oracle.mul(a, b).terms
         assert (a ** 2).terms == graded_oracle.power(a, 2).terms
+
+
+def test_kernel_products_in_the_genus_eight_ring():
+    # l1..l8 of weights 1..8 at the socle bound 36: eight exponent fields
+    # below the degree field
+    R = GradedRing(tuple(f"l{i}" for i in range(1, 9)), tuple(range(1, 9)), 36)
+    rng = random.Random(8)
+
+    def sample(terms):
+        poly = {}
+        for _ in range(terms):
+            exps, remaining = [0] * 8, rng.randint(0, 36)
+            for i in rng.sample(range(8), 8):
+                exps[i] = e = rng.randint(0, remaining // (i + 1))
+                remaining -= e * (i + 1)
+            poly[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+        return R.from_terms(poly)
+
+    for _ in range(20):
+        a, b = sample(rng.randint(1, 8)), sample(rng.randint(1, 8))
+        assert (a * b).terms == graded_oracle.mul(a, b).terms
+    a = sample(6)
+    assert (a ** 3).terms == graded_oracle.power(a, 3).terms
+
+
+@pytest.mark.parametrize("width, bound", [(8, 200), (16, 300), (32, 2 ** 20), (64, 2 ** 40), (128, 2 ** 70)])
+def test_kernel_keeps_the_bound_and_drops_the_next_degree(width, bound):
+    R = GradedRing(("x", "y"), (1, 2), bound)
+    assert graded._packing(R, bound).shift == 2 * width
+    x, y = R.gens()
+    a = R.monomial((bound - 1, 0), Fraction(-3, 2))
+    # x^bound has degree bound and x^(bound-1) y degree bound + 1
+    for left, right in ((a, 1 + x + y), (1 + x + y, a)):
+        assert (left * right).terms == graded_oracle.mul(left, right).terms == {
+            (bound - 1, 0): Fraction(-3, 2),
+            (bound, 0): Fraction(-3, 2),
+        }
+    # y^(bound/2) has degree bound, and x y^(bound/2) degree bound + 1
+    top = R.monomial((0, bound // 2))
+    assert (top * (1 + x)).terms == graded_oracle.mul(top, 1 + x).terms == {(0, bound // 2): 1}
+
+
+@pytest.mark.parametrize("bound", [None, 0, 3])
+def test_kernel_without_generators(bound):
+    # no exponent fields: the degree field starts at bit 0
+    R = GradedRing((), (), bound)
+    assert graded._packing(R, 0).shift == 0
+    a, b = R.constant(Fraction(3, 2)), R.constant(-4)
+    assert (a * b).terms == graded_oracle.mul(a, b).terms == {(): -6}
+    assert (a ** 3).terms == {(): Fraction(27, 8)}
+    assert (a * R.zero).terms == (R.zero * a).terms == {}
+    if bound is not None:
+        assert graded_exp(R.zero) == 1
+        assert graded_log(R.one) == 0
+
+
+@pytest.mark.parametrize("g", [5, 6])
+def test_kernel_top_chern_class_times_the_borel_serre_class(g):
+    # the one-by-many product c_g * F of borel_serre_check
+    b = BundleClasses.generators(g)
+    f = charclass._multiplicative_class(b, "log_one_minus_exp_neg_over_t")
+    c_g = b.chern[g - 1]
+    assert len(f.terms) > 100
+    assert (c_g * f).terms == (f * c_g).terms == graded_oracle.mul(c_g, f).terms
+
+
+def test_exp_and_log_in_the_genus_five_chern_ring():
+    b = BundleClasses.generators(5)
+    assert b.ring.weights == (1, 2, 3, 4, 5) and b.ring.bound == 15
+    c1, c2, c3, c4, c5 = b.chern
+    total = sum(b.chern, b.ring.one)
+    log_total = graded_log(total)
+    assert log_total.terms == graded_oracle.log(total).terms
+    assert graded_exp(log_total) == total
+    a = c1 / 2 - c3 + c5 / 7 + c2 * c4
+    assert graded_exp(a).terms == graded_oracle.exp(a).terms
+    assert graded_log(graded_exp(a)) == a
 
 
 # -- exp and log -----------------------------------------------------------

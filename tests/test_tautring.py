@@ -14,7 +14,7 @@ from abtaut import TautRing, TautRingElement, build_ring, determinant, ring_repo
 from abtaut.tautring import MAX_RING_GENUS
 import gauss_oracle
 from argument_contract import rejects
-from rowreduce_oracle import BasisError, monomials_by_degree, reduce_degree, reduce_maps
+from rowreduce_oracle import BasisError, monomials_by_degree, reduce_degree
 
 
 # -- relation components ----------------------------------------------------
@@ -234,29 +234,59 @@ def test_normal_form_idempotent(ring_cache):
 
 
 @pytest.mark.parametrize("g", list(range(1, 8)))
-def test_normal_forms_match_row_reduction(g, ring_cache):
+def test_normal_forms_match_row_reduction(g, ring_cache, reduction_tables):
     r = ring_cache(g)
     monomials = monomials_by_degree(r.ring.weights, r.socle_degree)
-    for d, oracle in enumerate(reduce_maps(r)):
+    for d, oracle in enumerate(reduction_tables(g)):
         square_free = [m for m in monomials[d] if all(e <= 1 for e in m)]
         assert r.basis_monomials(d) == [r.ring.monomial(m) for m in square_free]
         for exps, coords in oracle.items():
             assert r.normal_form(r.ring.monomial(exps)).coordinates == coords, (g, exps)
 
 
-@pytest.mark.parametrize("g", list(range(1, 7)))
-def test_cold_rings_match_row_reduction(g):
+@pytest.mark.parametrize("g", list(range(1, 8)))
+def test_cold_rings_match_row_reduction(g, reduction_tables):
     # normal forms are filled in on first use, so the order of the queries
     # decides which memo entries exist when each one is computed
-    tables = reduce_maps(TautRing(g))
+    tables = reduction_tables(g)
     oracle = {exps: coords for table in tables for exps, coords in table.items()}
     shuffled = list(oracle)
     random.Random(g).shuffle(shuffled)
     descending = [exps for table in reversed(tables) for exps in table]
-    for order in (shuffled, descending):
+    ascending = list(oracle)
+    for order in (shuffled, descending, ascending):
         r = TautRing(g)
         for exps in order:
+            rows = len(r._rows) + (exps not in r._rows)
             assert r.normal_form(r.ring.monomial(exps)).coordinates == oracle[exps], (g, exps)
+            if order is ascending:
+                # every parent has a lower degree and so is known: the row
+                # is built in one step, and no ancestor is filled in
+                assert len(r._rows) == rows, (g, exps)
+
+
+def test_a_missing_row_comes_from_any_known_parent():
+    r = TautRing(3)
+    l3, l1_l3 = r.ring.monomial((0, 0, 1)), r.ring.monomial((1, 0, 1))
+    assert r.normal_form(l3).coordinates == {(3,): 1}
+    rows = len(r._rows)
+    # l3 is a parent of l1 l3 (through l1), though not the one that drops
+    # the last generator present
+    assert r.normal_form(l1_l3).coordinates == {(1, 3): 1}
+    assert len(r._rows) == rows + 1 and (1, 0, 0) not in r._rows
+
+
+def test_a_row_of_zero_is_read_from_the_memo(monkeypatch):
+    r = TautRing(3)
+    top_chern_squared = r.ring.monomial((0, 0, 2))
+    assert not r.normal_form(top_chern_squared)
+    assert r._rows[(0, 0, 2)] == {}
+
+    def no_rows(exps):
+        raise AssertionError(f"row of {exps} computed again")
+
+    monkeypatch.setattr(r, "_row", no_rows)
+    assert not r.normal_form(top_chern_squared * 5)
 
 
 def _random_polynomial(rng: random.Random, r: TautRing, terms: int):
@@ -272,11 +302,11 @@ def _random_polynomial(rng: random.Random, r: TautRing, terms: int):
 
 
 @pytest.mark.parametrize("g", [4, 5, 6, 7, 8])
-def test_products_match_row_reduction(g):
+def test_products_match_row_reduction(g, reduction_tables):
     # products of two elements up to the socle, formed in the ring, on a cold
     # ring whose memo they fill
     r, rng = TautRing(g), random.Random(f"memo{g}")
-    oracle = {e: c for table in reduce_maps(TautRing(g)) for e, c in table.items()}
+    oracle = {e: c for table in reduction_tables(g) for e, c in table.items()}
     for _ in range(30):
         a, b = (_random_polynomial(rng, r, rng.randint(1, 8)) for _ in range(2))
         p = a * b
