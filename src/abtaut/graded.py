@@ -15,8 +15,12 @@ fields, as Monagan and Pearce pack monomials for graded orders ("Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007): a monomial product is one integer addition, integer order is graded
 order, and truncation at a degree bound is one integer comparison, so a
-product is one pass over the pairs of terms.  They convert once on the way
-in and once on the way out.
+product is one pass over the pairs of terms.  A product keeps its kernel:
+``terms`` decodes it on first read, a later product under the same packing
+takes it as it is, and ``TautRing.normal_form`` reads its integer numerators
+directly.  A bounded ring has one packing, fixed by its bound, so there
+chained products and powers never pass through ``Fraction``; an unbounded
+ring reads ``terms`` to choose each product's field width.
 
 ``graded_exp`` and ``graded_log`` are one recurrence in the degree
 operator, which multiplies each pair of homogeneous parts once.  The named
@@ -198,10 +202,9 @@ class _Packing:
             self.exponents = lambda key: tuple([(key >> s) & field for s in shifts])
 
     def pack(self, terms: Mapping[Exponents, Fraction]) -> _Kernel:
-        ratios = [c.as_integer_ratio() for c in terms.values()]
-        den = lcm(*[d for _, d in ratios])
+        den, numerators = _over_one_denominator(terms)
         gens = self.gens
-        return _Kernel(den, {sum(map(mul, exps, gens)): n * (den // d) for exps, (n, d) in zip(terms, ratios)})
+        return _Kernel(den, {sum(map(mul, exps, gens)): n for exps, n in zip(terms, numerators)})
 
     def unpack(self, kernel: _Kernel) -> dict[Exponents, Fraction]:
         den, exponents = kernel.den, self.exponents
@@ -217,11 +220,16 @@ def _packing_of_width(weights: tuple[int, ...], width: int) -> _Packing:
 
 def _packing(ring: "GradedRing", top: int) -> _Packing:
     """The packing of ``ring``'s exponent vectors whose fields hold every
-    exponent up to ``top``."""
-    width = 8
-    while top >> width:
-        width *= 2
-    return _packing_of_width(ring.weights, width)
+    exponent up to ``top``: the narrowest of 8, 16, 32, ... bits."""
+    return _packing_of_width(ring.weights, max(8, 1 << (top.bit_length() - 1).bit_length()))
+
+
+def _over_one_denominator(terms: Mapping[Exponents, Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator of the coefficients, and each
+    coefficient's numerator over it, in the order of ``terms``."""
+    ratios = [c.as_integer_ratio() for c in terms.values()]
+    den = lcm(*[d for _, d in ratios])
+    return den, [n * (den // d) for n, d in ratios]
 
 
 def _max_exponent(terms: Mapping[Exponents, object]) -> int:
@@ -252,7 +260,7 @@ class GradedRing:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedRing):
             return NotImplemented
-        return (self.names, self.weights, self.bound) == (other.names, other.weights, other.bound)
+        return self is other or (self.names, self.weights, self.bound) == (other.names, other.weights, other.bound)
 
     def __hash__(self) -> int:
         return hash((self.names, self.weights, self.bound))
@@ -359,14 +367,44 @@ class GradedPolynomial:
     """Sparse polynomial attached to a :class:`GradedRing`.
 
     Values behave immutably: every operation returns a fresh polynomial and
-    never mutates its operands, so instances are safe to share.
+    never mutates its operands, so instances are safe to share.  A product
+    holds its value as ``packed``, the pair of its packing and its integer
+    kernel, with ``terms`` None; ``terms`` decodes the kernel on first read
+    and keeps the result, so threads that race on the first read decode
+    equal maps.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms", "_packed")
 
-    def __init__(self, ring: GradedRing, terms: dict[Exponents, Fraction]):
+    def __init__(self, ring: GradedRing, terms: dict[Exponents, Fraction] | None, packed: tuple | None = None):
         self.ring = ring
-        self.terms = terms
+        self._terms = terms
+        self._packed = packed
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """The nonzero coefficients, by exponent vector."""
+        terms = self._terms
+        if terms is None:
+            packing, kernel = self._packed
+            terms = self._terms = packing.unpack(kernel)
+        return terms
+
+    def _kernel(self, packing: _Packing) -> _Kernel:
+        """The kernel under ``packing``: the one held if it has that packing."""
+        if self._packed is not None and self._packed[0] is packing:
+            return self._packed[1]
+        return packing.pack(self.terms)
+
+    def _integers(self) -> tuple[int, Iterable[tuple[Exponents, int]]]:
+        """(den, pairs): the value is the sum of n / den times the monomial
+        of e over the pairs (e, n), with integer n.  A held kernel gives its
+        own numerators and decodes only its keys."""
+        if self._packed is None:
+            den, numerators = _over_one_denominator(self._terms)
+            return den, zip(self._terms, numerators)
+        packing, kernel = self._packed
+        return kernel.den, zip(map(packing.exponents, kernel.terms), kernel.terms.values())
 
     # -- queries ---------------------------------------------------------
 
@@ -390,11 +428,9 @@ class GradedPolynomial:
     def truncate(self, bound: int | None) -> "GradedPolynomial":
         """Drop terms of weighted degree above ``bound``; the result lives in
         the ring with that bound."""
-        target = self.ring.with_bound(bound)
-        if bound is None:
-            return GradedPolynomial(target, dict(self.terms))
         degree = self.ring.degree
-        return GradedPolynomial(target, {e: c for e, c in self.terms.items() if degree(e) <= bound})
+        kept = {e: c for e, c in self.terms.items() if bound is None or degree(e) <= bound}
+        return GradedPolynomial(self.ring.with_bound(bound), kept)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -454,13 +490,10 @@ class GradedPolynomial:
             return NotImplemented
         self._check_ring(other)
         ring = self.ring
-        if not self.terms or not other.terms:
-            return ring.zero
         top = ring.bound if ring.bound is not None else _max_exponent(self.terms) + _max_exponent(other.terms)
         packing = _packing(ring, top)
         limit = None if ring.bound is None else (ring.bound + 1) << packing.shift
-        product = packing.pack(self.terms).mul(packing.pack(other.terms), limit)
-        return GradedPolynomial(ring, packing.unpack(product))
+        return GradedPolynomial(ring, None, (packing, self._kernel(packing).mul(other._kernel(packing), limit)))
 
     __rmul__ = __mul__
 
@@ -511,18 +544,10 @@ class GradedPolynomial:
             return "0"
         parts: list[str] = []
         for exps, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.ring.names, exps):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(self.ring.names, exps) if e]
+            # a coefficient of magnitude 1 is written only without factors
             mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = f"{mag}*" + "*".join(factors)
+            body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
             if not parts:
                 parts.append(("-" if coeff < 0 else "") + body)
             else:
@@ -541,22 +566,24 @@ def graded_exp(a: GradedPolynomial) -> GradedPolynomial:
     """
     if a.constant_term != 0:
         raise ValueError("graded_exp requires a zero constant term")
-    bound = a.ring.bound
-    if bound is None:
-        raise ValueError("graded_exp requires a truncation bound on the ring")
-    packing = _packing(a.ring, bound)
-    return GradedPolynomial(a.ring, packing.unpack(packing.pack(a.terms).exp(packing.shift, bound)))
+    return _on_kernel("graded_exp", _Kernel.exp, a)
 
 
 def graded_log(a: GradedPolynomial) -> GradedPolynomial:
     """Logarithm sum_{k>=1} (-1)^(k+1) (a-1)^k / k of a polynomial with constant term 1."""
     if a.constant_term != 1:
         raise ValueError("graded_log requires constant term 1")
+    return _on_kernel("graded_log", _Kernel.log1p, a - 1)
+
+
+def _on_kernel(name: str, series, a: GradedPolynomial) -> GradedPolynomial:
+    """``series`` (``_Kernel.exp`` or ``_Kernel.log1p``) of a's kernel, up to
+    the bound of a's ring, which ``name`` requires."""
     bound = a.ring.bound
     if bound is None:
-        raise ValueError("graded_log requires a truncation bound on the ring")
+        raise ValueError(f"{name} requires a truncation bound on the ring")
     packing = _packing(a.ring, bound)
-    return GradedPolynomial(a.ring, packing.unpack(packing.pack((a - 1).terms).log1p(packing.shift, bound)))
+    return GradedPolynomial(a.ring, None, (packing, series(a._kernel(packing), packing.shift, bound)))
 
 
 # name: (s, sign, exponentiate) for sign * log((e^{st} - 1) / (st)), then exp

@@ -97,10 +97,6 @@ class ConsistencyReport(namedtuple("ConsistencyReport", "genus comparisons")):
 
     __slots__ = ()
 
-    @property
-    def all_equal(self) -> bool:
-        return all(c.equal for c in self.comparisons)
-
 
 def consistency_report(g: int) -> ConsistencyReport:
     _require_int("consistency_report", "g", g, 2)

@@ -39,7 +39,6 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
 from operator import add
 
 from .graded import GradedPolynomial, GradedRing, _as_fraction
@@ -114,13 +113,8 @@ class TautRingElement:
 
     def to_polynomial(self) -> GradedPolynomial:
         """The element as a polynomial in l1..lg."""
-        terms: dict[Exponents, Fraction] = {}
-        for subset, c in self.coordinates.items():
-            exps = [0] * self.genus
-            for i in subset:
-                exps[i - 1] = 1
-            terms[tuple(exps)] = c
-        return _lambda_ring(self.genus).from_terms(terms)
+        g = self.genus
+        return _lambda_ring(g).from_terms({tuple(int(i in a) for i in range(1, g + 1)): c for a, c in self.coordinates.items()})
 
     def __str__(self) -> str:
         return str(self.to_polynomial())
@@ -141,15 +135,18 @@ class TautRing:
     already zero (see the module docstring).  The rewrite of each l_k^2 is
     written down in closed form from the proven Groebner basis, and
     construction only groups the 2^g square-free basis monomials by weight.
-    Normal forms are filled in on first use, in two memos: ``_products``,
-    the products NF(l_a * l_k) of a basis element and a generator, and
-    ``_rows``, the integer row of each monomial reached so far, built as
+    Normal forms are filled in on first use, in two memos that key each
+    subset a by its bitmask, the sum of 2^(i-1) over i in a: ``_products``,
+    per generator l_k, the products NF(l_a * l_k) of a basis element and
+    l_k, and ``_rows``, the integer row (mask -> int) of each monomial
+    reached so far, built as
     NF(NF(m / l_k) * l_k) from whichever parent m / l_k is known.  Any
     parent gives the same row: the ring is commutative, so m = (m / l_k) l_k
     for every l_k dividing m; NF(m / l_k) * l_k then differs from m by an
     element of the ideal, and modulo a Groebner basis the normal form of a
     class is unique.  A third memo, ``_pairings``, keeps each degree's
-    pairing matrix.  Each memo entry is written once and complete, so the
+    pairing matrix, and ``_subsets``, a table of 2^g entries built with the
+    basis, maps masks back to subset tuples.  Each memo entry is written once and complete, so the
     ring is safe for concurrent queries without a lock: threads that race
     on an entry write equal values.
     """
@@ -169,8 +166,13 @@ class TautRing:
         self._basis: list[list[Exponents]] = [[] for _ in range(self.socle_degree + 1)]
         for exps in product((0, 1), repeat=g):
             self._basis[sum(i for i, e in enumerate(exps, start=1) if e)].append(exps)
-        self._products: dict[tuple[Subset, int], dict[Subset, int]] = {}
-        self._rows: dict[Exponents, dict[Subset, int]] = {(0,) * g: {(): 1}}
+        # the subset of each mask, the sum of 2^(i-1) over i in the subset:
+        # the masks from 2^(i-1) to 2^i - 1 are those below 2^(i-1) plus i
+        self._subsets: list[Subset] = [()]
+        for i in range(1, g + 1):
+            self._subsets += [a + (i,) for a in self._subsets]
+        self._products: list[dict[int, dict[int, int]]] = [{} for _ in range(g)]
+        self._rows: dict[Exponents, dict[int, int]] = {(0,) * g: {0: 1}}
         self._pairings: dict[int, list[list[int]]] = {}
 
     @cached_property
@@ -183,12 +185,12 @@ class TautRing:
         rel = total * dual - 1
         return {d: rel.homogeneous_part(d) for d in range(2, 2 * self.genus + 1, 2)}
 
-    def _times(self, row: Mapping[Subset, int], k: int, out: dict[Subset, int] | None = None) -> dict[Subset, int]:
+    def _times(self, row: Mapping[int, int], k: int, out: dict[int, int] | None = None) -> dict[int, int]:
         """NF(row * l_k), added into ``out`` if given."""
         out = {} if out is None else out
-        products = self._products
+        products = self._products[k - 1]
         for a, c in row.items():
-            p = products.get((a, k))
+            p = products.get(a)
             for b, v in (self._product(a, k) if p is None else p).items():
                 w = out.get(b, 0) + c * v
                 if w:
@@ -197,24 +199,24 @@ class TautRing:
                     del out[b]
         return out
 
-    def _product(self, a: Subset, k: int) -> dict[Subset, int]:
+    def _product(self, a: int, k: int) -> dict[int, int]:
         # l_a * l_k is square-free unless k is in a; then it is l_{a - k}
         # times the rewrite of l_k^2, whose terms are smaller in the term
         # order, so the recursion terminates.
-        if k not in a:
-            out = {tuple(sorted(a + (k,))): 1}
+        bit = 1 << k - 1
+        if not a & bit:
+            out = {a | bit: 1}
         else:
-            rest = tuple(i for i in a if i != k)
             out = {}
             for factors, c in self._tails[k - 1]:
-                row = {rest: c}
+                row = {a ^ bit: c}
                 for f in factors[:-1]:
                     row = self._times(row, f)
                 self._times(row, factors[-1], out)
-        self._products[(a, k)] = out
+        self._products[k - 1][a] = out
         return out
 
-    def _row(self, exps: Exponents) -> dict[Subset, int]:
+    def _row(self, exps: Exponents) -> dict[int, int]:
         """The integer normal form of a monomial.  A missing row is its
         parent's row times l_k, for any parent exps - e_k already known;
         failing that, the parent that drops one factor of the last generator
@@ -267,31 +269,31 @@ class TautRing:
         """
         self._check_polynomial(p)
         rows = self._rows
-        # integer rows summed over one common denominator; a row of 0 is {}
-        ratios = [c.as_integer_ratio() for c in p.terms.values()]
-        den = lcm(*[d for _, d in ratios])
-        coords: dict[Subset, int] = {}
+        # integer rows summed over one common denominator
+        den, pairs = p._integers()
+        coords: dict[int, int] = {}
         get = coords.get
-        for exps, (n, d) in zip(p.terms, ratios):
+        for exps, n in pairs:
             row = rows.get(exps)
             if row is None:
                 row = self._row(exps)
-            if row:
-                m = n * (den // d)
-                for subset, r in row.items():
-                    coords[subset] = get(subset, 0) + m * r
+            for a, r in row.items():
+                coords[a] = get(a, 0) + n * r
+        subsets = self._subsets
         if den == 1:
-            return TautRingElement._of_valid(self.genus, {s: Fraction(v) for s, v in coords.items() if v})
-        return TautRingElement._of_valid(self.genus, {s: Fraction(v, den) for s, v in coords.items() if v})
+            return TautRingElement._of_valid(self.genus, {subsets[a]: Fraction(v) for a, v in coords.items() if v})
+        return TautRingElement._of_valid(self.genus, {subsets[a]: Fraction(v, den) for a, v in coords.items() if v})
 
     def socle_ratio(self, p: GradedPolynomial) -> Fraction:
         """The unique q with normal_form(p) = q * l1l2...lg, for p homogeneous
-        of the socle degree."""
+        of the socle degree.  Such a p has no other coordinate, so only the
+        socle entry of each row is read."""
         self._check_polynomial(p)
         if not p.is_homogeneous_of(self.socle_degree):
             raise ValueError(f"socle_ratio requires a homogeneous polynomial of degree {self.socle_degree}")
-        # the socle subset is valid by construction, so it is read directly
-        return self.normal_form(p).coordinates.get(tuple(range(1, self.genus + 1)), Fraction(0))
+        den, pairs = p._integers()
+        full = (1 << self.genus) - 1
+        return Fraction(sum(n * self._row(exps).get(full, 0) for exps, n in pairs), den)
 
     def pairing_matrix(self, d: int) -> list[list[int]]:
         """Socle ratios of basis products between degrees d and socle_degree - d.
@@ -303,7 +305,7 @@ class TautRing:
         matrix = self._pairings.get(d)
         if matrix is None:
             right = self._basis[self.socle_degree - d]
-            full = tuple(range(1, self.genus + 1))
+            full = (1 << self.genus) - 1
             matrix = [[self._row(tuple(map(add, a, b))).get(full, 0) for b in right] for a in self._basis[d]]
             self._pairings[d] = matrix
         return [row[:] for row in matrix]

@@ -6,8 +6,10 @@ prod_i (1 - e^{-x_i}) off on partitions and converts it through counts of
 exponentials e^{-(x_S)} of the negated subset sums with sign (-1)^{|S|} and
 rewrites the symmetric total in the elementary symmetrics by
 leading-monomial subtraction on full root monomials, each product of
-elementary symmetrics expanded by multiplication.  Tests compare the two
-routes polynomial by polynomial.
+elementary symmetrics expanded by multiplication.  The exponentials and the
+products are ``graded_oracle``'s per-term Fraction loop, so no step runs on
+the library's integer kernel.  Tests compare the two routes polynomial by
+polynomial.
 
 The library builds no bundle over roots, so the root alphabet lives here:
 ``bundle_from_roots`` is the rank-g bundle whose Chern classes are the
@@ -18,11 +20,13 @@ its coefficients on partitions.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
+import graded_oracle
 from abtaut import BundleClasses, GradedPolynomial, GradedRing, charclass
-from abtaut.graded import _Kernel, _packing
 
 
 def _swap_variables(p: GradedPolynomial, i: int, j: int) -> GradedPolynomial:
@@ -79,46 +83,60 @@ def symmetric_to_elementary(p: GradedPolynomial) -> GradedPolynomial:
     return charclass.symmetric_to_elementary(g, dominant).truncate(ring.bound)
 
 
+def _partitions(d: int, parts: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of d into at most ``parts`` parts of at most ``largest``,
+    as nonincreasing ``parts``-tuples, in descending lex order."""
+    if parts == 0:
+        if d == 0:
+            yield ()
+        return
+    for first in range(min(d, largest), -1, -1):
+        for rest in _partitions(d - first, parts - 1, first):
+            yield (first,) + rest
+
+
 def to_elementary(p: GradedPolynomial, prefix: str = "c") -> GradedPolynomial:
     """The symmetric polynomial ``p`` in the root variables, rewritten in the
-    elementary symmetrics ``<prefix>1 .. <prefix>g`` of weights 1..g."""
+    elementary symmetrics ``<prefix>1 .. <prefix>g`` of weights 1..g.
+
+    Each degree is walked through its partitions lam in descending lex order,
+    so the next one with a nonzero coefficient is the leading monomial left;
+    subtracting that coefficient times e_{lam'}, which leads with x^lam,
+    only changes monomials below it.  Anything left at the end is not
+    symmetric."""
     ring = p.ring
     g = ring.ngens
     target = GradedRing(tuple(f"{prefix}{i}" for i in range(1, g + 1)), tuple(range(1, g + 1)), ring.bound)
-    packing = _packing(ring, max(map(sum, p.terms), default=0))
-    elementary = [None] + [packing.pack(elementary_symmetric(ring, k).terms) for k in range(1, g + 1)]
-    expansions: dict[tuple[int, ...], _Kernel] = {(0,) * g: packing.pack(ring.one.terms)}
+    elementary = [None] + [elementary_symmetric(ring, k) for k in range(1, g + 1)]
+    expansions: dict[tuple[int, ...], GradedPolynomial] = {(0,) * g: ring.one}
 
-    def expansion(c_exps: tuple[int, ...]) -> _Kernel:
+    def expansion(c_exps: tuple[int, ...]) -> GradedPolynomial:
         if c_exps in expansions:
             return expansions[c_exps]
         i = max(k for k, e in enumerate(c_exps) if e > 0)
         prev = list(c_exps)
         prev[i] -= 1
-        result = expansion(tuple(prev)).mul(elementary[i + 1])
+        result = graded_oracle.mul(expansion(tuple(prev)), elementary[i + 1])
         expansions[c_exps] = result
         return result
 
-    numerators = packing.pack(p.terms)
-    out: dict[tuple[int, ...], int] = {}
-    # keys order by degree, then lex: the largest key is a leading monomial
-    work = dict(numerators.terms)
+    # integer numerators over one denominator; every expansion is integral
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    work = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
     get = work.get
-    while work:
-        lead_key = max(work)
-        lead = packing.exponents(lead_key)
-        if any(lead[i] < lead[i + 1] for i in range(g - 1)):
-            raise ValueError("leading exponent is not dominant; input is not symmetric")
-        coeff = work[lead_key]
-        c_exps = tuple(lead[i] - (lead[i + 1] if i + 1 < g else 0) for i in range(g))
-        for key, v in expansion(c_exps).terms.items():
-            r = get(key, 0) - coeff * v
-            if r:
-                work[key] = r
-            else:
-                del work[key]
-        out[c_exps] = out.get(c_exps, 0) + coeff
-    return target.from_terms({e: Fraction(c, numerators.den) for e, c in out.items()})
+    out: dict[tuple[int, ...], int] = {}
+    for d in range(max(map(sum, work), default=0), -1, -1):
+        for lam in _partitions(d, g, d):
+            coeff = get(lam)
+            if not coeff:
+                continue
+            c_exps = tuple(lam[i] - (lam[i + 1] if i + 1 < g else 0) for i in range(g))
+            for e, v in expansion(c_exps).terms.items():
+                work[e] = get(e, 0) - coeff * int(v)
+            out[c_exps] = coeff
+    if any(work.values()):
+        raise ValueError("input is not symmetric")
+    return target.from_terms({e: Fraction(c, den) for e, c in out.items()})
 
 
 def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPolynomial:
@@ -126,14 +144,17 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
     if bound is None:
         bound = g * (g + 1) // 2
     roots = GradedRing(tuple(f"x{i}" for i in range(1, g + 1)), (1,) * g, bound)
-    packing = _packing(roots, bound)
-    xs = roots.gens()
-    total = packing.pack({})
+    total = roots.zero
     for i in range(g + 1):
-        sign = (-1) ** i
+        # e^{-(x_1 + ... + x_i)}, then each i-subset S by renaming x_k to
+        # the k-th root of S
+        first = graded_oracle.exp(-sum(roots.gens()[:i], roots.zero)) * (-1) ** i
         for subset in combinations(range(g), i):
-            s = roots.zero
-            for j in subset:
-                s = s - xs[j]
-            total = _Kernel.total((total, packing.pack(s.terms).exp(packing.shift, bound).scaled(sign)))
-    return to_elementary(GradedPolynomial(roots, packing.unpack(total)))
+            moved = {}
+            for exps, c in first.terms.items():
+                e = [0] * g
+                for j, v in zip(subset, exps):
+                    e[j] = v
+                moved[tuple(e)] = c
+            total = total + GradedPolynomial(roots, moved)
+    return to_elementary(total)

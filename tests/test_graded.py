@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -230,6 +232,74 @@ def test_kernel_without_generators(bound):
     if bound is not None:
         assert graded_exp(R.zero) == 1
         assert graded_log(R.one) == 0
+
+
+def _no_decode(*args):
+    raise AssertionError("a kernel was decoded into Fractions")
+
+
+@pytest.mark.parametrize("ngens, bound", [(3, None), (3, 0), (3, 4), (3, 36), (0, None), (0, 2)])
+def test_products_keep_their_kernel(ngens, bound, monkeypatch):
+    R = GradedRing(("x", "y", "z")[:ngens], (1, 2, 3)[:ngens], bound)
+    rng = random.Random(f"kernel{ngens},{bound}")
+    a, b, c = (random_poly(rng, R, max_terms=6, max_exp=3) for _ in range(3))
+    with monkeypatch.context() as m:
+        if bound is not None:
+            # one packing per bounded ring: a product of products takes its
+            # operands' kernels as they are
+            m.setattr(graded._Packing, "unpack", _no_decode)
+        products = [a * b, a * b * c, (a * b) * (b * c), a ** 5, (a * b) ** 3, a * R.zero, R.zero * (a * b), (a - a) * b]
+    expected = [
+        graded_oracle.mul(a, b),
+        graded_oracle.mul(graded_oracle.mul(a, b), c),
+        graded_oracle.mul(graded_oracle.mul(a, b), graded_oracle.mul(b, c)),
+        graded_oracle.power(a, 5),
+        graded_oracle.power(graded_oracle.mul(a, b), 3),
+        R.zero,
+        R.zero,
+        R.zero,
+    ]
+    for product, value in zip(products, expected):
+        assert product.terms == value.terms
+        # decoded once, on the first read, and kept
+        assert product.terms is product.terms
+
+
+def test_products_widen_the_packing_of_an_unbounded_ring():
+    # x^255 fills an 8-bit field; times x it needs a 16-bit one, so the
+    # kernel of x^255 cannot be reused as it is
+    R = GradedRing(("x", "y"), (1, 1), None)
+    x, y = R.gens()
+    top = x ** 255
+    assert top.terms == {(255, 0): 1}
+    for left, right in ((top, x), (x, top), (top + y / 2, top - x), (top * y, top ** 2)):
+        assert (left * right).terms == graded_oracle.mul(left, right).terms
+    assert (top * x * x).terms == {(257, 0): 1}
+
+
+def test_threads_decode_a_shared_product_alike():
+    R = GradedRing(tuple(f"l{i}" for i in range(1, 9)), tuple(range(1, 9)), 36)
+    rng = random.Random(31)
+    a, b = (random_poly(rng, R, max_terms=8, max_exp=3) for _ in range(2))
+    expected = graded_oracle.mul(a, b).terms
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            shared, start, seen = a * b, threading.Barrier(6), []
+
+            def read():
+                start.wait()
+                seen.append(shared.terms)
+
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert len(seen) == 6 and all(terms == expected for terms in seen)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("g", [5, 6])

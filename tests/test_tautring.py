@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtaut import TautRing, TautRingElement, build_ring, determinant, ring_report, zeta_negative_odd
+from abtaut import graded
 from abtaut.tautring import MAX_RING_GENUS
 import gauss_oracle
+import graded_oracle
 from argument_contract import rejects
 from rowreduce_oracle import BasisError, monomials_by_degree, reduce_degree
 
@@ -317,6 +319,42 @@ def test_products_match_row_reduction(g, reduction_tables):
             for subset, v in oracle[e].items():
                 expected[subset] = expected.get(subset, 0) + c * v
         assert nf.coordinates == {s: v for s, v in expected.items() if v}, g
+
+
+def _no_decode(*args):
+    raise AssertionError("a kernel was decoded into Fractions")
+
+
+@pytest.mark.parametrize("g", list(range(1, 8)))
+def test_normal_forms_of_products_read_their_kernels(g, ring_cache, reduction_tables, monkeypatch):
+    # a product holds its kernel; normal_form reads its integer numerators
+    # without decoding it into Fractions
+    r, rng = ring_cache(g), random.Random(f"kernel{g}")
+    oracle = {e: c for table in reduction_tables(g) for e, c in table.items()}
+    pairs = [tuple(_random_polynomial(rng, r, rng.randint(1, 8)) for _ in range(2)) for _ in range(20)]
+    with monkeypatch.context() as m:
+        m.setattr(graded._Packing, "unpack", _no_decode)
+        forms = [r.normal_form(a * b) for a, b in pairs]
+    for (a, b), nf in zip(pairs, forms):
+        assert nf == r.normal_form(r.ring.from_terms((a * b).terms))
+        expected = {}
+        for e, c in graded_oracle.mul(a, b).terms.items():
+            # R_g is zero above the socle, where g = 1, 2 still have terms
+            for subset, v in oracle.get(e, {}).items():
+                expected[subset] = expected.get(subset, 0) + c * v
+        assert nf.coordinates == {s: v for s, v in expected.items() if v}, g
+
+
+@pytest.mark.parametrize("g", list(range(1, 9)))
+def test_socle_ratio_is_the_socle_coordinate(g, ring_cache):
+    r, rng = ring_cache(g), random.Random(f"socle{g}")
+    top, full = r.socle_degree, tuple(range(1, g + 1))
+    for _ in range(20):
+        a, b = (_random_polynomial(rng, r, rng.randint(1, 8)) for _ in range(2))
+        d = rng.randint(0, top)
+        # one input built from terms, one a product holding its kernel
+        for p in ((a * b).homogeneous_part(top), a.homogeneous_part(d) * b.homogeneous_part(top - d)):
+            assert r.socle_ratio(p) == r.normal_form(p).coordinates.get(full, 0), (g, p)
 
 
 def _answer(ring, query):
