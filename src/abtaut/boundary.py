@@ -59,9 +59,6 @@ class PushforwardResult(namedtuple("PushforwardResult", "delta_coefficient")):
     __slots__ = ()
 
 
-_NO_DELTA = PushforwardResult(Fraction(0))
-
-
 def _as_poly(p: BoundaryClass | GradedPolynomial) -> GradedPolynomial:
     poly = p.poly if isinstance(p, BoundaryClass) else p
     if poly.ring != _PI_T:
@@ -77,10 +74,7 @@ def pushforward(g: int, p: BoundaryClass | GradedPolynomial) -> PushforwardResul
     dimension g - 1, so nothing else survives).
     """
     _require_int("pushforward", "g", g, 1)
-    coeff = _as_poly(p).terms.get((2 * g - 2, 0))
-    if coeff is None:
-        return _NO_DELTA
-    return PushforwardResult(coeff * (-1) ** (g - 1) * factorial(2 * g - 2))
+    return PushforwardResult(_as_poly(p).coefficient((2 * g - 2, 0)) * (-1) ** (g - 1) * factorial(2 * g - 2))
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +92,7 @@ def sum_powers_quotient(k: int) -> BoundaryClass:
     """
     _require_int("sum_powers_quotient", "k", k, 1)
     terms = {(2 * k - 2 - r, r): Fraction(comb(2 * k - 1, r + 1) << r) for r in range(2 * k - 1)}
-    return BoundaryClass(k, GradedPolynomial(_PI_T, terms))
+    return BoundaryClass(k, _PI_T.from_terms(terms))
 
 
 def grr_coefficient(g: int) -> Fraction:

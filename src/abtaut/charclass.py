@@ -34,6 +34,7 @@ from .graded import (
     GradedPolynomial,
     GradedRing,
     _as_fraction,
+    _Kernel,
     graded_exp,
     graded_log,
     named_series,
@@ -105,12 +106,17 @@ def dual_bundle(b: BundleClasses) -> BundleClasses:
     return BundleClasses(b.rank, tuple(c * ((-1) ** i) for i, c in enumerate(b.chern, start=1)), b.ring)
 
 
-def _log_chern(b: BundleClasses, factor: Callable[[int], int | Fraction]) -> GradedPolynomial:
-    """log c(E) in the bundle ring, with its degree-k part times ``factor(k)``."""
+def _log_chern(b: BundleClasses, factor: Callable[[int], int | Fraction]) -> dict[int, GradedPolynomial]:
+    """The nonzero homogeneous parts of log c(E) in the bundle ring, by
+    degree k >= 1, each times ``factor(k)``."""
     log_c = graded_log(sum(b.chern, b.ring.one))
-    scale = [0] + [factor(k) for k in range(1, b.ring.bound + 1)]
-    degree = b.ring.degree
-    return GradedPolynomial(b.ring, {e: v for e, c in log_c.terms.items() if (v := c * scale[degree(e)])})
+    parts = log_c._kernel.homogeneous(log_c._packing.shift, b.ring.bound)
+    return {k: log_c._with(part.scaled(*factor(k).as_integer_ratio())) for k, part in parts.items()}
+
+
+def _sum(b: BundleClasses, parts: dict[int, GradedPolynomial]) -> GradedPolynomial:
+    """The sum of parts of the bundle ring, over one denominator."""
+    return b.ring.zero._with(_Kernel.total(p._kernel for p in parts.values()))
 
 
 def newton_power_sums(b: BundleClasses, k_max: int) -> list[GradedPolynomial]:
@@ -123,22 +129,19 @@ def newton_power_sums(b: BundleClasses, k_max: int) -> list[GradedPolynomial]:
     the bound it is zero.
     """
     _require_int("newton_power_sums", "k_max", k_max, 1)
-    parts: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(max(k_max, b.ring.bound) + 1)]
-    degree = b.ring.degree
-    for e, c in _log_chern(b, lambda k: (-1) ** (k + 1) * k).terms.items():
-        parts[degree(e)][e] = c
-    return [b.ring.constant(b.rank)] + [GradedPolynomial(b.ring, part) for part in parts[1 : k_max + 1]]
+    parts = _log_chern(b, lambda k: (-1) ** (k + 1) * k)
+    return [b.ring.constant(b.rank)] + [parts.get(k, b.ring.zero) for k in range(1, k_max + 1)]
 
 
 def chern_character(b: BundleClasses) -> GradedPolynomial:
     """rank + sum_{k>=1} p_k / k!, truncated at the bundle ring's bound."""
-    return b.rank + _log_chern(b, lambda k: Fraction((-1) ** (k + 1), factorial(k - 1)))
+    return b.rank + _sum(b, _log_chern(b, lambda k: Fraction((-1) ** (k + 1), factorial(k - 1))))
 
 
 def _multiplicative_class(b: BundleClasses, series_name: str) -> GradedPolynomial:
     """exp(sum_k series[k] p_k) for a log generating series with zero constant term."""
     series = named_series(series_name, b.ring.bound)
-    return graded_exp(_log_chern(b, lambda k: (-1) ** (k + 1) * k * series[k]))
+    return graded_exp(_sum(b, _log_chern(b, lambda k: (-1) ** (k + 1) * k * series[k])))
 
 
 def todd(b: BundleClasses) -> GradedPolynomial:
@@ -302,7 +305,7 @@ def symmetric_to_elementary(g: int, coefficients: Mapping[tuple[int, ...], int |
                     orbit //= factorial(len(list(run)))
                 orbits[nu] = orbit
             work[nu] = get(nu, 0) - coeff * (count // orbit)
-    return GradedPolynomial(_chern_ring(g, None), out)
+    return _chern_ring(g, None).from_terms(out)
 
 
 def exterior_alternating_sum_dual(g: int) -> GradedPolynomial:
@@ -327,7 +330,7 @@ def exterior_alternating_sum_dual(g: int) -> GradedPolynomial:
                 value //= factorial(v + 1)
             coefficients[nu] = Fraction(-value if d % 2 else value, den)
     out = symmetric_to_elementary(g, coefficients)
-    return GradedPolynomial(_chern_ring(g, bound), {e[:-1] + (e[-1] + 1,): c for e, c in out.terms.items()})
+    return _chern_ring(g, bound).from_terms({e[:-1] + (e[-1] + 1,): c for e, c in out.terms.items()})
 
 
 class BorelSerreReport(namedtuple("BorelSerreReport", "genus ok difference")):

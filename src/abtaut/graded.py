@@ -2,25 +2,28 @@
 
 One engine serves every alphabet used in this package: the Hodge classes
 l1..lg carry weights 1..g, Chern roots and the two boundary divisors carry
-weight 1.  Polynomials are sparse maps from exponent vectors to Fractions,
-optionally truncated above a weighted-degree bound, and they serialize to a
-canonical graded-lex text form such as ``2*l2 - l1^2``.
+weight 1.  Polynomials are sparse, with rational coefficients, optionally
+truncated above a weighted-degree bound, and they serialize to a canonical
+graded-lex text form such as ``2*l2 - l1^2``.
 
-``GradedPolynomial.terms`` is the one public representation.  Products,
-powers, ``graded_exp`` and ``graded_log`` run on a private integer kernel
-instead: a common denominator times one flat map from packed exponent keys
-to integer numerators, so that no ``Fraction`` is normalised inside a loop.
-Each key carries the weighted degree in the field above the exponent
-fields, as Monagan and Pearce pack monomials for graded orders ("Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007): a monomial product is one integer addition, integer order is graded
-order, and truncation at a degree bound is one integer comparison, so a
-product is one pass over the pairs of terms.  A product keeps its kernel:
-``terms`` decodes it on first read, a later product under the same packing
-takes it as it is, and ``TautRing.normal_form`` reads its integer numerators
-directly.  A bounded ring has one packing, fixed by its bound, so there
-chained products and powers never pass through ``Fraction``; an unbounded
-ring reads ``terms`` to choose each product's field width.
+A polynomial is stored in one form, its integer kernel: a common
+denominator times one flat map from packed exponent keys to integer
+numerators, so that no ``Fraction`` is normalised inside a loop.  Each key
+carries the weighted degree in the field above the exponent fields, as
+Monagan and Pearce pack monomials for graded orders ("Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007): a
+monomial product is one integer addition, integer order is graded order,
+and truncation at a degree bound is one integer comparison, so a product
+is one pass over the pairs of terms.  Every route builds the kernel once:
+``from_terms`` and ``parse`` pack their input, and sums, scaling, products,
+powers, parts, ``graded_exp`` and ``graded_log`` work on kernels.
+``GradedPolynomial.terms``, the map from exponent vectors to ``Fraction``,
+is only a view, decoded on first read and kept, and
+``TautRing.normal_form`` reads the integer numerators directly.  The
+fields hold every exponent up to a top degree: the ring's bound, so that a
+bounded ring has one packing, or in an unbounded ring the polynomial's own
+top degree, so that an operand is repacked only when a result needs wider
+fields.
 
 ``graded_exp`` and ``graded_log`` are one recurrence in the degree
 operator, which multiplies each pair of homogeneous parts once.  The named
@@ -36,7 +39,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from .rationals import _require_int
 
@@ -69,8 +72,10 @@ class _Kernel:
     from monomial keys to nonzero integer numerators.  Each key holds the
     weighted degree above the packed exponents (see :class:`_Packing`;
     Monagan–Pearce 2007), so integer order on the keys is graded order and
-    a degree bound is a bound on the keys.  Values are never mutated after
-    construction.
+    a degree bound is a bound on the keys.  A kernel is kept reduced: no
+    zero numerator, and ``den`` shares no factor with all the numerators,
+    so equal polynomials under one packing have equal kernels.  Values are
+    never mutated after construction.
     """
 
     __slots__ = ("den", "terms")
@@ -114,7 +119,7 @@ class _Kernel:
     def total(kernels: Iterable["_Kernel"]) -> "_Kernel":
         """The sum, over one common denominator."""
         kernels = [k for k in kernels if k.terms]
-        den = lcm(*(k.den for k in kernels))
+        den = lcm(*[k.den for k in kernels])
         out: dict[int, int] = {}
         get = out.get
         for kernel in kernels:
@@ -124,10 +129,14 @@ class _Kernel:
         return _Kernel.reduced(den, out)
 
     def scaled(self, num: int, den: int = 1) -> "_Kernel":
-        """The polynomial times num/den, for integers num != 0 and den > 0."""
+        """The polynomial times num/den, for integers num and den > 0."""
         if num == 1:
             return _Kernel.reduced(self.den * den, self.terms)
         return _Kernel.reduced(self.den * den, {k: v * num for k, v in self.terms.items()})
+
+    def between(self, low: int, high: int) -> "_Kernel":
+        """The terms whose keys lie in [low, high): a range of degrees."""
+        return _Kernel.reduced(self.den, {k: v for k, v in self.terms.items() if low <= k < high})
 
     def homogeneous(self, shift: int, bound: int) -> dict[int, "_Kernel"]:
         """The nonzero homogeneous parts of degree at most ``bound``, by
@@ -201,10 +210,16 @@ class _Packing:
             field, shifts = (1 << width) - 1, range(shift - width, -1, -width)
             self.exponents = lambda key: tuple([(key >> s) & field for s in shifts])
 
-    def pack(self, terms: Mapping[Exponents, Fraction]) -> _Kernel:
-        den, numerators = _over_one_denominator(terms)
-        gens = self.gens
-        return _Kernel(den, {sum(map(mul, exps, gens)): n for exps, n in zip(terms, numerators)})
+    def key(self, exponents: Exponents) -> int:
+        return sum(map(mul, exponents, self.gens))
+
+    def repack(self, kernel: _Kernel, into: "_Packing") -> _Kernel:
+        """``kernel`` re-keyed under the packing ``into``, whose fields hold
+        every exponent of it; the kernel itself if ``into`` is this one."""
+        if into is self:
+            return kernel
+        exponents, key = self.exponents, into.key
+        return _Kernel(kernel.den, {key(exponents(k)): v for k, v in kernel.terms.items()})
 
     def unpack(self, kernel: _Kernel) -> dict[Exponents, Fraction]:
         den, exponents = kernel.den, self.exponents
@@ -218,23 +233,13 @@ def _packing_of_width(weights: tuple[int, ...], width: int) -> _Packing:
     return _Packing(weights, width)
 
 
-def _packing(ring: "GradedRing", top: int) -> _Packing:
-    """The packing of ``ring``'s exponent vectors whose fields hold every
-    exponent up to ``top``: the narrowest of 8, 16, 32, ... bits."""
+def _packing(ring: "GradedRing", top: int = 0) -> _Packing:
+    """The packing of ``ring``'s polynomials of top degree ``top``: its
+    fields, the narrowest of 8, 16, 32, ... bits, hold every exponent up to
+    the ring's bound, or in an unbounded ring up to ``top``.  No exponent
+    exceeds the degree, since every weight is at least 1."""
+    top = top if ring.bound is None else ring.bound
     return _packing_of_width(ring.weights, max(8, 1 << (top.bit_length() - 1).bit_length()))
-
-
-def _over_one_denominator(terms: Mapping[Exponents, Fraction]) -> tuple[int, list[int]]:
-    """The least common denominator of the coefficients, and each
-    coefficient's numerator over it, in the order of ``terms``."""
-    ratios = [c.as_integer_ratio() for c in terms.values()]
-    den = lcm(*[d for _, d in ratios])
-    return den, [n * (den // d) for n, d in ratios]
-
-
-def _max_exponent(terms: Mapping[Exponents, object]) -> int:
-    # every exponent vector of one ring has the same length, possibly 0
-    return max(map(max, terms)) if terms and next(iter(terms)) else 0
 
 
 class GradedRing:
@@ -291,7 +296,7 @@ class GradedRing:
 
     @property
     def zero(self) -> "GradedPolynomial":
-        return GradedPolynomial(self, {})
+        return self.constant(0)
 
     @property
     def one(self) -> "GradedPolynomial":
@@ -299,9 +304,8 @@ class GradedRing:
 
     def constant(self, value) -> "GradedPolynomial":
         c = _as_fraction(value)
-        if c == 0:
-            return self.zero
-        return GradedPolynomial(self, {(0,) * self.ngens: c})
+        # the constant monomial has key 0 under every packing
+        return GradedPolynomial(self, _packing(self), _Kernel(c.denominator, {0: c.numerator} if c else {}))
 
     def gen(self, index: int) -> "GradedPolynomial":
         _require_int("GradedRing.gen", "index", index)
@@ -318,17 +322,22 @@ class GradedRing:
         return self.from_terms({tuple(exponents): coefficient})
 
     def from_terms(self, terms: Mapping[Exponents, object]) -> "GradedPolynomial":
-        """Build a polynomial; zero coefficients and terms above the bound are dropped."""
-        clean: dict[Exponents, Fraction] = {}
+        """Build a polynomial; zero coefficients and terms above the bound are
+        dropped before the rest are packed."""
+        bound, degree = self.bound, self.degree
+        kept: list[tuple[Exponents, Fraction, int]] = []
         for exps, coeff in terms.items():
-            exps = self._exponents(exps)
-            c = _as_fraction(coeff)
-            if c == 0:
-                continue
-            if self.bound is not None and self.degree(exps) > self.bound:
-                continue
-            clean[exps] = clean.get(exps, Fraction(0)) + c
-        return GradedPolynomial(self, {e: c for e, c in clean.items() if c != 0})
+            exps, c = self._exponents(exps), _as_fraction(coeff)
+            d = degree(exps)
+            if c and (bound is None or d <= bound):
+                kept.append((exps, c, d))
+        packing = _packing(self, max((d for *_, d in kept), default=0))
+        den = lcm(*[c.denominator for _, c, _ in kept])
+        out: dict[int, int] = {}
+        for exps, c, _ in kept:
+            k = packing.key(exps)
+            out[k] = out.get(k, 0) + c.numerator * (den // c.denominator)
+        return GradedPolynomial(self, packing, _Kernel.reduced(den, out))
 
     def parse(self, text: str) -> "GradedPolynomial":
         """Parse the canonical text grammar: ``+``/``-`` separated terms, each a
@@ -366,71 +375,82 @@ class GradedRing:
 class GradedPolynomial:
     """Sparse polynomial attached to a :class:`GradedRing`.
 
-    Values behave immutably: every operation returns a fresh polynomial and
-    never mutates its operands, so instances are safe to share.  A product
-    holds its value as ``packed``, the pair of its packing and its integer
-    kernel, with ``terms`` None; ``terms`` decodes the kernel on first read
-    and keeps the result, so threads that race on the first read decode
-    equal maps.
+    The one stored form is the pair of a packing and an integer kernel
+    under it; the packing is the ring's (see :func:`_packing`), so it is a
+    function of the ring and, in an unbounded ring, of the polynomial's top
+    degree.  Build polynomials with :meth:`GradedRing.from_terms`,
+    ``parse``, ``constant``, ``monomial`` or ``gen``.  Values behave
+    immutably: every operation returns a fresh polynomial and never mutates
+    its operands, so instances are safe to share.  ``terms`` decodes the
+    kernel on first read and keeps the result, so threads that race on the
+    first read decode equal maps.
     """
 
-    __slots__ = ("ring", "_terms", "_packed")
+    __slots__ = ("ring", "_packing", "_kernel", "_terms")
 
-    def __init__(self, ring: GradedRing, terms: dict[Exponents, Fraction] | None, packed: tuple | None = None):
+    def __init__(self, ring: GradedRing, packing: _Packing, kernel: _Kernel):
+        if ring.bound is None:
+            # an unbounded ring's fields are as wide as the top degree needs
+            fit = _packing(ring, max(kernel.terms, default=0) >> packing.shift)
+            packing, kernel = fit, packing.repack(kernel, fit)
         self.ring = ring
-        self._terms = terms
-        self._packed = packed
+        self._packing = packing
+        self._kernel = kernel
+        self._terms: dict[Exponents, Fraction] | None = None
 
     @property
     def terms(self) -> dict[Exponents, Fraction]:
         """The nonzero coefficients, by exponent vector."""
         terms = self._terms
         if terms is None:
-            packing, kernel = self._packed
-            terms = self._terms = packing.unpack(kernel)
+            terms = self._terms = self._packing.unpack(self._kernel)
         return terms
-
-    def _kernel(self, packing: _Packing) -> _Kernel:
-        """The kernel under ``packing``: the one held if it has that packing."""
-        if self._packed is not None and self._packed[0] is packing:
-            return self._packed[1]
-        return packing.pack(self.terms)
 
     def _integers(self) -> tuple[int, Iterable[tuple[Exponents, int]]]:
         """(den, pairs): the value is the sum of n / den times the monomial
-        of e over the pairs (e, n), with integer n.  A held kernel gives its
-        own numerators and decodes only its keys."""
-        if self._packed is None:
-            den, numerators = _over_one_denominator(self._terms)
-            return den, zip(self._terms, numerators)
-        packing, kernel = self._packed
-        return kernel.den, zip(map(packing.exponents, kernel.terms), kernel.terms.values())
+        of e over the pairs (e, n), with integer n; only the keys are
+        decoded."""
+        kernel = self._kernel
+        return kernel.den, zip(map(self._packing.exponents, kernel.terms), kernel.terms.values())
+
+    def _top(self) -> int:
+        """The top degree, 0 for the zero polynomial."""
+        return max(self._kernel.terms, default=0) >> self._packing.shift
+
+    def _with(self, kernel: _Kernel) -> "GradedPolynomial":
+        return GradedPolynomial(self.ring, self._packing, kernel)
 
     # -- queries ---------------------------------------------------------
 
     def coefficient(self, exponents: Exponents) -> Fraction:
         """The coefficient of one monomial, with its exponent vector checked
-        as by :meth:`GradedRing.from_terms`."""
-        return self.terms.get(self.ring._exponents(exponents), Fraction(0))
+        as by :meth:`GradedRing.from_terms`.  An exponent too wide for its
+        field carries into the degree field, past every key's degree, so
+        the lookup needs no decoding and no width check."""
+        key = self._packing.key(self.ring._exponents(exponents))
+        return Fraction(self._kernel.terms.get(key, 0), self._kernel.den)
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.ngens, Fraction(0))
+        return Fraction(self._kernel.terms.get(0, 0), self._kernel.den)
 
     def homogeneous_part(self, d: int) -> "GradedPolynomial":
-        degree = self.ring.degree
-        return GradedPolynomial(self.ring, {e: c for e, c in self.terms.items() if degree(e) == d})
+        shift = self._packing.shift
+        return self._with(self._kernel.between(d << shift, d + 1 << shift))
 
     def is_homogeneous_of(self, d: int) -> bool:
-        degree = self.ring.degree
-        return all(degree(e) == d for e in self.terms)
+        shift = self._packing.shift
+        return all(k >> shift == d for k in self._kernel.terms)
 
     def truncate(self, bound: int | None) -> "GradedPolynomial":
         """Drop terms of weighted degree above ``bound``; the result lives in
         the ring with that bound."""
-        degree = self.ring.degree
-        kept = {e: c for e, c in self.terms.items() if bound is None or degree(e) <= bound}
-        return GradedPolynomial(self.ring.with_bound(bound), kept)
+        ring = self.ring.with_bound(bound)
+        packing, kernel = self._packing, self._kernel
+        if bound is not None:
+            fit = _packing(ring)
+            packing, kernel = fit, packing.repack(kernel.between(0, bound + 1 << packing.shift), fit)
+        return GradedPolynomial(ring, packing, kernel)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -444,26 +464,15 @@ class GradedPolynomial:
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
         self._check_ring(other)
-        # fold the smaller operand into a copy of the larger: term order is
-        # not part of the value
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for e, c in small.items():
-            if e not in out:
-                if c:
-                    out[e] = c
-            elif v := out[e] + c:
-                out[e] = v
-            else:
-                del out[e]
-        return GradedPolynomial(self.ring, out)
+        # the wider packing of the two holds both; a bounded ring has one
+        packing = max(self._packing, other._packing, key=attrgetter("shift"))
+        kernels = (self._packing.repack(self._kernel, packing), other._packing.repack(other._kernel, packing))
+        return GradedPolynomial(self.ring, packing, _Kernel.total(kernels))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPolynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return self._with(self._kernel.scaled(-1))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -478,10 +487,7 @@ class GradedPolynomial:
         return NotImplemented
 
     def _scale(self, value) -> "GradedPolynomial":
-        c = _as_fraction(value)
-        if c == 0:
-            return self.ring.zero
-        return GradedPolynomial(self.ring, {e: c * v for e, v in self.terms.items()})
+        return self._with(self._kernel.scaled(*_as_fraction(value).as_integer_ratio()))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -490,10 +496,12 @@ class GradedPolynomial:
             return NotImplemented
         self._check_ring(other)
         ring = self.ring
-        top = ring.bound if ring.bound is not None else _max_exponent(self.terms) + _max_exponent(other.terms)
+        # in an unbounded ring the top degrees add: Q[x] has no zero divisors
+        top = ring.bound if ring.bound is not None else self._top() + other._top()
         packing = _packing(ring, top)
-        limit = None if ring.bound is None else (ring.bound + 1) << packing.shift
-        return GradedPolynomial(ring, None, (packing, self._kernel(packing).mul(other._kernel(packing), limit)))
+        a = self._packing.repack(self._kernel, packing)
+        b = other._packing.repack(other._kernel, packing)
+        return GradedPolynomial(ring, packing, a.mul(b, top + 1 << packing.shift))
 
     __rmul__ = __mul__
 
@@ -518,21 +526,25 @@ class GradedPolynomial:
     # -- comparisons / display -------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._kernel.terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             # a bool compares as the number it is, as it does with a Fraction
-            return self.terms.keys() <= {(0,) * self.ring.ngens} and self.constant_term == other
+            return self._kernel.terms.keys() <= {0} and self.constant_term == other
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        # the packing is a function of the ring and the keys' top degree, and
+        # kernels are reduced, so equal values have equal kernels
+        a, b = self._kernel, other._kernel
+        return self.ring == other.ring and a.den == b.den and a.terms == b.terms
 
     def __hash__(self) -> int:
         # a constant compares equal to its value, so it hashes like it
-        if not self.terms.keys() - {(0,) * self.ring.ngens}:
+        kernel = self._kernel
+        if kernel.terms.keys() <= {0}:
             return hash(self.constant_term)
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, kernel.den, frozenset(kernel.terms.items())))
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in graded-lex order: by weighted degree, then by exponent vector."""
@@ -582,8 +594,7 @@ def _on_kernel(name: str, series, a: GradedPolynomial) -> GradedPolynomial:
     bound = a.ring.bound
     if bound is None:
         raise ValueError(f"{name} requires a truncation bound on the ring")
-    packing = _packing(a.ring, bound)
-    return GradedPolynomial(a.ring, None, (packing, series(a._kernel(packing), packing.shift, bound)))
+    return a._with(series(a._kernel, a._packing.shift, bound))
 
 
 # name: (s, sign, exponentiate) for sign * log((e^{st} - 1) / (st)), then exp

@@ -35,7 +35,7 @@ def _swap_variables(p: GradedPolynomial, i: int, j: int) -> GradedPolynomial:
         e = list(exps)
         e[i], e[j] = e[j], e[i]
         out[tuple(e)] = c
-    return GradedPolynomial(p.ring, out)
+    return p.ring.from_terms(out)
 
 
 def is_symmetric(p: GradedPolynomial) -> bool:
@@ -57,7 +57,7 @@ def elementary_symmetric(ring: GradedRing, k: int) -> GradedPolynomial:
         for i in subset:
             exps[i] = 1
         terms[tuple(exps)] = Fraction(1)
-    return GradedPolynomial(ring, terms)
+    return ring.from_terms(terms)
 
 
 def bundle_from_roots(g: int, bound: int | None = None) -> BundleClasses:
@@ -144,17 +144,16 @@ def exterior_alternating_sum_dual(g: int, bound: int | None = None) -> GradedPol
     if bound is None:
         bound = g * (g + 1) // 2
     roots = GradedRing(tuple(f"x{i}" for i in range(1, g + 1)), (1,) * g, bound)
-    total = roots.zero
+    total: dict[tuple[int, ...], Fraction] = {}
     for i in range(g + 1):
-        # e^{-(x_1 + ... + x_i)}, then each i-subset S by renaming x_k to
-        # the k-th root of S
-        first = graded_oracle.exp(-sum(roots.gens()[:i], roots.zero)) * (-1) ** i
+        # (-1)^i e^{-(x_1 + ... + x_i)}, then each i-subset S by renaming
+        # x_k to the k-th root of S
+        first = graded_oracle.exp(roots.from_terms({tuple(int(k == j) for k in range(g)): -1 for j in range(i)}))
         for subset in combinations(range(g), i):
-            moved = {}
             for exps, c in first.terms.items():
                 e = [0] * g
                 for j, v in zip(subset, exps):
                     e[j] = v
-                moved[tuple(e)] = c
-            total = total + GradedPolynomial(roots, moved)
-    return to_elementary(total)
+                e = tuple(e)
+                total[e] = total.get(e, 0) + (-1) ** i * c
+    return to_elementary(roots.from_terms(total))

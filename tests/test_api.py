@@ -43,3 +43,17 @@ def test_oracles_use_only_public_names():
                         continue
                     by_design = allowed is not None and module == allowed[0] and allowed[1].match(alias.name)
                     assert by_design, f"{path.name}:{node.lineno} imports {'.'.join(parts)}"
+
+
+def test_readme_route_table_names_every_oracle():
+    # the README's table of second routes cannot go stale: each oracle
+    # module is a row of it
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Second routes\n", 1)[1]
+    table = "\n".join(line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("|"))
+    oracles = sorted(Path(__file__).parent.glob("*_oracle.py"))
+    assert len(oracles) >= 8
+    for path in oracles:
+        assert f"`tests/{path.name}`" in table, path.name
+    for item in (10, 11, 13):
+        assert f"gap (ROADMAP item {item})" in table

@@ -178,6 +178,13 @@ def test_kernel_wide_exponents():
     ):
         assert (a * b).terms == graded_oracle.mul(a, b).terms
         assert (a ** 2).terms == graded_oracle.power(a, 2).terms
+    # in a bounded ring an exponent past the bound is dropped before it is
+    # packed: l2^256 would carry into l1's 8-bit field, l1^(2^64) far past it
+    B = GradedRing(("l1", "l2"), (1, 2), 4)
+    wide = {(1, 0): 1, (0, 256): 1, (2 ** 64, 0): 1, (2 ** 64, 2 ** 64): Fraction(1, 3)}
+    for p in (B.from_terms(wide), B.parse(f"l1 + l2^256 + l1^{2 ** 64} + 1/3*l1^{2 ** 64}*l2^{2 ** 64}")):
+        assert p.terms == {(1, 0): 1} and p == B.gen(0) and hash(p) == hash(B.gen(0))
+        assert (p * p).terms == {(2, 0): 1}
 
 
 def test_kernel_products_in_the_genus_eight_ring():
@@ -238,31 +245,89 @@ def _no_decode(*args):
     raise AssertionError("a kernel was decoded into Fractions")
 
 
-@pytest.mark.parametrize("ngens, bound", [(3, None), (3, 0), (3, 4), (3, 36), (0, None), (0, 2)])
+def _unit(ring, i):
+    """The exponent vector of generator i, or of 1 in a ring without any."""
+    return tuple(int(j == i) for j in range(ring.ngens))
+
+
+# every route that builds a polynomial: (the route on operands a, b, c
+# that hold only their kernels and the text s of a, the same value by
+# graded_oracle on operands that hold their terms)
+_ROUTES = {
+    "from_terms": (lambda R, a, b, c, s: a, lambda R, a, b, c: a),
+    "parse": (lambda R, a, b, c, s: R.parse(s), lambda R, a, b, c: a),
+    "constant": (lambda R, a, b, c, s: R.constant(Fraction(-7, 3)), lambda R, a, b, c: R.from_terms({(0,) * R.ngens: Fraction(-7, 3)})),
+    "monomial": (
+        lambda R, a, b, c, s: R.monomial(_unit(R, 0), Fraction(5, 2)),
+        lambda R, a, b, c: R.from_terms({_unit(R, 0): Fraction(5, 2)}),
+    ),
+    "gen": (
+        lambda R, a, b, c, s: sum(R.gens(), R.constant(2)),
+        lambda R, a, b, c: R.from_terms({**{_unit(R, i): 1 for i in range(R.ngens)}, (0,) * R.ngens: 2}),
+    ),
+    "add": (lambda R, a, b, c, s: a + b, lambda R, a, b, c: graded_oracle.add(a, b)),
+    "subtract": (lambda R, a, b, c, s: a - b - 3, lambda R, a, b, c: graded_oracle.add(graded_oracle.add(a, b, -1), R.one, -3)),
+    "cancel": (lambda R, a, b, c, s: (a + b) - a, lambda R, a, b, c: b),
+    "negate": (lambda R, a, b, c, s: -a, lambda R, a, b, c: graded_oracle.scale(a, -1)),
+    "scale": (lambda R, a, b, c, s: a * Fraction(-6, 5), lambda R, a, b, c: graded_oracle.scale(a, Fraction(-6, 5))),
+    "divide": (lambda R, a, b, c, s: a / 4, lambda R, a, b, c: graded_oracle.scale(a, Fraction(1, 4))),
+    "zero scale": (lambda R, a, b, c, s: 0 * a, lambda R, a, b, c: R.zero),
+    "product": (lambda R, a, b, c, s: a * b, lambda R, a, b, c: graded_oracle.mul(a, b)),
+    "products": (lambda R, a, b, c, s: a * b * c, lambda R, a, b, c: graded_oracle.mul(graded_oracle.mul(a, b), c)),
+    "product of products": (
+        lambda R, a, b, c, s: (a * b) * (b * c),
+        lambda R, a, b, c: graded_oracle.mul(graded_oracle.mul(a, b), graded_oracle.mul(b, c)),
+    ),
+    "zero product": (lambda R, a, b, c, s: (a - a) * b + R.zero * (a * b), lambda R, a, b, c: R.zero),
+    "power": (lambda R, a, b, c, s: a ** 5, lambda R, a, b, c: graded_oracle.power(a, 5)),
+    "power of a product": (lambda R, a, b, c, s: (a * b) ** 3, lambda R, a, b, c: graded_oracle.power(graded_oracle.mul(a, b), 3)),
+    "truncate": (lambda R, a, b, c, s: (a * b).truncate(3), lambda R, a, b, c: graded_oracle.degrees(graded_oracle.mul(a, b), 0, 3, R.with_bound(3))),
+    "unbound": (lambda R, a, b, c, s: a.truncate(None), lambda R, a, b, c: graded_oracle.degrees(a, 0, None, R.with_bound(None))),
+    "homogeneous part": (lambda R, a, b, c, s: a.homogeneous_part(2), lambda R, a, b, c: graded_oracle.degrees(a, 2, 2)),
+    "exp": (lambda R, a, b, c, s: graded_exp(a - a.constant_term), lambda R, a, b, c: graded_oracle.exp(graded_oracle.degrees(a, 1, None))),
+    "log": (
+        lambda R, a, b, c, s: graded_log(a - a.constant_term + 1),
+        lambda R, a, b, c: graded_oracle.log(graded_oracle.add(graded_oracle.degrees(a, 1, None), R.one)),
+    ),
+}
+
+
+@pytest.mark.parametrize("ngens, bound", [(3, None), (3, 0), (3, 4), (3, 36), (0, None), (0, 2), (1, 300), (8, 12)])
 def test_products_keep_their_kernel(ngens, bound, monkeypatch):
-    R = GradedRing(("x", "y", "z")[:ngens], (1, 2, 3)[:ngens], bound)
+    # every route builds the kernel once and runs on it: with decoding into
+    # Fractions switched off, each gives the polynomial graded_oracle does
+    R = GradedRing(tuple(f"x{i}" for i in range(ngens)), tuple(range(1, ngens + 1)), bound)
     rng = random.Random(f"kernel{ngens},{bound}")
-    a, b, c = (random_poly(rng, R, max_terms=6, max_exp=3) for _ in range(3))
+    raw = []
+    for _ in range(3):
+        terms = {}
+        for _ in range(6):
+            # exponents up to 3, degree up to 9
+            exps, remaining = [0] * ngens, rng.randint(0, 9)
+            for i in rng.sample(range(ngens), ngens):
+                exps[i] = e = rng.randint(0, min(3, remaining // (i + 1)))
+                remaining -= e * (i + 1)
+            terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        # a zero coefficient is dropped, and an exponent of 2^64 is past any
+        # bound, so a bounded ring drops it before packing
+        terms[(0,) * ngens] = Fraction(0)
+        if ngens:
+            terms[(2 ** 64,) + (0,) * (ngens - 1)] = Fraction(1)
+        raw.append(terms)
+    operands = [R.from_terms(t) for t in raw]
+    for terms, p in zip(raw, operands):
+        assert p.terms == {e: c for e, c in terms.items() if c and (bound is None or R.degree(e) <= bound)}
+    text = str(operands[0])
+    routes = {name: pair for name, pair in _ROUTES.items() if bound is not None or name not in ("exp", "log")}
     with monkeypatch.context() as m:
-        if bound is not None:
-            # one packing per bounded ring: a product of products takes its
-            # operands' kernels as they are
-            m.setattr(graded._Packing, "unpack", _no_decode)
-        products = [a * b, a * b * c, (a * b) * (b * c), a ** 5, (a * b) ** 3, a * R.zero, R.zero * (a * b), (a - a) * b]
-    expected = [
-        graded_oracle.mul(a, b),
-        graded_oracle.mul(graded_oracle.mul(a, b), c),
-        graded_oracle.mul(graded_oracle.mul(a, b), graded_oracle.mul(b, c)),
-        graded_oracle.power(a, 5),
-        graded_oracle.power(graded_oracle.mul(a, b), 3),
-        R.zero,
-        R.zero,
-        R.zero,
-    ]
-    for product, value in zip(products, expected):
-        assert product.terms == value.terms
+        m.setattr(graded._Packing, "unpack", _no_decode)
+        results = {name: route(R, *(R.from_terms(t) for t in raw), text) for name, (route, _) in routes.items()}
+    for name, (_, oracle) in routes.items():
+        value, expected = results[name], oracle(R, *operands)
+        assert value == expected and hash(value) == hash(expected), name
+        assert value.terms == expected.terms, name
         # decoded once, on the first read, and kept
-        assert product.terms is product.terms
+        assert value.terms is value.terms
 
 
 def test_products_widen_the_packing_of_an_unbounded_ring():
@@ -275,18 +340,36 @@ def test_products_widen_the_packing_of_an_unbounded_ring():
     for left, right in ((top, x), (x, top), (top + y / 2, top - x), (top * y, top ** 2)):
         assert (left * right).terms == graded_oracle.mul(left, right).terms
     assert (top * x * x).terms == {(257, 0): 1}
+    # weights 1 and 2: degree 255 fits 8-bit fields and 256 needs 16-bit
+    # ones, reached by a sum, by from_terms and by a product
+    W = GradedRing(("x", "y"), (1, 2), None)
+    x, y = W.gens()
+    low, high = x ** 253 * y, y ** 128
+    both = {(253, 1): 1, (0, 128): 1}
+    crossed = (low + high, W.from_terms(both), W.parse("x^253*y + y^128"), low * x, (low + x) * (y - 1))
+    expected = (both, both, both, {(254, 1): 1}, graded_oracle.mul(low + x, y - 1).terms)
+    for p, terms in zip(crossed, expected):
+        assert p.terms == terms and p == W.from_terms(terms)
+    # and back below 256 when the top cancels
+    assert (low + high) - high == low and hash((low + high) - high) == hash(low)
 
 
 def test_threads_decode_a_shared_product_alike():
     R = GradedRing(tuple(f"l{i}" for i in range(1, 9)), tuple(range(1, 9)), 36)
     rng = random.Random(31)
     a, b = (random_poly(rng, R, max_terms=8, max_exp=3) for _ in range(2))
-    expected = graded_oracle.mul(a, b).terms
+    # a product, a polynomial built from terms and a sum, each decoded
+    # first by the racing threads
+    builds = [
+        (lambda: a * b, graded_oracle.mul(a, b).terms),
+        (lambda: R.from_terms(a.terms), a.terms),
+        (lambda: a + b, graded_oracle.add(a, b).terms),
+    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
-            shared, start, seen = a * b, threading.Barrier(6), []
+        for build, expected in builds * 20:
+            shared, start, seen = build(), threading.Barrier(6), []
 
             def read():
                 start.wait()

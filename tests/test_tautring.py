@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 import re
 import sys
@@ -325,24 +326,66 @@ def _no_decode(*args):
     raise AssertionError("a kernel was decoded into Fractions")
 
 
+# inputs of normal_form and socle_ratio made from a, built from terms, and
+# b, parsed: (the route, the same polynomial by graded_oracle)
+_QUERY_ROUTES = (
+    (lambda a, b: a * b, graded_oracle.mul),
+    (lambda a, b: a + b, graded_oracle.add),
+    (lambda a, b: a - b / 3, lambda a, b: graded_oracle.add(a, b, Fraction(-1, 3))),
+    (lambda a, b: -a * 4, lambda a, b: graded_oracle.scale(a, -4)),
+    (lambda a, b: b.truncate(None).truncate(b.ring.bound), lambda a, b: b),
+)
+
+
 @pytest.mark.parametrize("g", list(range(1, 8)))
 def test_normal_forms_of_products_read_their_kernels(g, ring_cache, reduction_tables, monkeypatch):
-    # a product holds its kernel; normal_form reads its integer numerators
-    # without decoding it into Fractions
+    # a polynomial holds its kernel, however it was made; normal_form and
+    # socle_ratio read its integer numerators without decoding it into
+    # Fractions
     r, rng = ring_cache(g), random.Random(f"kernel{g}")
     oracle = {e: c for table in reduction_tables(g) for e, c in table.items()}
     pairs = [tuple(_random_polynomial(rng, r, rng.randint(1, 8)) for _ in range(2)) for _ in range(20)]
+    inputs = [(a.terms, str(b)) for a, b in pairs]
+    forms, socles = [], []
     with monkeypatch.context() as m:
         m.setattr(graded._Packing, "unpack", _no_decode)
-        forms = [r.normal_form(a * b) for a, b in pairs]
-    for (a, b), nf in zip(pairs, forms):
-        assert nf == r.normal_form(r.ring.from_terms((a * b).terms))
+        for terms, text in inputs:
+            a, b = r.ring.from_terms(terms), r.ring.parse(text)
+            for route, _ in _QUERY_ROUTES:
+                p = route(a, b)
+                forms.append((p, r.normal_form(p)))
+                top = p.homogeneous_part(r.socle_degree)
+                assert top.is_homogeneous_of(r.socle_degree)
+                socles.append(r.socle_ratio(top))
+    values = [oracle_route(a, b) for a, b in pairs for _, oracle_route in _QUERY_ROUTES]
+    for (p, nf), socle, value in zip(forms, socles, values):
+        assert nf == r.normal_form(r.ring.from_terms(p.terms))
         expected = {}
-        for e, c in graded_oracle.mul(a, b).terms.items():
+        for e, c in value.terms.items():
             # R_g is zero above the socle, where g = 1, 2 still have terms
             for subset, v in oracle.get(e, {}).items():
                 expected[subset] = expected.get(subset, 0) + c * v
         assert nf.coordinates == {s: v for s, v in expected.items() if v}, g
+        assert socle == expected.get(tuple(range(1, g + 1)), 0), g
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_lambda_g_embeds_the_ring_of_one_genus_less(g):
+    # van der Geer ("Cycles on the moduli space of abelian varieties", 1999):
+    # multiplication by lambda_g embeds R_{g-1} in R_g, sending l_a to
+    # l_{a + {g}}, so NF_g(l_g m) = l_g NF_{g-1}(m) for every monomial m in
+    # l_1..l_{g-1}.  The two sides come from two rings, each with its memo;
+    # m runs over exponents up to 3 and degrees up to two past the socle.
+    upper, lower = TautRing(g), TautRing(g - 1)
+    top = lower.socle_degree + 2
+    count = 0
+    for exps in itertools.product(range(4), repeat=g - 1):
+        if sum(i * e for i, e in enumerate(exps, start=1)) <= top:
+            count += 1
+            below = lower.normal_form(lower.ring.monomial(exps))
+            above = upper.normal_form(upper.ring.monomial(exps + (1,)))
+            assert above.coordinates == {a + (g,): c for a, c in below.coordinates.items()}, exps
+    assert g != 8 or count == 3282
 
 
 @pytest.mark.parametrize("g", list(range(1, 9)))
@@ -352,7 +395,7 @@ def test_socle_ratio_is_the_socle_coordinate(g, ring_cache):
     for _ in range(20):
         a, b = (_random_polynomial(rng, r, rng.randint(1, 8)) for _ in range(2))
         d = rng.randint(0, top)
-        # one input built from terms, one a product holding its kernel
+        # a part of a product and a product of parts
         for p in ((a * b).homogeneous_part(top), a.homogeneous_part(d) * b.homogeneous_part(top - d)):
             assert r.socle_ratio(p) == r.normal_form(p).coordinates.get(full, 0), (g, p)
 
