@@ -18,8 +18,9 @@ is one pass over the pairs of terms.  Every route builds the kernel once:
 ``from_terms`` and ``parse`` pack their input, and sums, scaling, products,
 powers, parts, ``graded_exp`` and ``graded_log`` work on kernels.
 ``GradedPolynomial.terms``, the map from exponent vectors to ``Fraction``,
-is only a view, decoded on first read and kept, and
-``TautRing.normal_form`` reads the integer numerators directly.  The
+is only a view, decoded on first read and kept.  ``TautRing`` keys its
+rows by a bounded ring's one packing, so ``normal_form`` looks up the
+kernel's keys and integer numerators as they are, decoding nothing.  The
 fields hold every exponent up to a top degree: the ring's bound, so that a
 bounded ring has one packing, or in an unbounded ring the polynomial's own
 top degree, so that an operand is repacked only when a result needs wider
@@ -405,13 +406,6 @@ class GradedPolynomial:
         if terms is None:
             terms = self._terms = self._packing.unpack(self._kernel)
         return terms
-
-    def _integers(self) -> tuple[int, Iterable[tuple[Exponents, int]]]:
-        """(den, pairs): the value is the sum of n / den times the monomial
-        of e over the pairs (e, n), with integer n; only the keys are
-        decoded."""
-        kernel = self._kernel
-        return kernel.den, zip(map(self._packing.exponents, kernel.terms), kernel.terms.values())
 
     def _top(self) -> int:
         """The top degree, 0 for the zero polynomial."""

@@ -39,9 +39,8 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import add
 
-from .graded import GradedPolynomial, GradedRing, _as_fraction
+from .graded import GradedPolynomial, GradedRing, _as_fraction, _packing
 from .rationals import _require_int
 
 __all__ = [
@@ -135,20 +134,23 @@ class TautRing:
     already zero (see the module docstring).  The rewrite of each l_k^2 is
     written down in closed form from the proven Groebner basis, and
     construction only groups the 2^g square-free basis monomials by weight.
-    Normal forms are filled in on first use, in two memos that key each
-    subset a by its bitmask, the sum of 2^(i-1) over i in a: ``_products``,
-    per generator l_k, the products NF(l_a * l_k) of a basis element and
-    l_k, and ``_rows``, the integer row (mask -> int) of each monomial
-    reached so far, built as
-    NF(NF(m / l_k) * l_k) from whichever parent m / l_k is known.  Any
-    parent gives the same row: the ring is commutative, so m = (m / l_k) l_k
-    for every l_k dividing m; NF(m / l_k) * l_k then differs from m by an
-    element of the ideal, and modulo a Groebner basis the normal form of a
-    class is unique.  A third memo, ``_pairings``, keeps each degree's
-    pairing matrix, and ``_subsets``, a table of 2^g entries built with the
-    basis, maps masks back to subset tuples.  Each memo entry is written once and complete, so the
-    ring is safe for concurrent queries without a lock: threads that race
-    on an entry write equal values.
+    Normal forms are filled in on first use, in two memos of integer rows
+    that key each subset a by its bitmask, the sum of 2^(i-1) over i in a.
+    ``_products`` holds, per generator l_k and by the mask of a, the
+    products NF(l_a * l_k) of a basis element and l_k.  ``_rows`` holds the
+    row (mask -> int) of each monomial reached so far, keyed by the
+    monomial's packed key under the ring's one packing, so a query looks up
+    its kernel's keys as they are and a hit decodes nothing.  A row is
+    built as NF(NF(m / l_k) * l_k) from whichever parent m / l_k is known,
+    the monomial of key(m) - key(l_k).  Any parent gives the same row: the
+    ring is commutative, so m = (m / l_k) l_k for every l_k dividing m;
+    NF(m / l_k) * l_k then differs from m by an element of the ideal, and
+    modulo a Groebner basis the normal form of a class is unique.  A third
+    memo, ``_pairings``, keeps each degree's pairing matrix, and
+    ``_subsets``, a table of 2^g entries built with the basis, maps masks
+    back to subset tuples.  Each memo entry is written once and complete,
+    so the ring is safe for concurrent queries without a lock: threads that
+    race on an entry write equal values.
     """
 
     def __init__(self, g: int):
@@ -172,7 +174,9 @@ class TautRing:
         for i in range(1, g + 1):
             self._subsets += [a + (i,) for a in self._subsets]
         self._products: list[dict[int, dict[int, int]]] = [{} for _ in range(g)]
-        self._rows: dict[Exponents, dict[int, int]] = {(0,) * g: {0: 1}}
+        # a bounded ring has one packing, so its polynomials' keys are row keys
+        self._packing = _packing(self.ring)
+        self._rows: dict[int, dict[int, int]] = {0: {0: 1}}
         self._pairings: dict[int, list[list[int]]] = {}
 
     @cached_property
@@ -216,29 +220,33 @@ class TautRing:
         self._products[k - 1][a] = out
         return out
 
-    def _row(self, exps: Exponents) -> dict[int, int]:
-        """The integer normal form of a monomial.  A missing row is its
-        parent's row times l_k, for any parent exps - e_k already known;
-        failing that, the parent that drops one factor of the last generator
-        present is followed down to the nearest known ancestor, and the rows
-        between are filled in."""
+    def _row(self, key: int) -> dict[int, int]:
+        """The integer normal form of the monomial of a packed key.  A
+        missing row is its parent's row times l_k, for any parent
+        key - key(l_k) already known; failing that, the parent that drops
+        one factor of the last generator present is followed down to the
+        nearest known ancestor, and the rows between are filled in.  Only a
+        miss decodes the key, once."""
         rows = self._rows
-        row = rows.get(exps)
+        row = rows.get(key)
         if row is not None:
             return row
+        gens = self._packing.gens
+        exps = list(self._packing.exponents(key))
         for k, e in enumerate(exps, start=1):
-            if e and (parent := rows.get(exps[: k - 1] + (e - 1,) + exps[k:])) is not None:
-                row = rows[exps] = self._times(parent, k)
+            if e and (parent := rows.get(key - gens[k - 1])) is not None:
+                row = rows[key] = self._times(parent, k)
                 return row
         missing = []
         while row is None:
             k = max(i for i, e in enumerate(exps, start=1) if e)
-            missing.append((exps, k))
-            exps = exps[: k - 1] + (exps[k - 1] - 1,) + exps[k:]
-            row = rows.get(exps)
-        for exps, k in reversed(missing):
+            missing.append((key, k))
+            key -= gens[k - 1]
+            exps[k - 1] -= 1
+            row = rows.get(key)
+        for key, k in reversed(missing):
             row = self._times(row, k)
-            rows[exps] = row
+            rows[key] = row
         return row
 
     # -- queries ---------------------------------------------------------
@@ -268,15 +276,15 @@ class TautRing:
         degree reduce to 0.
         """
         self._check_polynomial(p)
-        rows = self._rows
-        # integer rows summed over one common denominator
-        den, pairs = p._integers()
-        coords: dict[int, int] = {}
+        rows, kernel = self._rows, p._kernel
+        # integer rows summed over one common denominator, looked up by the
+        # kernel's own keys
+        den, coords = kernel.den, {}
         get = coords.get
-        for exps, n in pairs:
-            row = rows.get(exps)
+        for key, n in kernel.terms.items():
+            row = rows.get(key)
             if row is None:
-                row = self._row(exps)
+                row = self._row(key)
             for a, r in row.items():
                 coords[a] = get(a, 0) + n * r
         subsets = self._subsets
@@ -291,9 +299,8 @@ class TautRing:
         self._check_polynomial(p)
         if not p.is_homogeneous_of(self.socle_degree):
             raise ValueError(f"socle_ratio requires a homogeneous polynomial of degree {self.socle_degree}")
-        den, pairs = p._integers()
-        full = (1 << self.genus) - 1
-        return Fraction(sum(n * self._row(exps).get(full, 0) for exps, n in pairs), den)
+        kernel, full = p._kernel, (1 << self.genus) - 1
+        return Fraction(sum(n * self._row(key).get(full, 0) for key, n in kernel.terms.items()), kernel.den)
 
     def pairing_matrix(self, d: int) -> list[list[int]]:
         """Socle ratios of basis products between degrees d and socle_degree - d.
@@ -304,9 +311,10 @@ class TautRing:
         self._check_degree("TautRing.pairing_matrix", d)
         matrix = self._pairings.get(d)
         if matrix is None:
-            right = self._basis[self.socle_degree - d]
-            full = (1 << self.genus) - 1
-            matrix = [[self._row(tuple(map(add, a, b))).get(full, 0) for b in right] for a in self._basis[d]]
+            # the key of a product is the sum of its factors' keys
+            key, full = self._packing.key, (1 << self.genus) - 1
+            right = [key(b) for b in self._basis[self.socle_degree - d]]
+            matrix = [[self._row(a + b).get(full, 0) for b in right] for a in map(key, self._basis[d])]
             self._pairings[d] = matrix
         return [row[:] for row in matrix]
 

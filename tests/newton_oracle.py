@@ -2,16 +2,21 @@
 recursion.
 
 ``charclass.newton_power_sums`` reads p_k off one logarithm,
-log(1 + c_1 + ... + c_rank) = sum_k (-1)^(k-1) p_k / k.  This module is its
-former body: the recursion p_k = e_1 p_{k-1} - e_2 p_{k-2} + ...
-+ (-1)^(k-1) k e_k with e_i = c_i, one polynomial product per step and
-Chern class, in the bundle ring itself.  Tests compare the two routes
-polynomial by polynomial.
+log(1 + c_1 + ... + c_rank) = sum_k (-1)^(k-1) p_k / k, on the integer
+kernel of ``abtaut.graded``.  This module is its former body: the
+recursion p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^(k-1) k e_k with
+e_i = c_i, one polynomial product per step and Chern class, in the bundle
+ring itself.  Its products, sums and scalings are ``graded_oracle``'s
+per-term ``Fraction`` loops, so the two routes share no arithmetic.  Tests
+compare them polynomial by polynomial.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from abtaut import BundleClasses, GradedPolynomial
+from graded_oracle import add, mul, scale
 
 
 def power_sums(b: BundleClasses, k_max: int) -> list[GradedPolynomial]:
@@ -23,9 +28,8 @@ def power_sums(b: BundleClasses, k_max: int) -> list[GradedPolynomial]:
         acc = ring.zero
         for i in range(1, k):
             if i <= b.rank:
-                acc = acc + e[i] * ps[k - i] * ((-1) ** (i - 1))
+                acc = add(acc, mul(e[i], ps[k - i]), Fraction((-1) ** (i - 1)))
         if k <= b.rank:
-            acc = acc + e[k] * ((-1) ** (k - 1) * k)
+            acc = add(acc, scale(e[k], Fraction((-1) ** (k - 1) * k)))
         ps.append(acc)
     return ps
-

@@ -26,7 +26,7 @@ from abtaut import (
     todd,
     todd_dual,
 )
-from abtaut import charclass
+from abtaut import charclass, graded
 from abtaut.charclass import (
     _elementary_expansions,
     _multiplicative_class,
@@ -117,6 +117,19 @@ def test_newton_matches_recursion_oracle(b, k_max):
     for k, (p, q) in enumerate(zip(ps, expected)):
         assert p.ring == q.ring == b.ring, k
         assert p.terms == q.terms, k
+
+
+def test_newton_oracle_shares_no_arithmetic_with_the_kernel(monkeypatch):
+    # the recursion runs while the kernel's products, sums, scalings and
+    # series raise, and matches the library's logarithm route
+    cases = [(b, k_max) for param in newton_cases() for b, k_max in [param.values]]
+    expected = [newton_power_sums(b, k_max) for b, k_max in cases]
+    with monkeypatch.context() as m:
+        for name in ("mul", "total", "scaled", "between", "exp", "log1p"):
+            m.setattr(graded._Kernel, name, _raises)
+        sums = [newton_oracle.power_sums(b, k_max) for b, k_max in cases]
+    for (b, _), ps, qs in zip(cases, expected, sums):
+        assert ps == qs, b.ring
 
 
 def test_newton_requires_positive_k_max():

@@ -17,7 +17,7 @@ from abtaut.tautring import MAX_RING_GENUS
 import gauss_oracle
 import graded_oracle
 from argument_contract import rejects
-from rowreduce_oracle import BasisError, monomials_by_degree, reduce_degree
+from rowreduce_oracle import BasisError, monomials_by_degree, reduce_degree, reduce_maps
 
 
 # -- relation components ----------------------------------------------------
@@ -193,7 +193,7 @@ def test_ring_vanishes_above_the_socle(g):
     monomials = monomials_by_degree(r.ring.weights, n + g)
     for d in range(n + 1, n + g + 1):
         for exps in monomials[d]:
-            assert r._row(exps) == {}, (g, exps)
+            assert r._row(r._packing.key(exps)) == {}, (g, exps)
 
 
 @pytest.mark.parametrize("g", list(range(1, 9)))
@@ -260,7 +260,7 @@ def test_cold_rings_match_row_reduction(g, reduction_tables):
     for order in (shuffled, descending, ascending):
         r = TautRing(g)
         for exps in order:
-            rows = len(r._rows) + (exps not in r._rows)
+            rows = len(r._rows) + (r._packing.key(exps) not in r._rows)
             assert r.normal_form(r.ring.monomial(exps)).coordinates == oracle[exps], (g, exps)
             if order is ascending:
                 # every parent has a lower degree and so is known: the row
@@ -276,17 +276,17 @@ def test_a_missing_row_comes_from_any_known_parent():
     # l3 is a parent of l1 l3 (through l1), though not the one that drops
     # the last generator present
     assert r.normal_form(l1_l3).coordinates == {(1, 3): 1}
-    assert len(r._rows) == rows + 1 and (1, 0, 0) not in r._rows
+    assert len(r._rows) == rows + 1 and r._packing.key((1, 0, 0)) not in r._rows
 
 
 def test_a_row_of_zero_is_read_from_the_memo(monkeypatch):
     r = TautRing(3)
     top_chern_squared = r.ring.monomial((0, 0, 2))
     assert not r.normal_form(top_chern_squared)
-    assert r._rows[(0, 0, 2)] == {}
+    assert r._rows[r._packing.key((0, 0, 2))] == {}
 
-    def no_rows(exps):
-        raise AssertionError(f"row of {exps} computed again")
+    def no_rows(key):
+        raise AssertionError(f"row of key {key} computed again")
 
     monkeypatch.setattr(r, "_row", no_rows)
     assert not r.normal_form(top_chern_squared * 5)
@@ -367,6 +367,53 @@ def test_normal_forms_of_products_read_their_kernels(g, ring_cache, reduction_ta
                 expected[subset] = expected.get(subset, 0) + c * v
         assert nf.coordinates == {s: v for s, v in expected.items() if v}, g
         assert socle == expected.get(tuple(range(1, g + 1)), 0), g
+
+
+def _no_exponents(key):
+    raise AssertionError(f"key {key} was decoded")
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_a_warm_memo_decodes_nothing(g, monkeypatch):
+    # the row memo is keyed by the ring's packed keys, so once the rows a
+    # query needs are known it looks up its kernel's keys as they are:
+    # normal_form, socle_ratio and pairing_matrix decode no key
+    r, rng = TautRing(g), random.Random(f"warm{g}")
+    polys = [_random_polynomial(rng, r, rng.randint(1, 8)) for _ in range(20)]
+    polys += [a * b for a, b in zip(polys[::2], polys[1::2])]
+    socles = [p.homogeneous_part(r.socle_degree) for p in polys]
+
+    def queries():
+        forms = [r.normal_form(p) for p in polys]
+        return forms, [r.socle_ratio(p) for p in socles], [r.pairing_matrix(d) for d in range(r.socle_degree + 1)]
+
+    warm = queries()
+    # the pairing matrices are built again, from the warm rows
+    r._pairings.clear()
+    with monkeypatch.context() as m:
+        m.setattr(r._packing, "exponents", _no_exponents)
+        assert queries() == warm, g
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("the rewrite was called")
+
+
+def test_row_reduction_shares_no_code_with_the_rewrite(monkeypatch):
+    # the second route to normal forms builds a g = 4 table while the
+    # rewrite and its memos raise, and the rewrite then gives the same forms
+    with monkeypatch.context() as m:
+        for name in ("_row", "_times", "_product"):
+            m.setattr(TautRing, name, _raises)
+        cold = TautRing(4)
+        with pytest.raises(AssertionError, match="the rewrite was called"):
+            cold.normal_form(cold.ring.monomial((2, 0, 0, 0)))
+        tables = reduce_maps(TautRing(4))
+    r = TautRing(4)
+    assert sum(map(len, tables)) > 2**4
+    for table in tables:
+        for exps, coords in table.items():
+            assert r.normal_form(r.ring.monomial(exps)).coordinates == coords, exps
 
 
 @pytest.mark.parametrize("g", range(2, 9))
