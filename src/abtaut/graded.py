@@ -54,8 +54,10 @@ __all__ = [
 
 Exponents = tuple[int, ...]
 
-_NAME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*?)(?:\^(\d+))?$")
-_COEFF_RE = re.compile(r"^\d+(?:/\d+)?$")
+# the factor patterns of ``GradedRing.parse``, compiled by ``re``'s own
+# cache on the first parse rather than at import
+_NAME = r"^([A-Za-z][A-Za-z0-9]*?)(?:\^(\d+))?$"
+_COEFF = r"^\d+(?:/\d+)?$"
 
 
 def _as_fraction(value) -> Fraction:
@@ -90,10 +92,9 @@ class _Kernel:
         """The kernel of ``terms[key] / den``: zero numerators are dropped,
         and the content that ``den`` shares with the numerators is divided
         out."""
-        if 0 in terms.values():
+        if not all(terms.values()):
             terms = {k: v for k, v in terms.items() if v}
-        common = gcd(den, *terms.values())
-        if common == 1:
+        if den == 1 or (common := gcd(den, *terms.values())) == 1:
             return _Kernel(den, terms)
         return _Kernel(den // common, {k: v // common for k, v in terms.items()})
 
@@ -358,13 +359,13 @@ class GradedRing:
             coeff = Fraction(-1 if sign == "-" else 1)
             exps = [0] * self.ngens
             for factor in body.split("*"):
-                if _COEFF_RE.match(factor):
+                if re.match(_COEFF, factor):
                     try:
                         coeff *= Fraction(factor)
                     except ZeroDivisionError:
                         raise ValueError(f"zero denominator in {factor!r} in polynomial text {text!r}") from None
                     continue
-                m = _NAME_RE.match(factor)
+                m = re.match(_NAME, factor)
                 if m is None or m.group(1) not in index:
                     raise ValueError(f"bad factor {factor!r} in polynomial text {text!r}")
                 exps[index[m.group(1)]] += int(m.group(2)) if m.group(2) else 1

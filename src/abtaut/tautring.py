@@ -39,8 +39,10 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
+from types import MappingProxyType
 
-from .graded import GradedPolynomial, GradedRing, _as_fraction, _packing
+from .graded import GradedPolynomial, GradedRing, _as_fraction, _Kernel, _packing
 from .rationals import _require_int
 
 __all__ = [
@@ -71,49 +73,80 @@ def _check_subset(genus: int, subset) -> None:
 class TautRingElement:
     """A ring element in square-free coordinates: subset a -> coefficient of l_a.
 
-    Each subset is a strictly increasing tuple of ints in 1..genus.
+    Each subset is a strictly increasing tuple of ints in 1..genus.  An
+    element is stored as its integer row: numerators keyed by the subset's
+    bitmask (bit i-1 for l_i) over one positive denominator, reduced so
+    that the denominator shares no factor with all the numerators; equal
+    elements therefore store equal rows, and ``==``, ``hash``, ``bool``,
+    ``coefficient`` and ``to_polynomial`` read the row.  ``coordinates``,
+    the map from subsets to ``Fraction``, is a read-only view of it,
+    decoded on first read and kept.
     """
 
-    __slots__ = ("genus", "coordinates")
+    __slots__ = ("genus", "_den", "_row", "_subsets", "_coordinates")
 
     def __init__(self, genus: int, coordinates: Mapping[Subset, Fraction]):
         _require_int("TautRingElement", "genus", genus, 1)
-        self.genus = genus
         for subset in coordinates:
             _check_subset(genus, subset)
-        self.coordinates = {k: c for k, v in coordinates.items() if (c := _as_fraction(v))}
+        # reduced Fractions over their lcm leave no content to divide out
+        values = {k: c for k, v in coordinates.items() if (c := _as_fraction(v))}
+        self._coordinates = MappingProxyType(values)
+        self._den = den = lcm(*[c.denominator for c in values.values()])
+        self._row = {sum(1 << i - 1 for i in a): c.numerator * (den // c.denominator) for a, c in values.items()}
+        # the coordinates are already known, so the mask table is never read
+        self.genus, self._subsets = genus, None
 
     @classmethod
-    def _of_valid(cls, genus: int, coordinates: dict[Subset, Fraction]) -> TautRingElement:
-        """Wrap coordinates that hold by construction what ``__init__`` checks:
-        a normal form's subsets come from the ring's basis and its values are
-        nonzero Fractions."""
+    def _of_valid(cls, genus: int, row: _Kernel, subsets: Sequence[Subset]) -> TautRingElement:
+        """Wrap a reduced row that holds by construction what ``__init__``
+        checks: a normal form's masks come from the ring's basis, and
+        ``subsets`` maps each mask to its subset."""
         element = object.__new__(cls)
-        element.genus, element.coordinates = genus, coordinates
+        element.genus, element._den, element._row, element._subsets, element._coordinates = genus, row.den, row.terms, subsets, None
         return element
+
+    @property
+    def coordinates(self) -> Mapping[Subset, Fraction]:
+        """The nonzero coefficients, by subset: a read-only view, decoded on
+        first read and kept; threads that race on the first read decode
+        equal maps."""
+        if self._coordinates is None:
+            # Fraction has no __init__, so its __new__ alone builds the
+            # value; calling it directly skips the type call's overhead.
+            # Without a denominator it also skips the gcd, which keeps a
+            # full read level with eagerly built coordinates.
+            den, subsets, new = self._den, self._subsets, Fraction.__new__
+            if den == 1:
+                self._coordinates = MappingProxyType({subsets[a]: new(Fraction, v) for a, v in self._row.items()})
+            else:
+                self._coordinates = MappingProxyType({subsets[a]: new(Fraction, v, den) for a, v in self._row.items()})
+        return self._coordinates
 
     def coefficient(self, subset: Sequence[int]) -> Fraction:
         """The coefficient of l_subset, with the subset checked as by the
         constructor."""
         subset = tuple(subset)
         _check_subset(self.genus, subset)
-        return self.coordinates.get(subset, Fraction(0))
+        return Fraction(self._row.get(sum(1 << i - 1 for i in subset), 0), self._den)
 
     def __bool__(self) -> bool:
-        return bool(self.coordinates)
+        return bool(self._row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TautRingElement):
             return NotImplemented
-        return self.genus == other.genus and self.coordinates == other.coordinates
+        return self.genus == other.genus and self._den == other._den and self._row == other._row
 
     def __hash__(self) -> int:
-        return hash((self.genus, frozenset(self.coordinates.items())))
+        return hash((self.genus, self._den, frozenset(self._row.items())))
 
     def to_polynomial(self) -> GradedPolynomial:
-        """The element as a polynomial in l1..lg."""
-        g = self.genus
-        return _lambda_ring(g).from_terms({tuple(int(i in a) for i in range(1, g + 1)): c for a, c in self.coordinates.items()})
+        """The element as a polynomial in l1..lg: the key of l_a is the sum
+        of the generator keys of a."""
+        packing = _packing(ring := _lambda_ring(self.genus))
+        terms = {sum(k for i, k in enumerate(packing.gens) if a >> i & 1): v for a, v in self._row.items()}
+        return GradedPolynomial(ring, packing, _Kernel(self._den, terms))
 
     def __str__(self) -> str:
         return str(self.to_polynomial())
@@ -148,9 +181,13 @@ class TautRing:
     modulo a Groebner basis the normal form of a class is unique.  A third
     memo, ``_pairings``, keeps each degree's pairing matrix, and
     ``_subsets``, a table of 2^g entries built with the basis, maps masks
-    back to subset tuples.  Each memo entry is written once and complete,
-    so the ring is safe for concurrent queries without a lock: threads that
-    race on an entry write equal values.
+    back to subset tuples.  ``normal_form`` sums integer rows over the
+    input's common denominator, divides out their shared content and wraps
+    the row it has summed: it builds no ``Fraction``.  The element holds
+    ``_subsets`` by reference and decodes its ``coordinates`` from it only
+    when they are first read.  Each memo entry is written once and
+    complete, so the ring is safe for concurrent queries without a lock:
+    threads that race on an entry write equal values.
     """
 
     def __init__(self, g: int):
@@ -287,10 +324,7 @@ class TautRing:
                 row = self._row(key)
             for a, r in row.items():
                 coords[a] = get(a, 0) + n * r
-        subsets = self._subsets
-        if den == 1:
-            return TautRingElement._of_valid(self.genus, {subsets[a]: Fraction(v) for a, v in coords.items() if v})
-        return TautRingElement._of_valid(self.genus, {subsets[a]: Fraction(v, den) for a, v in coords.items() if v})
+        return TautRingElement._of_valid(self.genus, _Kernel.reduced(den, coords), self._subsets)
 
     def socle_ratio(self, p: GradedPolynomial) -> Fraction:
         """The unique q with normal_form(p) = q * l1l2...lg, for p homogeneous

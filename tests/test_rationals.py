@@ -64,6 +64,25 @@ def test_bernoulli_matches_tangent_oracle():
         assert bernoulli(n) == oracle[n], n
 
 
+def _no_helper(*args, **kwargs):
+    raise AssertionError("a rationals helper was called")
+
+
+def test_tangent_oracle_shares_no_code_with_bernoulli(monkeypatch):
+    # the library's B_0..B_400, then the tangent-number route with every
+    # private helper of rationals raising and its memo emptied
+    answers = [bernoulli(n) for n in range(401)]
+    helpers = [name for name, value in vars(rationals).items() if name.startswith("_") and callable(value) and name != "_require_int"]
+    assert {"_pi_bounds", "_zeta_bounds", "_staudt_denominator", "_settle", "_even_bernoulli"} <= set(helpers)
+    with monkeypatch.context() as m:
+        for name in helpers:
+            m.setattr(rationals, name, _no_helper)
+        m.setattr(rationals, "_bernoulli_cache", {})
+        with pytest.raises(AssertionError, match="a rationals helper was called"):
+            bernoulli(12)
+        assert bernoulli_table(400) == answers
+
+
 def pi_floor(bits: int) -> int:
     """floor(pi 2^bits) by the decimal module's own series for pi (the recipe
     in its documentation), carried with 30 spare digits."""

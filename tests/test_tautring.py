@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtaut import TautRing, TautRingElement, build_ring, determinant, ring_report, zeta_negative_odd
-from abtaut import graded
+from abtaut import graded, tautring
 from abtaut.tautring import MAX_RING_GENUS
 import gauss_oracle
 import graded_oracle
@@ -579,6 +579,109 @@ def test_element_keeps_exact_coordinates():
     assert all(type(c) is Fraction for c in element.coordinates.values())
 
 
+# -- the stored row -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_normal_forms_store_reduced_rows(g, ring_cache):
+    # l1^2 = 2 l2, so (2/6) l1^2 + (2/6) l2 = (l1^2 + l2)/3 sums to the row
+    # 3 l2 over 3: the denominator shares its content with the row, which is
+    # divided out
+    r = ring_cache(g)
+    nf = r.normal_form(r.ring.parse("2/6*l1^2 + 2/6*l2"))
+    same = TautRingElement(g, nf.coordinates)
+    assert nf == same == TautRingElement(g, {(2,): 1}) == r.normal_form(r.ring.parse("l2"))
+    assert hash(nf) == hash(same)
+    # any other input: the checked constructor stores the same row
+    rng = random.Random(f"reduced{g}")
+    for _ in range(30):
+        p = _random_polynomial(rng, r, rng.randint(1, 6)) * Fraction(rng.choice([2, 4, 6]), rng.choice([2, 3, 4, 6]))
+        nf = r.normal_form(p)
+        same = TautRingElement(g, dict(nf.coordinates))
+        assert nf == same and hash(nf) == hash(same), p
+
+
+class _NoFraction(Fraction):
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_ring_queries_build_no_fraction(g, monkeypatch):
+    # normal_form wraps the integer row it sums, and ==, hash, bool and
+    # to_polynomial read that row: none of them builds a Fraction
+    r, rng = TautRing(g), random.Random(f"nofraction{g}")
+    polys = [_random_polynomial(rng, r, rng.randint(1, 8)) for _ in range(20)]
+    polys += [a * b for a, b in zip(polys[::2], polys[1::2])]
+
+    def queries():
+        forms = [r.normal_form(p) for p in polys]
+        return forms, [f == r.normal_form(p) for f, p in zip(forms, polys)], [(hash(f), bool(f), f.to_polynomial(), str(f)) for f in forms]
+
+    warm = queries()
+    with monkeypatch.context() as m:
+        m.setattr(tautring, "Fraction", _NoFraction)
+        with pytest.raises(AssertionError, match="a Fraction was built"):
+            r.normal_form(polys[0]).coefficient(())
+        assert queries() == warm, g
+    assert all(warm[1])
+
+
+@pytest.mark.parametrize("g", [1, 3, 8])
+def test_coordinates_are_decoded_once(g, ring_cache):
+    r, rng = ring_cache(g), random.Random(f"once{g}")
+    for p in [r.ring.parse("l1"), r.ring.parse("1/2*l1^2")] + [_random_polynomial(rng, r, 6) for _ in range(10)]:
+        nf = r.normal_form(p)
+        first = nf.coordinates
+        assert nf.coordinates is first
+        assert all(type(c) is Fraction and c for c in first.values())
+        assert first == {s: nf.coefficient(s) for s in first}
+        assert str(nf) == str(TautRingElement(g, first))
+
+
+@pytest.mark.parametrize("element", ["normal form", "constructed"])
+def test_coordinates_are_read_only(element, ring_cache):
+    # the view cannot drift from the row that ==, hash and str read
+    r = ring_cache(3)
+    nf = r.normal_form(r.ring.parse("l1^3 + 1/2*l3"))
+    given = {(1, 2): Fraction(2), (3,): Fraction(1, 2)}
+    x = nf if element == "normal form" else TautRingElement(3, given)
+    with pytest.raises(TypeError):
+        x.coordinates[(1, 2)] = Fraction(5)
+    with pytest.raises(AttributeError):
+        x.coordinates = {}
+    with pytest.raises(AttributeError):
+        x.coordinates.clear()
+    given[(1, 2)] = Fraction(5)
+    assert x.coordinates == {(1, 2): 2, (3,): Fraction(1, 2)} and x == nf
+    assert str(x) == "1/2*l3 + 2*l1*l2"
+
+
+def test_threads_decode_shared_coordinates_alike():
+    # each element is decoded first by the racing threads
+    r, rng = TautRing(8), random.Random(35)
+    polys = [_random_polynomial(rng, r, rng.randint(1, 8)) for _ in range(20)]
+    expected = [r.normal_form(p).coordinates for p in polys]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for p, coordinates in zip(polys * 3, expected * 3):
+            shared, start, seen = r.normal_form(p), threading.Barrier(6), []
+
+            def read():
+                start.wait()
+                seen.append(shared.coordinates)
+
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert len(seen) == 6 and all(c == coordinates for c in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # -- socle ratios -------------------------------------------------------------
 
 
@@ -736,6 +839,27 @@ def test_determinant_matches_gaussian_elimination(matrix):
     det = determinant(matrix)
     assert type(det) is Fraction
     assert det == gauss_oracle.determinant(matrix)
+
+
+def _no_determinant(*args, **kwargs):
+    raise AssertionError("the library determinant was called")
+
+
+def test_gauss_oracle_shares_no_code_with_determinant(ring_cache, monkeypatch):
+    # the library's determinants of every pairing matrix up to the cap and
+    # of some dense matrices, then the second route with the library's raising
+    rng = random.Random(35)
+    rings = [ring_cache(g) for g in range(1, MAX_RING_GENUS + 1)]
+    pairings = [r.pairing_matrix(d) for r in rings for d in range(r.socle_degree + 1)]
+    dense = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for n in range(1, 8) for _ in range(5)]
+    answers = [determinant(m) for m in pairings + dense]
+    assert {abs(a) for a in answers[: len(pairings)]} == {1}
+    with monkeypatch.context() as m:
+        # the function object itself raises, however a caller imported it
+        m.setattr(tautring.determinant, "__code__", _no_determinant.__code__)
+        with pytest.raises(AssertionError, match="the library determinant was called"):
+            determinant([[1]])
+        assert [gauss_oracle.determinant(m) for m in pairings + dense] == answers
 
 
 # -- construction guard rails -------------------------------------------------
