@@ -18,7 +18,8 @@ follow from the integer rewrite
     l_i^2 -> 2 sum_{0 <= j < i, 2i-j <= g} (-1)^{i+j+1} l_j l_{2i-j},
 
 which a ring writes down in closed form from this Groebner basis and applies
-on demand: a normal form is computed when it is first asked for and kept.
+on demand: a normal form is computed when it is first asked for and kept,
+in one memo of integer rows keyed by the packed key of each monomial.
 The engine's product c(E)c(E-dual) is formed only when
 :attr:`TautRing.relation_components` is read, so checking it against the
 rewrite is a second route that shares no code with it.
@@ -38,7 +39,6 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import lcm
 from types import MappingProxyType
 
@@ -58,7 +58,6 @@ __all__ = [
 # The cap of build_ring and so of the CLI; TautRing itself takes any genus.
 MAX_RING_GENUS = 8
 
-Exponents = tuple[int, ...]
 Subset = tuple[int, ...]
 
 
@@ -167,27 +166,28 @@ class TautRing:
     already zero (see the module docstring).  The rewrite of each l_k^2 is
     written down in closed form from the proven Groebner basis, and
     construction only groups the 2^g square-free basis monomials by weight.
-    Normal forms are filled in on first use, in two memos of integer rows
-    that key each subset a by its bitmask, the sum of 2^(i-1) over i in a.
-    ``_products`` holds, per generator l_k and by the mask of a, the
-    products NF(l_a * l_k) of a basis element and l_k.  ``_rows`` holds the
-    row (mask -> int) of each monomial reached so far, keyed by the
-    monomial's packed key under the ring's one packing, so a query looks up
-    its kernel's keys as they are and a hit decodes nothing.  A row is
-    built as NF(NF(m / l_k) * l_k) from whichever parent m / l_k is known,
-    the monomial of key(m) - key(l_k).  Any parent gives the same row: the
-    ring is commutative, so m = (m / l_k) l_k for every l_k dividing m;
-    NF(m / l_k) * l_k then differs from m by an element of the ideal, and
-    modulo a Groebner basis the normal form of a class is unique.  A third
-    memo, ``_pairings``, keeps each degree's pairing matrix, and
-    ``_subsets``, a table of 2^g entries built with the basis, maps masks
-    back to subset tuples.  ``normal_form`` sums integer rows over the
-    input's common denominator, divides out their shared content and wraps
-    the row it has summed: it builds no ``Fraction``.  The element holds
-    ``_subsets`` by reference and decodes its ``coordinates`` from it only
-    when they are first read.  Each memo entry is written once and
-    complete, so the ring is safe for concurrent queries without a lock:
-    threads that race on an entry write equal values.
+    Normal forms are filled in on first use, in one memo: ``_rows`` holds
+    the integer row (mask -> int) of each monomial reached so far, where
+    the mask of a subset a is the sum of 2^(i-1) over i in a.  A row is
+    keyed by the monomial's packed key under the ring's one packing, so a
+    query looks up its kernel's keys as they are and a hit decodes nothing.
+    ``_keys`` maps each mask to the packed key of l_a, and ``_basis``
+    holds those keys by degree, in the ring's order; the product
+    NF(l_a * l_k) of a basis element and a generator is the row of the key
+    ``_keys[a]`` + key(l_k).  A row is built as NF(NF(m / l_k) * l_k) from
+    whichever parent m / l_k is known, the monomial of key(m) - key(l_k).
+    Any parent gives the same row: the ring is commutative, so m = (m /
+    l_k) l_k for every l_k dividing m; NF(m / l_k) * l_k then differs from
+    m by an element of the ideal, and modulo a Groebner basis the normal
+    form of a class is unique.  ``_pairings`` keeps each degree's pairing
+    matrix, and ``_subsets``, a table of 2^g entries built with ``_keys``,
+    maps masks back to subset tuples.  ``normal_form`` sums integer rows
+    over the input's common denominator, divides out their shared content
+    and wraps the row it has summed: it builds no ``Fraction``.  The
+    element holds ``_subsets`` by reference and decodes its
+    ``coordinates`` from it only when they are first read.  Each memo entry
+    is written complete, so the ring is safe for concurrent queries without
+    a lock: threads that race on an entry write equal values.
     """
 
     def __init__(self, g: int):
@@ -201,18 +201,20 @@ class TautRing:
             [((j, 2 * k - j) if j else (2 * k,), 2 * (-1) ** (k + j + 1)) for j in range(max(0, 2 * k - g), k)]
             for k in range(1, g + 1)
         ]
-        # product() yields the 0-1 vectors in ascending lex order
-        self._basis: list[list[Exponents]] = [[] for _ in range(self.socle_degree + 1)]
-        for exps in product((0, 1), repeat=g):
-            self._basis[sum(i for i, e in enumerate(exps, start=1) if e)].append(exps)
-        # the subset of each mask, the sum of 2^(i-1) over i in the subset:
-        # the masks from 2^(i-1) to 2^i - 1 are those below 2^(i-1) plus i
-        self._subsets: list[Subset] = [()]
-        for i in range(1, g + 1):
-            self._subsets += [a + (i,) for a in self._subsets]
-        self._products: list[dict[int, dict[int, int]]] = [{} for _ in range(g)]
         # a bounded ring has one packing, so its polynomials' keys are row keys
-        self._packing = _packing(self.ring)
+        self._packing = packing = _packing(self.ring)
+        # the subset and the packed key of each mask, the sum of 2^(i-1) over
+        # i in the subset: the masks from 2^(i-1) to 2^i - 1 are those below
+        # 2^(i-1) plus i
+        self._subsets: list[Subset] = [()]
+        self._keys = [0]
+        for i, gen in enumerate(packing.gens, start=1):
+            self._subsets += [a + (i,) for a in self._subsets]
+            self._keys += [key + gen for key in self._keys]
+        # integer order on keys is degree, then lex on the exponent vectors
+        self._basis: list[list[int]] = [[] for _ in range(self.socle_degree + 1)]
+        for key in sorted(self._keys):
+            self._basis[key >> packing.shift].append(key)
         self._rows: dict[int, dict[int, int]] = {0: {0: 1}}
         self._pairings: dict[int, list[list[int]]] = {}
 
@@ -229,9 +231,9 @@ class TautRing:
     def _times(self, row: Mapping[int, int], k: int, out: dict[int, int] | None = None) -> dict[int, int]:
         """NF(row * l_k), added into ``out`` if given."""
         out = {} if out is None else out
-        products = self._products[k - 1]
+        rows, keys, gen = self._rows, self._keys, self._packing.gens[k - 1]
         for a, c in row.items():
-            p = products.get(a)
+            p = rows.get(keys[a] + gen)
             for b, v in (self._product(a, k) if p is None else p).items():
                 w = out.get(b, 0) + c * v
                 if w:
@@ -254,36 +256,26 @@ class TautRing:
                 for f in factors[:-1]:
                     row = self._times(row, f)
                 self._times(row, factors[-1], out)
-        self._products[k - 1][a] = out
+        self._rows[self._keys[a] + self._packing.gens[k - 1]] = out
         return out
 
     def _row(self, key: int) -> dict[int, int]:
         """The integer normal form of the monomial of a packed key.  A
         missing row is its parent's row times l_k, for any parent
-        key - key(l_k) already known; failing that, the parent that drops
-        one factor of the last generator present is followed down to the
-        nearest known ancestor, and the rows between are filled in.  Only a
-        miss decodes the key, once."""
-        rows = self._rows
-        row = rows.get(key)
-        if row is not None:
-            return row
-        gens = self._packing.gens
-        exps = list(self._packing.exponents(key))
-        for k, e in enumerate(exps, start=1):
-            if e and (parent := rows.get(key - gens[k - 1])) is not None:
-                row = rows[key] = self._times(parent, k)
-                return row
-        missing = []
-        while row is None:
-            k = max(i for i, e in enumerate(exps, start=1) if e)
-            missing.append((key, k))
-            key -= gens[k - 1]
-            exps[k - 1] -= 1
-            row = rows.get(key)
-        for key, k in reversed(missing):
-            row = self._times(row, k)
-            rows[key] = row
+        key - key(l_k) already known; failing that, for the parent that
+        drops one factor of the last generator present, whose row is found
+        the same way.  The recursion is at most as deep as the monomial has
+        factors, and a monomial of the ring has at most the ring's bound of
+        them: 36 at g = 8, 55 at g = 10.  Construction enumerates 2^g
+        subsets, so no ring can be built at a genus where this nears
+        Python's recursion limit of 1000.  Only a miss decodes the key,
+        once."""
+        row = self._rows.get(key)
+        if row is None:
+            gens = self._packing.gens
+            present = [k for k, e in enumerate(self._packing.exponents(key), start=1) if e]
+            k = next((k for k in present if key - gens[k - 1] in self._rows), present[-1])
+            row = self._rows[key] = self._times(self._row(key - gens[k - 1]), k)
         return row
 
     # -- queries ---------------------------------------------------------
@@ -295,7 +287,8 @@ class TautRing:
     def basis_monomials(self, d: int) -> list[GradedPolynomial]:
         """The square-free monomial basis of degree d, as polynomials."""
         self._check_degree("TautRing.basis_monomials", d)
-        return [self.ring.monomial(m) for m in self._basis[d]]
+        exponents = self._packing.exponents
+        return [self.ring.monomial(exponents(key)) for key in self._basis[d]]
 
     def _check_degree(self, function: str, d: int) -> None:
         _require_int(function, "d", d)
@@ -346,9 +339,8 @@ class TautRing:
         matrix = self._pairings.get(d)
         if matrix is None:
             # the key of a product is the sum of its factors' keys
-            key, full = self._packing.key, (1 << self.genus) - 1
-            right = [key(b) for b in self._basis[self.socle_degree - d]]
-            matrix = [[self._row(a + b).get(full, 0) for b in right] for a in map(key, self._basis[d])]
+            full, right = (1 << self.genus) - 1, self._basis[self.socle_degree - d]
+            matrix = [[self._row(a + b).get(full, 0) for b in right] for a in self._basis[d]]
             self._pairings[d] = matrix
         return [row[:] for row in matrix]
 

@@ -55,5 +55,5 @@ def test_readme_route_table_names_every_oracle():
     assert len(oracles) >= 8
     for path in oracles:
         assert f"`tests/{path.name}`" in table, path.name
-    for item in (10, 11, 13):
+    for item in (5, 10, 12):
         assert f"gap (ROADMAP item {item})" in table

@@ -155,6 +155,45 @@ def test_kernel_matches_fraction_oracle(data, ring, n):
         assert graded_log(nilpotent + 1).terms == graded_oracle.log(nilpotent + 1).terms
 
 
+def _raises(*args, **kwargs):
+    raise AssertionError("the graded engine was called")
+
+
+# the kernel's arithmetic, which graded_oracle must not reach
+_KERNEL_ARITHMETIC = ("mul", "total", "scaled", "between", "exp", "log1p")
+
+
+def test_graded_oracle_shares_no_arithmetic_with_the_kernel(monkeypatch):
+    # the oracle's products, powers, series, sums and scalings run while the
+    # kernel's arithmetic raises, and match the engine
+    rng = random.Random("oracle")
+    cases = []
+    for R in (GradedRing(("x", "y"), (1, 2), 6), GradedRing(("x", "y", "z"), (1, 1, 2), 4)):
+        for _ in range(8):
+            a, b = random_poly(rng, R), random_poly(rng, R)
+            n = a - a.constant_term
+            cases.append((a, b, n, n + 1, Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+    expected = [(a * b, a ** 3, graded_exp(n), graded_log(u), a + b * c, a * c) for a, b, n, u, c in cases]
+    with monkeypatch.context() as m:
+        for name in _KERNEL_ARITHMETIC:
+            m.setattr(graded._Kernel, name, _raises)
+        a, b, *_ = cases[0]
+        with pytest.raises(AssertionError, match="the graded engine was called"):
+            a * b
+        values = [
+            (
+                graded_oracle.mul(a, b),
+                graded_oracle.power(a, 3),
+                graded_oracle.exp(n),
+                graded_oracle.log(u),
+                graded_oracle.add(a, b, c),
+                graded_oracle.scale(a, c),
+            )
+            for a, b, n, u, c in cases
+        ]
+    assert values == expected
+
+
 def test_kernel_cancellation():
     R = GradedRing(("x", "y"), (1, 1), 3)
     x, y = R.gens()
@@ -532,6 +571,22 @@ def test_named_series_match_fraction_recurrences():
             series = named_series(name, order)
             assert type(series) is tuple
             assert series == series_oracle.named_series(name, order), (name, order)
+
+
+def test_series_oracle_shares_no_code_with_the_engine(monkeypatch):
+    # the recurrences run while the engine's logarithm, exponential and
+    # kernel arithmetic raise, and match named_series
+    names = ("todd_dual_gen", "log_todd_gen", "log_todd_dual_gen", "log_one_minus_exp_neg_over_t")
+    expected = [named_series(name, 30) for name in names]
+    with monkeypatch.context() as m:
+        for name in ("graded_log", "graded_exp"):
+            m.setattr(graded, name, _raises)
+        for name in _KERNEL_ARITHMETIC:
+            m.setattr(graded._Kernel, name, _raises)
+        with pytest.raises(AssertionError, match="the graded engine was called"):
+            named_series("todd_dual_gen", 30)
+        series = [series_oracle.named_series(name, 30) for name in names]
+    assert series == expected
 
 
 def test_named_series_unknown_name():

@@ -258,14 +258,27 @@ def test_cold_rings_match_row_reduction(g, reduction_tables):
     descending = [exps for table in reversed(tables) for exps in table]
     ascending = list(oracle)
     for order in (shuffled, descending, ascending):
-        r = TautRing(g)
+        r, written = TautRing(g), []
+        r._product = _recording(r._product, written)
         for exps in order:
-            rows = len(r._rows) + (r._packing.key(exps) not in r._rows)
+            before, written[:] = set(r._rows), []
             assert r.normal_form(r.ring.monomial(exps)).coordinates == oracle[exps], (g, exps)
             if order is ascending:
                 # every parent has a lower degree and so is known: the row
-                # is built in one step, and no ancestor is filled in
-                assert len(r._rows) == rows, (g, exps)
+                # is built in one step, and the only other rows written are
+                # the products l_a * l_k of basis elements and generators
+                products = {r._keys[a] + r._packing.gens[k - 1] for a, k in written}
+                assert set(r._rows) == before | {r._packing.key(exps)} | products, (g, exps)
+
+
+def _recording(product, written):
+    """``product``, appending each (a, k) it is called with to ``written``."""
+
+    def recorded(a, k):
+        written.append((a, k))
+        return product(a, k)
+
+    return recorded
 
 
 def test_a_missing_row_comes_from_any_known_parent():
@@ -414,6 +427,20 @@ def test_row_reduction_shares_no_code_with_the_rewrite(monkeypatch):
     for table in tables:
         for exps, coords in table.items():
             assert r.normal_form(r.ring.monomial(exps)).coordinates == coords, exps
+
+
+def test_relation_components_share_no_code_with_the_rewrite(monkeypatch):
+    # the engine multiplies out c(E)c(E-dual) while the rewrite and its
+    # memos raise, and the rewrite then reduces the product to 1
+    with monkeypatch.context() as m:
+        for name in ("_row", "_times", "_product"):
+            m.setattr(TautRing, name, _raises)
+        r = TautRing(4)
+        with pytest.raises(AssertionError, match="the rewrite was called"):
+            r.normal_form(r.ring.monomial((2, 0, 0, 0)))
+        relations = r.relation_components
+    assert sorted(relations) == [2, 4, 6, 8] and all(relations.values())
+    assert r.normal_form(sum(relations.values(), r.ring.one)) == r.normal_form(r.ring.one)
 
 
 @pytest.mark.parametrize("g", range(2, 9))
@@ -747,7 +774,7 @@ def _complement_sign(r: TautRing, d: int) -> int:
     """The sign of the permutation a -> {1..g} - a from the degree-d basis
     to the degree N_g - d basis, each in the ring's order."""
     position = {b: j for j, b in enumerate(r._basis[r.socle_degree - d])}
-    image = [position[tuple(1 - e for e in a)] for a in r._basis[d]]
+    image = [position[r._keys[-1] - a] for a in r._basis[d]]
     inversions = sum(x > y for i, x in enumerate(image) for y in image[i + 1 :])
     return (-1) ** inversions
 
