@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .graded import GradedPolynomial, GradedRing
+from .graded import GradedPolynomial, GradedRing, _Kernel, _packing
 from .rationals import _require_int, bernoulli, boundary_constant, zeta_negative_odd
 
 __all__ = [
@@ -91,8 +91,12 @@ def sum_powers_quotient(k: int) -> BoundaryClass:
     4*T^2 + 6*Pi*T + 3*Pi^2
     """
     _require_int("sum_powers_quotient", "k", k, 1)
-    terms = {(2 * k - 2 - r, r): Fraction(comb(2 * k - 1, r + 1) << r) for r in range(2 * k - 1)}
-    return BoundaryClass(k, _PI_T.from_terms(terms))
+    # every coefficient is a positive integer, so the integer kernel is
+    # written down directly under the packing of degree 2k - 2
+    packing = _packing(_PI_T, 2 * k - 2)
+    pi, t = packing.gens
+    terms = {(2 * k - 2 - r) * pi + r * t: comb(2 * k - 1, r + 1) << r for r in range(2 * k - 1)}
+    return BoundaryClass(k, GradedPolynomial(_PI_T, packing, _Kernel(1, terms)))
 
 
 def grr_coefficient(g: int) -> Fraction:

@@ -8,6 +8,11 @@ stdout.  Exit codes: 0 pass/info, 1 check failure, 2 usage error or output
 that stdout cannot take (closed, full or unable to encode it); a stderr that
 cannot be written changes no exit code.
 
+``main`` serves one request and returns its exit code; it writes and
+flushes all of its output itself.  The console script and ``python -m
+abtaut.cli`` enter through ``run``, which ends the process with that code
+as soon as ``main`` returns, without the interpreter's shutdown.
+
 The options are read from the command table ``_COMMANDS`` by ``_parse``,
 which follows argparse's rules without importing it: argparse and the
 gettext and locale modules it loads cost a fresh request more than abtaut's
@@ -29,6 +34,7 @@ from .rationals import bernoulli, boundary_constant, zeta_negative_odd
 
 __all__ = [
     "main",
+    "run",
     "MAX_BERNOULLI_N",
     "MAX_ZETA_GENUS",
     "MAX_BOREL_SERRE_GENUS",
@@ -364,10 +370,13 @@ def _check_bounds(args: SimpleNamespace) -> None:
 
 
 def _write(name: str, text: str) -> Exception | None:
-    """Write text to sys.<name> and flush it.  None, or the error when the
-    stream is None or cannot take the text; then, as the SIGPIPE note of the
-    signal module's docs advises, its descriptor points at os.devnull, so the
-    flush at exit writes what is left there and cannot fail again."""
+    """Write text to sys.<name> and flush it, so that nothing of it waits
+    in a buffer when the process ends.  None, or the error when the stream
+    is None or cannot take the text; then, as the SIGPIPE note of the signal
+    module's docs advises, its descriptor points at os.devnull, so that any
+    later flush of the stream, such as the interpreter's at a normal exit
+    after an in-process call, writes what is left there and cannot fail
+    again."""
     stream = getattr(sys, name)
     try:
         if stream is None:
@@ -417,5 +426,21 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry of the console script and of ``python -m
+    abtaut.cli``: serve one request with ``main`` and end the process with
+    its exit code by ``os._exit``, skipping the interpreter's shutdown.
+
+    That shutdown, full garbage-collection passes over the heap and then
+    the clearing of every module, takes longer than most handlers, and
+    skipping it loses nothing: ``main`` has flushed stdout and stderr, or
+    pointed a stream that failed at os.devnull, and abtaut registers no
+    atexit handler, keeps no file open and starts no thread.  An exception
+    that escapes ``main`` never reaches ``os._exit``, so it still prints its
+    traceback and exits 1.  In-process callers call ``main``, which
+    returns."""
+    os._exit(main())
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,9 +1,13 @@
+import ast
 import contextlib
 import io
 import json
 import os
+import re
+import select
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -619,6 +623,80 @@ def test_main_returns_0_with_stderr_on_a_full_device():
     with open("/dev/full", "w") as full, contextlib.redirect_stdout(out), contextlib.redirect_stderr(full):
         assert main(["constant", "--g", "2"]) == 0
     assert json.loads(out.getvalue())["payload"] == {"g": 2, "value": "1/120"}
+
+
+# -- the process entry -----------------------------------------------------------
+
+_ELAPSED = re.compile(r"elapsed_ms=\d+\.\d{3}\n")
+
+
+def _serve(argv, **streams):
+    """One fresh ``python -m abtaut.cli`` request, output as bytes, with
+    stdout block-buffered as by default, even under PYTHONUNBUFFERED."""
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, "-m", "abtaut.cli", *argv], env=env, **streams)
+
+
+@pytest.mark.parametrize("name,argv", REQUESTS, ids=[name for name, _ in REQUESTS])
+def test_golden_stdout_through_a_pipe(name, argv):
+    # run ends the process without the interpreter's shutdown, so every
+    # byte must have left the process before it
+    with _serve(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out == (GOLDEN_DIR / f"{name}.out").read_bytes()
+    assert _ELAPSED.fullmatch(err.decode()), err
+
+
+_LARGE = ["satake", "--g", str(cli.MAX_SATAKE_GENUS)]
+
+
+def test_large_stdout_through_a_slow_pipe():
+    # 263,147 bytes, four times a 64 KiB pipe buffer: the request waits on
+    # the full pipe while the reader takes 4 KiB at a time
+    expected = _stdout_of(_LARGE).encode("utf-8")
+    assert len(expected) > 4 * 65536
+    chunks = []
+    with _serve(_LARGE, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        fd = proc.stdout.fileno()
+        while select.select([fd], [], [], 120)[0] and (chunk := os.read(fd, 4096)):
+            if not chunks:
+                assert proc.poll() is None  # its output cannot all be in the pipe yet
+            chunks.append(chunk)
+            time.sleep(0.001)
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert proc.returncode == 0, err
+    assert b"".join(chunks) == expected
+    assert _ELAPSED.fullmatch(err.decode()), err
+
+
+def test_large_stdout_to_a_regular_file(tmp_path):
+    path = tmp_path / "out"
+    with path.open("wb") as out, _serve(_LARGE, stdout=out, stderr=subprocess.PIPE) as proc:
+        err = proc.communicate(timeout=120)[1]
+    assert proc.returncode == 0, err
+    assert path.read_bytes() == _stdout_of(_LARGE).encode("utf-8")
+    assert _ELAPSED.fullmatch(err.decode()), err
+
+
+def test_console_script_and_module_enter_through_run():
+    # pyproject.toml is read as text: Python 3.10 has no tomllib
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1]
+    assert scripts.split("\n[", 1)[0].strip() == 'abtaut = "abtaut.cli:run"'
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    guards = [node for node in tree.body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
+    assert [ast.unparse(node) for node in guards] == ["if __name__ == '__main__':\n    run()"]
+    # only run ends the process: main returns to its in-process callers
+    exits = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Attribute) and inner.attr == "_exit"
+    }
+    assert exits == {"run"}
 
 
 # -- every argument vector ends in a result or a usage error --------------------
