@@ -17,9 +17,14 @@ route is the root product prod_i (1 - e^{-x_i}), read off on partitions and
 rewritten in the Chern classes by ``symmetric_to_elementary`` through the
 monomial expansions of products of elementary symmetrics, which count 0-1
 matrices with given row and column sums (Macdonald, Symmetric Functions and
-Hall Polynomials, I.6).  The second is the multiplicative class of
-log((1 - e^{-t})/t) over log c(E), with no roots anywhere.  The two routes
-share no code.
+Hall Polynomials, I.6).  A partition there is keyed as the exponent vector
+of a monomial in g roots of weight 1, under the graded engine's packing up
+to the top degree: raising column j of a matrix adds generator j's key,
+taking one from each of the first r parts subtracts the sum of the first r
+generator keys, and the rewrite writes integer numerators over one
+denominator straight into the Chern ring's kernel.  The second is the
+multiplicative class of log((1 - e^{-t})/t) over log c(E), with no roots
+anywhere.  The two routes share no code.
 """
 
 from __future__ import annotations
@@ -27,14 +32,17 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from itertools import groupby
-from math import comb, factorial, lcm
+from itertools import accumulate, groupby
+from math import comb, factorial, lcm, prod
+from operator import sub
 
 from .graded import (
     GradedPolynomial,
     GradedRing,
     _as_fraction,
     _Kernel,
+    _Packing,
+    _packing,
     graded_exp,
     graded_log,
     named_series,
@@ -180,67 +188,58 @@ def _partitions(d: int, g: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _pack(lam: tuple[int, ...], width: int) -> int:
-    """A partition as one integer, the first part in the highest of its
-    width-bit fields: integer order is lex order, and raising a column sum
-    adds a power of two."""
-    key = 0
-    for v in lam:
-        key = key << width | v
-    return key
-
-
-def _unpack(key: int, g: int, width: int) -> tuple[int, ...]:
-    mask = (1 << width) - 1
-    return tuple([(key >> (width * i)) & mask for i in range(g - 1, -1, -1)])
-
-
-def _add_row(state: int, r: int, g: int, width: int) -> list[tuple[int, int]]:
+def _add_row(state: int, r: int, packing: _Packing) -> list[tuple[int, int]]:
     """The rows of r ones that can be added to a 0-1 matrix whose column sums
-    are one fixed arrangement of the packed partition ``state``: each sorted
-    column sum vector reached, with the number of rows reaching it.  Choosing
-    k_v of the m_v columns of value v gives prod_v C(m_v, k_v) rows, and
-    raising the first k_v columns of each run keeps the vector sorted."""
-    runs = [len(list(run)) for _, run in groupby(_unpack(state, g, width))]
+    are one fixed arrangement of the partition with key ``state``: each
+    sorted column sum vector reached, as its key, with the number of rows
+    reaching it.  Choosing k_v of the m_v columns of value v gives
+    prod_v C(m_v, k_v) rows, and raising the first k_v columns of each run
+    keeps the vector sorted; raising column j adds the generator key
+    ``gens[j]``."""
+    gens = packing.gens
     partial = [(r, state, 1)]
-    shift = width * g
-    spare = g
-    for m in runs:
+    column, spare = 0, len(gens)
+    for _, run in groupby(packing.exponents(state)):
+        m = len(list(run))
         spare -= m
         grown = []
         for left, key, ways in partial:
-            raised = 0
             for k in range(min(m, left) + 1):
                 if left - k <= spare:
-                    grown.append((left - k, key + raised, ways * comb(m, k)))
+                    grown.append((left - k, key, ways * comb(m, k)))
                 if k < m:
-                    raised += 1 << (shift - width * (k + 1))
+                    key += gens[column + k]
         partial = grown
-        shift -= width * m
+        column += m
     return [(key, ways) for _, key, ways in partial]
 
 
-def _elementary_expansions(g: int, top: int, width: int):
+def _elementary_expansions(packing: _Packing, top: int):
     """Yield the monomial expansion of every product e_mu of elementary
     symmetrics in g variables with |mu| <= top, by degree and then by the
     descending lex order of mu's conjugate lam, which has at most g parts.
+    ``packing`` is a packing of g generators of weight 1 whose fields hold
+    every exponent up to ``top``; a partition's key is its exponent vector.
 
     Each item is (key of lam, {key of nu: count}), where count is the number
     of 0-1 matrices with row sums mu and column sums any rearrangement of the
     partition nu: the coefficient of m_nu in e_mu is count divided by the
     orbit size of nu.  e_mu is its prefix e_{mu minus its largest part r}
     times e_r, one forward step over sorted column sums.  The prefix is lam
-    minus one from each of its r parts, r degrees down, so an expansion is
-    kept only while some later one can still be built from it.
+    minus one from each of its r parts, whose key is lam's minus the sum of
+    the first r generator keys, r degrees down, so an expansion is kept only
+    while some later one can still be built from it.
     """
-    ones = [0]
-    for i in range(g - 1, -1, -1):
-        ones.append(ones[-1] + (1 << (width * i)))
+    g = len(packing.gens)
+    ones = list(accumulate(packing.gens, initial=0))
     window: deque[tuple[dict, list]] = deque(maxlen=g)
+    # one int object per key, so that the dicts below find a key by identity
+    # instead of comparing the digits of an equal int
+    keys: dict[int, int] = {}
     for d in range(top + 1):
         level: dict[int, dict[int, int]] = {}
         for lam in _partitions(d, g):
-            key = _pack(lam, width)
+            key = packing.key(lam)
             r = g - lam.count(0)
             if d == 0:
                 expansion = {key: 1}
@@ -252,7 +251,7 @@ def _elementary_expansions(g: int, top: int, width: int):
                 for state, count in below[key - ones[r]].items():
                     step = steps.get(state)
                     if step is None:
-                        step = steps[state] = _add_row(state, r, g, width)
+                        step = steps[state] = [(keys.setdefault(t, t), w) for t, w in _add_row(state, r, packing)]
                     for t, ways in step:
                         expansion[t] = get(t, 0) + count * ways
             if d + max(r, 1) <= top:
@@ -267,7 +266,7 @@ def symmetric_to_elementary(g: int, coefficients: Mapping[tuple[int, ...], int |
 
     Each key lam is a partition with at most g parts, written as a
     nonincreasing g-tuple of ints >= 0; each value is an int or a Fraction,
-    as ``GradedRing.from_terms`` requires, else a TypeError.
+    else a TypeError.
     A symmetric polynomial is fixed by its coefficients on partitions, so
     every one is such a mapping, and the input is symmetric by construction.
 
@@ -286,26 +285,28 @@ def symmetric_to_elementary(g: int, coefficients: Mapping[tuple[int, ...], int |
             raise ValueError(f"symmetric_to_elementary requires each key to be a nonincreasing {g}-tuple of ints >= 0, got {lam!r}")
     den = lcm(*(_as_fraction(c).denominator for c in coefficients.values()))
     top = max(map(sum, coefficients), default=0)
-    width = max(top, 1).bit_length()
-    work = {_pack(lam, width): c.numerator * (den // c.denominator) for lam, c in coefficients.items()}
-    get = work.get
-    out: dict[tuple[int, ...], Fraction] = {}
+    # a partition is its exponent vector in g roots of weight 1, the first
+    # part in the highest field: integer order is graded lex order
+    packing = _packing(GradedRing(tuple(f"x{i}" for i in range(1, g + 1)), (1,) * g, top))
+    work = {packing.key(lam): c.numerator * (den // c.denominator) for lam, c in coefficients.items()}
+    get, exponents = work.get, packing.exponents
+    # c^e has weighted degree |lam|, so the Chern ring's keys up to top hold it
+    chern = _packing(ring := _chern_ring(g, None), top)
+    out: dict[int, int] = {}
     orbits: dict[int, int] = {}
-    for key, expansion in _elementary_expansions(g, top, width):
+    for key, expansion in _elementary_expansions(packing, top):
         coeff = get(key)
         if not coeff:
             continue
-        lam = _unpack(key, g, width)
-        out[tuple(lam[i] - (lam[i + 1] if i + 1 < g else 0) for i in range(g))] = Fraction(coeff, den)
+        lam = exponents(key)
+        out[chern.key(map(sub, lam, lam[1:] + (0,)))] = coeff
         for nu, count in expansion.items():
             orbit = orbits.get(nu)
             if orbit is None:
-                orbit = factorial(g)
-                for _, run in groupby(_unpack(nu, g, width)):
-                    orbit //= factorial(len(list(run)))
-                orbits[nu] = orbit
+                runs = groupby(exponents(nu))
+                orbit = orbits[nu] = factorial(g) // prod(factorial(len(list(run))) for _, run in runs)
             work[nu] = get(nu, 0) - coeff * (count // orbit)
-    return _chern_ring(g, None).from_terms(out)
+    return GradedPolynomial(ring, chern, _Kernel.reduced(den, out))
 
 
 def exterior_alternating_sum_dual(g: int) -> GradedPolynomial:
@@ -316,21 +317,21 @@ def exterior_alternating_sum_dual(g: int) -> GradedPolynomial:
     coefficient on m_lam is prod_i (-1)^{lam_i + 1} / lam_i! when lam has
     exactly g positive parts, and 0 otherwise.  Such a lam is nu + (1^g) with
     m_lam = e_g m_nu, so the product is c_g times the rewrite of
-    sum_nu prod_i (-1)^{nu_i} / (nu_i + 1)! m_nu, each coefficient a Fraction
-    over N!, up to the socle degree N = g(g+1)/2.
+    sum_nu prod_i (-1)^{nu_i} / (nu_i + 1)! m_nu up to the socle degree
+    N = g(g+1)/2, rewritten on integer numerators over N! and divided once.
     """
     _require_int("exterior_alternating_sum_dual", "g", g, 1)
     bound = g * (g + 1) // 2
     den = factorial(bound)
-    coefficients: dict[tuple[int, ...], Fraction] = {}
+    coefficients: dict[tuple[int, ...], int] = {}
     for d in range(bound - g + 1):
         for nu in _partitions(d, g):
             value = den
             for v in nu:
                 value //= factorial(v + 1)
-            coefficients[nu] = Fraction(-value if d % 2 else value, den)
-    out = symmetric_to_elementary(g, coefficients)
-    return _chern_ring(g, bound).from_terms({e[:-1] + (e[-1] + 1,): c for e, c in out.terms.items()})
+            coefficients[nu] = -value if d % 2 else value
+    out = symmetric_to_elementary(g, coefficients) / den
+    return _chern_ring(g, bound).gen(g - 1) * out.truncate(bound)
 
 
 class BorelSerreReport(namedtuple("BorelSerreReport", "genus ok difference")):

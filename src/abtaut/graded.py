@@ -14,9 +14,13 @@ Monagan and Pearce pack monomials for graded orders ("Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors", CASC 2007): a
 monomial product is one integer addition, integer order is graded order,
 and truncation at a degree bound is one integer comparison, so a product
-is one pass over the pairs of terms.  Every route builds the kernel once:
-``from_terms`` and ``parse`` pack their input, and sums, scaling, products,
-powers, parts, ``graded_exp`` and ``graded_log`` work on kernels.
+is one pass over the pairs of terms.  Every route builds the kernel once.
+``from_terms`` and ``parse`` are the entries for outside input, and pack
+it; sums, scaling, products, powers, parts, ``graded_exp`` and
+``graded_log`` work on kernels, and the package's own builders (the
+difference quotient behind ``named_series``, the roots route's rewrite
+``symmetric_to_elementary`` and the boundary quotients) write theirs
+directly.
 ``GradedPolynomial.terms``, the map from exponent vectors to ``Fraction``,
 is only a view, decoded on first read and kept.  ``TautRing`` keys its
 rows by a bounded ring's one packing, so ``normal_form`` looks up the
@@ -604,13 +608,14 @@ _SERIES = {
 def _exp_difference_quotient(s: int, order: int) -> GradedPolynomial:
     """(e^{st} - 1) / (st) in the one-generator ring ``t`` truncated at ``order``:
     (e^t - 1)/t for s = 1 and (1 - e^{-t})/t for s = -1."""
-    ring = GradedRing(("t",), (1,), order)
-    fact = 1
-    terms = {}
-    for k in range(order + 1):
-        fact *= k + 1
-        terms[(k,)] = Fraction(s**k, fact)
-    return ring.from_terms(terms)
+    packing = _packing(ring := GradedRing(("t",), (1,), order))
+    # over (order + 1)!, s^k / (k + 1)! has the numerator s^k (k + 2)...(order + 1),
+    # which is +-1 at k = order, so the kernel is reduced as it is written
+    t, den, terms = packing.gens[0], 1, {}
+    for k in range(order, -1, -1):
+        terms[k * t] = s**k * den
+        den *= k + 1
+    return GradedPolynomial(ring, packing, _Kernel(den, terms))
 
 
 def named_series(name: str, order: int) -> tuple[Fraction, ...]:

@@ -30,9 +30,7 @@ from abtaut import charclass, graded
 from abtaut.charclass import (
     _elementary_expansions,
     _multiplicative_class,
-    _pack,
     _partitions,
-    _unpack,
 )
 
 
@@ -336,20 +334,34 @@ def conjugate(lam):
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_zero_one_matrix_counts(g):
     # every e_mu with |mu| <= 6 and parts <= g, on every partition nu with at most g parts
-    top, width = 6, 3
+    top = 6
+    packing = graded._packing(root_ring(g, top))
     seen = 0
-    for key, expansion in _elementary_expansions(g, top, width):
-        lam = _unpack(key, g, width)
+    for key, expansion in _elementary_expansions(packing, top):
+        lam = packing.exponents(key)
         brute = brute_force_counts(conjugate(lam), g)
         partitions = _partitions(sum(lam), g)
         sorted_vectors = {tuple(sorted(c, reverse=True)) for c in product(range(top + 1), repeat=g) if sum(c) == sum(lam)}
         assert partitions == sorted(sorted_vectors, reverse=True)
-        assert set(expansion) <= {_pack(nu, width) for nu in partitions}
+        assert set(expansion) <= {packing.key(nu) for nu in partitions}
         for nu in partitions:
             orbit = len(set(permutations(nu)))
-            assert expansion.get(_pack(nu, width), 0) == orbit * brute[nu], (lam, nu)
+            assert expansion.get(packing.key(nu), 0) == orbit * brute[nu], (lam, nu)
         seen += 1
     assert seen == sum(len(_partitions(d, g)) for d in range(top + 1))
+
+
+@pytest.mark.parametrize("a", [255, 256, 300])
+def test_power_sums_across_the_field_width_step(a):
+    # a partition's fields are 8 bits wide up to degree 255 and 16 bits from
+    # 256 on; c1 = 5 and c2 = 6 are e1 and e2 of the roots 2 and 3
+    assert graded._packing(root_ring(2, a)).shift == (16 if a < 256 else 32)
+    p = symmetric_to_elementary(2, {(a, 0): 1})
+    assert sum(c * 5 ** e1 * 6 ** e2 for (e1, e2), c in p.terms.items()) == 2 ** a + 3 ** a
+
+
+def test_one_root_across_the_field_width_step():
+    assert symmetric_to_elementary(1, {(300,): 7}) == GradedRing(("c1",), (1,), None).monomial((300,), 7)
 
 
 def test_symmetric_to_elementary_examples():
@@ -465,7 +477,7 @@ def test_two_routes_share_no_code(monkeypatch):
         for g in range(1, 6):
             assert exterior_alternating_sum_dual(g).terms == roots_oracle.exterior_alternating_sum_dual(g).terms, g
     with monkeypatch.context() as m:
-        for name in ("symmetric_to_elementary", "_elementary_expansions", "_partitions"):
+        for name in ("symmetric_to_elementary", "_elementary_expansions", "_add_row", "_partitions", "_packing"):
             m.setattr(charclass, name, _raises)
         for g in range(1, 6):
             b = BundleClasses.generators(g)

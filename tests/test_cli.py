@@ -454,9 +454,12 @@ print(json.dumps({"imported": imported, "loaded": sorted(sys.modules), "code": c
 
 
 def _src_env() -> dict:
-    """The environment with this checkout's abtaut first on PYTHONPATH."""
+    """The environment with this checkout's abtaut first on PYTHONPATH and
+    without PYTHONUNBUFFERED, so that a request's stdout is block-buffered
+    as by default and a flush lost before its end shows."""
     src = str(Path(abtaut.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_cli_import_graph():
@@ -631,10 +634,8 @@ _ELAPSED = re.compile(r"elapsed_ms=\d+\.\d{3}\n")
 
 
 def _serve(argv, **streams):
-    """One fresh ``python -m abtaut.cli`` request, output as bytes, with
-    stdout block-buffered as by default, even under PYTHONUNBUFFERED."""
-    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.Popen([sys.executable, "-m", "abtaut.cli", *argv], env=env, **streams)
+    """One fresh ``python -m abtaut.cli`` request, output as bytes."""
+    return subprocess.Popen([sys.executable, "-m", "abtaut.cli", *argv], env=_src_env(), **streams)
 
 
 @pytest.mark.parametrize("name,argv", REQUESTS, ids=[name for name, _ in REQUESTS])
