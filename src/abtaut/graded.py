@@ -22,7 +22,7 @@ difference quotient behind ``named_series``, the roots route's rewrite
 ``symmetric_to_elementary`` and the boundary quotients) write theirs
 directly.
 ``GradedPolynomial.terms``, the map from exponent vectors to ``Fraction``,
-is only a view, decoded on first read and kept.  ``TautRing`` keys its
+is only a view, decoded into a new dict on each read.  ``TautRing`` keys its
 rows by a bounded ring's one packing, so ``normal_form`` looks up the
 kernel's keys and integer numerators as they are, decoding nothing.  The
 fields hold every exponent up to a top degree: the ring's bound, so that a
@@ -229,8 +229,6 @@ class _Packing:
 
     def unpack(self, kernel: _Kernel) -> dict[Exponents, Fraction]:
         den, exponents = kernel.den, self.exponents
-        if den == 1:
-            return {exponents(k): Fraction(v) for k, v in kernel.terms.items()}
         return {exponents(k): Fraction(v, den) for k, v in kernel.terms.items()}
 
 
@@ -388,11 +386,11 @@ class GradedPolynomial:
     ``parse``, ``constant``, ``monomial`` or ``gen``.  Values behave
     immutably: every operation returns a fresh polynomial and never mutates
     its operands, so instances are safe to share.  ``terms`` decodes the
-    kernel on first read and keeps the result, so threads that race on the
-    first read decode equal maps.
+    kernel into a new dict on each read, which the caller may change
+    without changing the polynomial.
     """
 
-    __slots__ = ("ring", "_packing", "_kernel", "_terms")
+    __slots__ = ("ring", "_packing", "_kernel")
 
     def __init__(self, ring: GradedRing, packing: _Packing, kernel: _Kernel):
         if ring.bound is None:
@@ -402,15 +400,12 @@ class GradedPolynomial:
         self.ring = ring
         self._packing = packing
         self._kernel = kernel
-        self._terms: dict[Exponents, Fraction] | None = None
 
     @property
     def terms(self) -> dict[Exponents, Fraction]:
-        """The nonzero coefficients, by exponent vector."""
-        terms = self._terms
-        if terms is None:
-            terms = self._terms = self._packing.unpack(self._kernel)
-        return terms
+        """The nonzero coefficients, by exponent vector: a new dict on each
+        read."""
+        return self._packing.unpack(self._kernel)
 
     def _top(self) -> int:
         """The top degree, 0 for the zero polynomial."""
@@ -551,7 +546,7 @@ class GradedPolynomial:
         return sorted(self.terms.items(), key=lambda kv: (degree(kv[0]), kv[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self:
             return "0"
         parts: list[str] = []
         for exps, coeff in self.sorted_terms():

@@ -40,7 +40,6 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from types import MappingProxyType
 
 from .graded import GradedPolynomial, GradedRing, _as_fraction, _Kernel, _packing
 from .rationals import _require_int
@@ -78,23 +77,22 @@ class TautRingElement:
     that the denominator shares no factor with all the numerators; equal
     elements therefore store equal rows, and ``==``, ``hash``, ``bool``,
     ``coefficient`` and ``to_polynomial`` read the row.  ``coordinates``,
-    the map from subsets to ``Fraction``, is a read-only view of it,
-    decoded on first read and kept.
+    the map from subsets to ``Fraction``, is decoded from the row into a
+    new dict on each read, which the caller may change without changing
+    the element.
     """
 
-    __slots__ = ("genus", "_den", "_row", "_subsets", "_coordinates")
+    __slots__ = ("genus", "_row", "_subsets")
 
     def __init__(self, genus: int, coordinates: Mapping[Subset, Fraction]):
         _require_int("TautRingElement", "genus", genus, 1)
         for subset in coordinates:
             _check_subset(genus, subset)
-        # reduced Fractions over their lcm leave no content to divide out
-        values = {k: c for k, v in coordinates.items() if (c := _as_fraction(v))}
-        self._coordinates = MappingProxyType(values)
-        self._den = den = lcm(*[c.denominator for c in values.values()])
-        self._row = {sum(1 << i - 1 for i in a): c.numerator * (den // c.denominator) for a, c in values.items()}
-        # the coordinates are already known, so the mask table is never read
-        self.genus, self._subsets = genus, None
+        self.genus = genus
+        self._subsets = {sum(1 << i - 1 for i in a): a for a in coordinates}
+        values = {mask: _as_fraction(coordinates[a]) for mask, a in self._subsets.items()}
+        den = lcm(*[c.denominator for c in values.values()])
+        self._row = _Kernel.reduced(den, {mask: c.numerator * (den // c.denominator) for mask, c in values.items()})
 
     @classmethod
     def _of_valid(cls, genus: int, row: _Kernel, subsets: Sequence[Subset]) -> TautRingElement:
@@ -102,50 +100,40 @@ class TautRingElement:
         checks: a normal form's masks come from the ring's basis, and
         ``subsets`` maps each mask to its subset."""
         element = object.__new__(cls)
-        element.genus, element._den, element._row, element._subsets, element._coordinates = genus, row.den, row.terms, subsets, None
+        element.genus, element._row, element._subsets = genus, row, subsets
         return element
 
     @property
-    def coordinates(self) -> Mapping[Subset, Fraction]:
-        """The nonzero coefficients, by subset: a read-only view, decoded on
-        first read and kept; threads that race on the first read decode
-        equal maps."""
-        if self._coordinates is None:
-            # Fraction has no __init__, so its __new__ alone builds the
-            # value; calling it directly skips the type call's overhead.
-            # Without a denominator it also skips the gcd, which keeps a
-            # full read level with eagerly built coordinates.
-            den, subsets, new = self._den, self._subsets, Fraction.__new__
-            if den == 1:
-                self._coordinates = MappingProxyType({subsets[a]: new(Fraction, v) for a, v in self._row.items()})
-            else:
-                self._coordinates = MappingProxyType({subsets[a]: new(Fraction, v, den) for a, v in self._row.items()})
-        return self._coordinates
+    def coordinates(self) -> dict[Subset, Fraction]:
+        """The nonzero coefficients, by subset: a new dict on each read."""
+        den, subsets = self._row.den, self._subsets
+        return {subsets[a]: Fraction(v, den) for a, v in self._row.terms.items()}
 
     def coefficient(self, subset: Sequence[int]) -> Fraction:
         """The coefficient of l_subset, with the subset checked as by the
         constructor."""
         subset = tuple(subset)
         _check_subset(self.genus, subset)
-        return Fraction(self._row.get(sum(1 << i - 1 for i in subset), 0), self._den)
+        return Fraction(self._row.terms.get(sum(1 << i - 1 for i in subset), 0), self._row.den)
 
     def __bool__(self) -> bool:
-        return bool(self._row)
+        return bool(self._row.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TautRingElement):
             return NotImplemented
-        return self.genus == other.genus and self._den == other._den and self._row == other._row
+        a, b = self._row, other._row
+        return self.genus == other.genus and a.den == b.den and a.terms == b.terms
 
     def __hash__(self) -> int:
-        return hash((self.genus, self._den, frozenset(self._row.items())))
+        return hash((self.genus, self._row.den, frozenset(self._row.terms.items())))
 
     def to_polynomial(self) -> GradedPolynomial:
         """The element as a polynomial in l1..lg: the key of l_a is the sum
         of the generator keys of a."""
         packing = _packing(ring := _lambda_ring(self.genus))
-        terms = {sum(k for i, k in enumerate(packing.gens) if a >> i & 1): v for a, v in self._row.items()}
-        return GradedPolynomial(ring, packing, _Kernel(self._den, terms))
+        terms = {sum(k for i, k in enumerate(packing.gens) if a >> i & 1): v for a, v in self._row.terms.items()}
+        return GradedPolynomial(ring, packing, _Kernel(self._row.den, terms))
 
     def __str__(self) -> str:
         return str(self.to_polynomial())
@@ -185,7 +173,7 @@ class TautRing:
     over the input's common denominator, divides out their shared content
     and wraps the row it has summed: it builds no ``Fraction``.  The
     element holds ``_subsets`` by reference and decodes its
-    ``coordinates`` from it only when they are first read.  Each memo entry
+    ``coordinates`` through it on each read.  Each memo entry
     is written complete, so the ring is safe for concurrent queries without
     a lock: threads that race on an entry write equal values.
     """

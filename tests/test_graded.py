@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import graded_oracle
 import series_oracle
 from argument_contract import rejects
+from view_contract import check_fresh_view
 from abtaut import charclass, graded
 from abtaut import (
     BundleClasses,
@@ -365,8 +366,16 @@ def test_products_keep_their_kernel(ngens, bound, monkeypatch):
         value, expected = results[name], oracle(R, *operands)
         assert value == expected and hash(value) == hash(expected), name
         assert value.terms == expected.terms, name
-        # decoded once, on the first read, and kept
-        assert value.terms is value.terms
+        check_fresh_view(value, "terms", expected)
+
+
+def test_a_changed_read_of_terms_leaves_the_polynomial():
+    # terms is the caller's own dict, so no change to it reaches the value
+    R = GradedRing(("x", "y"), (1, 1), None)
+    p, q = R.parse("x + 2*y"), R.parse("2*y + x")
+    p.terms[(1, 0)] = 99
+    assert str(p) == "2*y + x" and p == q and hash(p) == hash(q)
+    assert p.terms == {(1, 0): 1, (0, 1): 2} and p.coefficient((1, 0)) == 1
 
 
 def test_products_widen_the_packing_of_an_unbounded_ring():

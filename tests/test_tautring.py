@@ -16,7 +16,9 @@ from abtaut import graded, tautring
 from abtaut.tautring import MAX_RING_GENUS
 import gauss_oracle
 import graded_oracle
+import localization_oracle
 from argument_contract import rejects
+from view_contract import check_fresh_view
 from rowreduce_oracle import BasisError, monomials_by_degree, reduce_degree, reduce_maps
 
 
@@ -655,33 +657,38 @@ def test_ring_queries_build_no_fraction(g, monkeypatch):
 
 
 @pytest.mark.parametrize("g", [1, 3, 8])
-def test_coordinates_are_decoded_once(g, ring_cache):
+def test_coordinates_are_decoded_on_each_read(g, ring_cache):
+    # normal_form and the public constructor decode equal coordinates, each
+    # read a fresh dict that the caller may change
     r, rng = ring_cache(g), random.Random(f"once{g}")
-    for p in [r.ring.parse("l1"), r.ring.parse("1/2*l1^2")] + [_random_polynomial(rng, r, 6) for _ in range(10)]:
+    for p in [r.ring.zero, r.ring.parse("l1"), r.ring.parse("1/2*l1^2")] + [_random_polynomial(rng, r, 6) for _ in range(10)]:
         nf = r.normal_form(p)
         first = nf.coordinates
-        assert nf.coordinates is first
         assert all(type(c) is Fraction and c for c in first.values())
         assert first == {s: nf.coefficient(s) for s in first}
-        assert str(nf) == str(TautRingElement(g, first))
+        constructed = TautRingElement(g, first)
+        assert constructed.coordinates == first and str(nf) == str(constructed)
+        check_fresh_view(nf, "coordinates", constructed)
+        check_fresh_view(constructed, "coordinates", nf)
 
 
 @pytest.mark.parametrize("element", ["normal form", "constructed"])
 def test_coordinates_are_read_only(element, ring_cache):
-    # the view cannot drift from the row that ==, hash and str read
+    # neither a read nor the constructor's argument can drift from the row
+    # that ==, hash and str read
     r = ring_cache(3)
     nf = r.normal_form(r.ring.parse("l1^3 + 1/2*l3"))
     given = {(1, 2): Fraction(2), (3,): Fraction(1, 2)}
     x = nf if element == "normal form" else TautRingElement(3, given)
-    with pytest.raises(TypeError):
-        x.coordinates[(1, 2)] = Fraction(5)
     with pytest.raises(AttributeError):
         x.coordinates = {}
-    with pytest.raises(AttributeError):
-        x.coordinates.clear()
+    view = x.coordinates
+    view[(1, 2)] = Fraction(5)
+    del view[(3,)]
     given[(1, 2)] = Fraction(5)
     assert x.coordinates == {(1, 2): 2, (3,): Fraction(1, 2)} and x == nf
     assert str(x) == "1/2*l3 + 2*l1*l2"
+    check_fresh_view(x, "coordinates", TautRingElement(3, {(3,): Fraction(1, 2), (1, 2): 2}))
 
 
 def test_threads_decode_shared_coordinates_alike():
@@ -887,6 +894,67 @@ def test_gauss_oracle_shares_no_code_with_determinant(ring_cache, monkeypatch):
         with pytest.raises(AssertionError, match="the library determinant was called"):
             determinant([[1]])
         assert [gauss_oracle.determinant(m) for m in pairings + dense] == answers
+
+
+# -- localization on LG(g, 2g) -----------------------------------------------
+
+
+def _random_socle_monomial(rng: random.Random, g: int) -> tuple[int, ...]:
+    """A random exponent vector of weighted degree N_g."""
+    exps, remaining = [0] * g, g * (g + 1) // 2
+    while remaining:
+        k = rng.randint(1, min(g, remaining))
+        exps[k - 1] += 1
+        remaining -= k
+    return tuple(exps)
+
+
+def _localized_pairings(r: TautRing) -> list[list[list[Fraction]]]:
+    """Every degree's pairing matrix by localization, on the exponent
+    vectors of ``basis_monomials``."""
+    bases = [[next(iter(m.terms)) for m in r.basis_monomials(d)] for d in range(r.socle_degree + 1)]
+    return [
+        [[localization_oracle.integral(r.genus, tuple(x + y for x, y in zip(a, b))) for b in bases[-1 - d]] for a in basis]
+        for d, basis in enumerate(bases)
+    ]
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_localization_integrates_the_socle_class_to_one(g):
+    assert localization_oracle.integral(g, (1,) * g) == 1
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_socle_ratios_match_localization(g, ring_cache):
+    r, rng = ring_cache(g), random.Random(f"localization{g}")
+    for _ in range(40):
+        exps = _random_socle_monomial(rng, g)
+        assert r.socle_ratio(r.ring.monomial(exps)) == localization_oracle.integral(g, exps), exps
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_pairing_matrices_match_localization(g, ring_cache):
+    r = ring_cache(g)
+    assert [r.pairing_matrix(d) for d in range(r.socle_degree + 1)] == _localized_pairings(r)
+
+
+def test_localization_shares_no_code_with_the_rewrite(monkeypatch):
+    # the third route integrates a g = 5 ring's pairings and some socle
+    # monomials while the rewrite and its memos raise, and the rewrite then
+    # gives the same values
+    rng = random.Random("localization raises")
+    monomials = [_random_socle_monomial(rng, 5) for _ in range(20)]
+    with monkeypatch.context() as m:
+        for name in ("_row", "_times", "_product"):
+            m.setattr(TautRing, name, _raises)
+        cold = TautRing(5)
+        with pytest.raises(AssertionError, match="the rewrite was called"):
+            cold.socle_ratio(cold.ring.monomial(monomials[0]))
+        pairings = _localized_pairings(cold)
+        integrals = [localization_oracle.integral(5, exps) for exps in monomials]
+    r = TautRing(5)
+    assert [r.pairing_matrix(d) for d in range(r.socle_degree + 1)] == pairings
+    assert [r.socle_ratio(r.ring.monomial(exps)) for exps in monomials] == integrals
 
 
 # -- construction guard rails -------------------------------------------------
