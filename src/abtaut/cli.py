@@ -55,12 +55,12 @@ __all__ = [
 # checked against the limit itself, before they are printed; the primality
 # test of satake --p is trial division.  The ring cap is
 # tautring.MAX_RING_GENUS, checked by build_ring.  Times on a 2-CPU x86-64
-# machine with Python 3.11: B_2000 about 35 ms; borel_serre_check about
-# 7-10 s and 94 MB peak RSS at genus 8; grr about 0.02 s and recursion about
-# 0.15 s at genus 100, against 0.15-0.2 s and 3.5 s at genus 200; verify
-# --gmax 100 takes about 0.065 s for grr and 2.6 s for recursion.  The grr
-# times include the Bernoulli numbers and the boundary quotients of a cold
-# process, pinned to one CPU.
+# machine with Python 3.11: B_2000 about 35 ms; verify --check borel-serre
+# --g 8 8.3-9.0 s and 94 MB peak RSS as a fresh process; grr about 0.02 s
+# and recursion about 0.15 s at genus 100, against 0.15-0.2 s and 3.5 s at
+# genus 200; verify --gmax 100 takes about 0.065 s for grr and 2.6 s for
+# recursion.  The grr times include the Bernoulli numbers and the boundary
+# quotients of a cold process, pinned to one CPU.
 MAX_PRINTED_DIGITS = 4300
 MAX_BERNOULLI_N = 2000
 MAX_ZETA_GENUS = 1000

@@ -541,9 +541,10 @@ class GradedPolynomial:
         return hash((self.ring, kernel.den, frozenset(kernel.terms.items())))
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms in graded-lex order: by weighted degree, then by exponent vector."""
-        degree = self.ring.degree
-        return sorted(self.terms.items(), key=lambda kv: (degree(kv[0]), kv[0]))
+        """Terms in graded-lex order: by weighted degree, then by exponent
+        vector, which is the integer order of their packed keys."""
+        den, exponents = self._kernel.den, self._packing.exponents
+        return [(exponents(k), Fraction(v, den)) for k, v in sorted(self._kernel.terms.items())]
 
     def __str__(self) -> str:
         if not self:

@@ -60,61 +60,59 @@ MAX_RING_GENUS = 8
 Subset = tuple[int, ...]
 
 
-def _check_subset(genus: int, subset) -> None:
+def _mask(genus: int, subset) -> int:
+    """The bitmask of a checked subset: bit i-1 for l_i."""
     if type(subset) is not tuple or any(type(i) is not int for i in subset):
         raise TypeError(f"a subset must be a tuple of ints, got {subset!r}")
     # 0 < a_1 < ... < a_n < genus + 1
     if not all(x < y for x, y in zip((0,) + subset, subset + (genus + 1,))):
         raise ValueError(f"a subset must increase strictly within 1..{genus}, got {subset!r}")
+    return sum(1 << i - 1 for i in subset)
 
 
 class TautRingElement:
     """A ring element in square-free coordinates: subset a -> coefficient of l_a.
 
     Each subset is a strictly increasing tuple of ints in 1..genus.  An
-    element is stored as its integer row: numerators keyed by the subset's
-    bitmask (bit i-1 for l_i) over one positive denominator, reduced so
-    that the denominator shares no factor with all the numerators; equal
-    elements therefore store equal rows, and ``==``, ``hash``, ``bool``,
-    ``coefficient`` and ``to_polynomial`` read the row.  ``coordinates``,
-    the map from subsets to ``Fraction``, is decoded from the row into a
-    new dict on each read, which the caller may change without changing
-    the element.
+    element is its genus and its integer row: numerators keyed by the
+    subset's bitmask (bit i-1 for l_i) over one positive denominator,
+    reduced so that the denominator shares no factor with all the
+    numerators; equal elements therefore store equal rows, and ``==``,
+    ``hash``, ``bool``, ``coefficient`` and ``to_polynomial`` read the row.
+    ``coordinates``, the map from subsets to ``Fraction``, decodes each
+    mask's subset from its bits into a new dict on each read, which the
+    caller may change without changing the element.
     """
 
-    __slots__ = ("genus", "_row", "_subsets")
+    __slots__ = ("genus", "_row")
 
     def __init__(self, genus: int, coordinates: Mapping[Subset, Fraction]):
         _require_int("TautRingElement", "genus", genus, 1)
-        for subset in coordinates:
-            _check_subset(genus, subset)
+        # every subset is checked before any coefficient
+        masks = [_mask(genus, a) for a in coordinates]
         self.genus = genus
-        self._subsets = {sum(1 << i - 1 for i in a): a for a in coordinates}
-        values = {mask: _as_fraction(coordinates[a]) for mask, a in self._subsets.items()}
-        den = lcm(*[c.denominator for c in values.values()])
-        self._row = _Kernel.reduced(den, {mask: c.numerator * (den // c.denominator) for mask, c in values.items()})
+        values = [_as_fraction(c) for c in coordinates.values()]
+        den = lcm(*[c.denominator for c in values])
+        self._row = _Kernel.reduced(den, {a: c.numerator * (den // c.denominator) for a, c in zip(masks, values)})
 
     @classmethod
-    def _of_valid(cls, genus: int, row: _Kernel, subsets: Sequence[Subset]) -> TautRingElement:
+    def _of_valid(cls, genus: int, row: _Kernel) -> TautRingElement:
         """Wrap a reduced row that holds by construction what ``__init__``
-        checks: a normal form's masks come from the ring's basis, and
-        ``subsets`` maps each mask to its subset."""
+        checks: a normal form's masks come from the ring's basis."""
         element = object.__new__(cls)
-        element.genus, element._row, element._subsets = genus, row, subsets
+        element.genus, element._row = genus, row
         return element
 
     @property
     def coordinates(self) -> dict[Subset, Fraction]:
         """The nonzero coefficients, by subset: a new dict on each read."""
-        den, subsets = self._row.den, self._subsets
-        return {subsets[a]: Fraction(v, den) for a, v in self._row.terms.items()}
+        den, genus = self._row.den, self.genus
+        return {tuple(i + 1 for i in range(genus) if a >> i & 1): Fraction(v, den) for a, v in self._row.terms.items()}
 
     def coefficient(self, subset: Sequence[int]) -> Fraction:
         """The coefficient of l_subset, with the subset checked as by the
         constructor."""
-        subset = tuple(subset)
-        _check_subset(self.genus, subset)
-        return Fraction(self._row.terms.get(sum(1 << i - 1 for i in subset), 0), self._row.den)
+        return Fraction(self._row.terms.get(_mask(self.genus, tuple(subset)), 0), self._row.den)
 
     def __bool__(self) -> bool:
         return bool(self._row.terms)
@@ -168,13 +166,11 @@ class TautRing:
     l_k) l_k for every l_k dividing m; NF(m / l_k) * l_k then differs from
     m by an element of the ideal, and modulo a Groebner basis the normal
     form of a class is unique.  ``_pairings`` keeps each degree's pairing
-    matrix, and ``_subsets``, a table of 2^g entries built with ``_keys``,
-    maps masks back to subset tuples.  ``normal_form`` sums integer rows
-    over the input's common denominator, divides out their shared content
-    and wraps the row it has summed: it builds no ``Fraction``.  The
-    element holds ``_subsets`` by reference and decodes its
-    ``coordinates`` through it on each read.  Each memo entry
-    is written complete, so the ring is safe for concurrent queries without
+    matrix.  ``normal_form`` sums integer rows over the input's common
+    denominator, divides out their shared content and wraps the row it has
+    summed: it builds no ``Fraction`` and no subset tuple, since an
+    element decodes each mask's subset from its bits.  Each memo entry is
+    written complete, so the ring is safe for concurrent queries without
     a lock: threads that race on an entry write equal values.
     """
 
@@ -191,13 +187,11 @@ class TautRing:
         ]
         # a bounded ring has one packing, so its polynomials' keys are row keys
         self._packing = packing = _packing(self.ring)
-        # the subset and the packed key of each mask, the sum of 2^(i-1) over
-        # i in the subset: the masks from 2^(i-1) to 2^i - 1 are those below
-        # 2^(i-1) plus i
-        self._subsets: list[Subset] = [()]
+        # the packed key of each mask, the sum of 2^(i-1) over i in the
+        # subset: the masks from 2^(i-1) to 2^i - 1 are those below 2^(i-1)
+        # plus i
         self._keys = [0]
-        for i, gen in enumerate(packing.gens, start=1):
-            self._subsets += [a + (i,) for a in self._subsets]
+        for gen in packing.gens:
             self._keys += [key + gen for key in self._keys]
         # integer order on keys is degree, then lex on the exponent vectors
         self._basis: list[list[int]] = [[] for _ in range(self.socle_degree + 1)]
@@ -305,7 +299,7 @@ class TautRing:
                 row = self._row(key)
             for a, r in row.items():
                 coords[a] = get(a, 0) + n * r
-        return TautRingElement._of_valid(self.genus, _Kernel.reduced(den, coords), self._subsets)
+        return TautRingElement._of_valid(self.genus, _Kernel.reduced(den, coords))
 
     def socle_ratio(self, p: GradedPolynomial) -> Fraction:
         """The unique q with normal_form(p) = q * l1l2...lg, for p homogeneous

@@ -28,11 +28,9 @@ def ring_cache():
 @pytest.fixture(scope="session")
 def reduction_tables():
     """The row-reduction oracle of each genus, per degree a map from every
-    monomial to its square-free coordinates, each from a cold ring of its own.
-    Genus up to 7 is built at most once per test session; genus 8 (40,525
-    monomials, about 90 MB) is built on each call and not kept."""
-    cached = lru_cache(maxsize=None)(lambda g: reduce_maps(TautRing(g)))
-    return lambda g: cached(g) if g <= 7 else reduce_maps(TautRing(g))
+    monomial to its square-free coordinates, each from a cold ring of its own,
+    built at most once per test session."""
+    return lru_cache(maxsize=None)(lambda g: reduce_maps(TautRing(g)))
 
 
 def pytest_runtest_logreport(report):

@@ -218,6 +218,9 @@ def test_kernel_wide_exponents():
     ):
         assert (a * b).terms == graded_oracle.mul(a, b).terms
         assert (a ** 2).terms == graded_oracle.power(a, 2).terms
+        # graded-lex order, where degree and lex order of the exponent
+        # vectors part ways
+        assert [e for e, _ in (a * b).sorted_terms()] == sorted((a * b).terms, key=lambda e: (R.degree(e), e))
     # in a bounded ring an exponent past the bound is dropped before it is
     # packed: l2^256 would carry into l1's 8-bit field, l1^(2^64) far past it
     B = GradedRing(("l1", "l2"), (1, 2), 4)
@@ -721,6 +724,8 @@ def test_parse_round_trip():
 def test_parse_inverts_str(data, ring):
     p = data.draw(_polynomials(ring))
     assert ring.parse(str(p)) == p
+    # str prints the terms by weighted degree, then by exponent vector
+    assert p.sorted_terms() == sorted(p.terms.items(), key=lambda kv: (ring.degree(kv[0]), kv[0]))
 
 
 def test_parse_grammar():

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import random
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abtaut import TautRing, TautRingElement, build_ring, determinant, ring_report, zeta_negative_odd
+from abtaut import BundleClasses, TautRing, TautRingElement, build_ring, determinant, newton_power_sums, ring_report
+from abtaut import zeta_negative_odd
 from abtaut import graded, tautring
 from abtaut.tautring import MAX_RING_GENUS
 import gauss_oracle
@@ -322,9 +324,14 @@ def _random_polynomial(rng: random.Random, r: TautRing, terms: int):
 @pytest.mark.parametrize("g", [4, 5, 6, 7, 8])
 def test_products_match_row_reduction(g, reduction_tables):
     # products of two elements up to the socle, formed in the ring, on a cold
-    # ring whose memo they fill
+    # ring whose memo they fill; g = 8 reads its monomials' normal forms off
+    # localization, whose pairing inversion is a fraction of the cost of the
+    # g = 8 row-reduction tables
     r, rng = TautRing(g), random.Random(f"memo{g}")
-    oracle = {e: c for table in reduction_tables(g) for e, c in table.items()}
+    if g <= 7:
+        oracle = {e: c for table in reduction_tables(g) for e, c in table.items()}.__getitem__
+    else:
+        oracle = functools.partial(localization_oracle.normal_form, g)
     for _ in range(30):
         a, b = (_random_polynomial(rng, r, rng.randint(1, 8)) for _ in range(2))
         p = a * b
@@ -332,7 +339,7 @@ def test_products_match_row_reduction(g, reduction_tables):
         assert r.normal_form(p) == nf
         expected = {}
         for e, c in p.terms.items():
-            for subset, v in oracle[e].items():
+            for subset, v in oracle(e).items():
                 expected[subset] = expected.get(subset, 0) + c * v
         assert nf.coordinates == {s: v for s, v in expected.items() if v}, g
 
@@ -462,6 +469,20 @@ def test_lambda_g_embeds_the_ring_of_one_genus_less(g):
             above = upper.normal_form(upper.ring.monomial(exps + (1,)))
             assert above.coordinates == {a + (g,): c for a, c in below.coordinates.items()}, exps
     assert g != 8 or count == 3282
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_power_sums_of_the_hodge_bundle_in_the_ring(g, ring_cache):
+    # van der Geer (1999): ch_{2g-1}(E) = (-1)^(g-1) lambda_{g-1} lambda_g /
+    # (2g-1)!, and ch_k(E) vanishes for even k > 0 and for odd k > 2g - 1;
+    # the power sum p_k = k! ch_k of the Chern roots, moved from c_i to l_i
+    # of the same weight, reduces accordingly in R_g
+    r, top = ring_cache(g), g * (g + 1) // 2
+    p = newton_power_sums(BundleClasses.generators(g), top)
+    nf = [r.normal_form(r.ring.from_terms(p_k.terms)) for p_k in p]
+    pair = r.ring.monomial(tuple(int(i >= g - 1) for i in range(1, g + 1)))
+    assert nf[2 * g - 1] == r.normal_form(pair * (-1) ** (g - 1)) and nf[2 * g - 1], g
+    assert not any(nf[k] for k in range(2, top + 1) if k % 2 == 0 or k > 2 * g - 1), g
 
 
 @pytest.mark.parametrize("g", list(range(1, 9)))
@@ -940,7 +961,8 @@ def test_pairing_matrices_match_localization(g, ring_cache):
 
 def test_localization_shares_no_code_with_the_rewrite(monkeypatch):
     # the third route integrates a g = 5 ring's pairings and some socle
-    # monomials while the rewrite and its memos raise, and the rewrite then
+    # monomials, and inverts the pairings into normal forms of monomials of
+    # every degree, while the rewrite and its memos raise; the rewrite then
     # gives the same values
     rng = random.Random("localization raises")
     monomials = [_random_socle_monomial(rng, 5) for _ in range(20)]
@@ -952,9 +974,49 @@ def test_localization_shares_no_code_with_the_rewrite(monkeypatch):
             cold.socle_ratio(cold.ring.monomial(monomials[0]))
         pairings = _localized_pairings(cold)
         integrals = [localization_oracle.integral(5, exps) for exps in monomials]
+        anywhere = [next(iter(_random_polynomial(rng, cold, 1).terms)) for _ in range(20)]
+        forms = [localization_oracle.normal_form(5, exps) for exps in anywhere]
     r = TautRing(5)
     assert [r.pairing_matrix(d) for d in range(r.socle_degree + 1)] == pairings
     assert [r.socle_ratio(r.ring.monomial(exps)) for exps in monomials] == integrals
+    assert [r.normal_form(r.ring.monomial(exps)).coordinates for exps in anywhere] == forms
+    assert len({r.ring.degree(exps) for exps in anywhere}) > 5
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_normal_forms_match_localization(g, ring_cache):
+    # random monomials of every degree up to the ring's bound, which at
+    # g = 1, 2 lies past the socle
+    r, rng = ring_cache(g), random.Random(f"localized forms{g}")
+    for _ in range(30):
+        exps = next(iter(_random_polynomial(rng, r, 1).terms))
+        assert r.normal_form(r.ring.monomial(exps)).coordinates == localization_oracle.normal_form(g, exps), exps
+
+
+@pytest.mark.parametrize("subsets, message", [([(3,), (3,)], "singular"), ([(3,)], "not square")])
+def test_localized_normal_forms_need_an_invertible_pairing(subsets, message, monkeypatch):
+    # the pairing's invertibility is the oracle's check that the square-free
+    # monomials span each degree: a basis of degree 3 at g = 4 with a
+    # repeated or a missing monomial is refused
+    square_free = localization_oracle.square_free
+    monkeypatch.setattr(localization_oracle, "square_free", lambda g, d: subsets if (g, d) == (4, 3) else square_free(g, d))
+    with pytest.raises(ArithmeticError, match=message):
+        localization_oracle._inverse_pairing.__wrapped__(4, 3)
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_power_sum_identity_by_localization(g):
+    # p_{2g-1} = sum_i w_i^(2g-1) at each fixed point, with no Newton step:
+    # p_{2g-1} - (-1)^(g-1) l_{g-1} l_g pairs to 0 with every square-free
+    # l_b of the complementary degree, so it vanishes in R_g; the opposite
+    # sign does not
+    d = g * (g + 1) // 2 - 2 * g + 1
+
+    def difference(sign):
+        return lambda w, e: sum(x ** (2 * g - 1) for x in w) - sign * e[g - 2] * e[g - 1]
+
+    assert not any(localization_oracle.pairings(g, difference((-1) ** (g - 1)), d)), g
+    assert any(localization_oracle.pairings(g, difference((-1) ** g), d)), g
 
 
 # -- construction guard rails -------------------------------------------------
