@@ -26,9 +26,10 @@ is only a view, decoded into a new dict on each read.  ``TautRing`` keys its
 rows by a bounded ring's one packing, so ``normal_form`` looks up the
 kernel's keys and integer numerators as they are, decoding nothing.  The
 fields hold every exponent up to a top degree: the ring's bound, so that a
-bounded ring has one packing, or in an unbounded ring the polynomial's own
-top degree, so that an operand is repacked only when a result needs wider
-fields.
+bounded ring has one packing, which every polynomial of the ring carries
+and under which a product multiplies its operands' kernels as they are; or
+in an unbounded ring the polynomial's own top degree, so that an operand is
+repacked only when a result needs wider fields.
 
 ``graded_exp`` and ``graded_log`` are one recurrence in the degree
 operator, which multiplies each pair of homogeneous parts once.  The named
@@ -449,7 +450,7 @@ class GradedPolynomial:
     # -- arithmetic ------------------------------------------------------
 
     def _check_ring(self, other: "GradedPolynomial") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"incompatible rings: {self.ring!r} vs {other.ring!r}")
 
     def __add__(self, other):
@@ -484,14 +485,24 @@ class GradedPolynomial:
         return self._with(self._kernel.scaled(*_as_fraction(value).as_integer_ratio()))
 
     def __mul__(self, other):
+        """The product, or the polynomial scaled by an int or a Fraction.
+
+        In a bounded ring both operands carry the ring's one packing, so
+        their kernels multiply as they are, truncated at the bound.  In an
+        unbounded ring both are repacked to the fields of the product's top
+        degree, the sum of theirs."""
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
         self._check_ring(other)
         ring = self.ring
+        if ring.bound is not None:
+            # a bounded ring has one packing, which both operands carry
+            packing = self._packing
+            return GradedPolynomial(ring, packing, self._kernel.mul(other._kernel, ring.bound + 1 << packing.shift))
         # in an unbounded ring the top degrees add: Q[x] has no zero divisors
-        top = ring.bound if ring.bound is not None else self._top() + other._top()
+        top = self._top() + other._top()
         packing = _packing(ring, top)
         a = self._packing.repack(self._kernel, packing)
         b = other._packing.repack(other._kernel, packing)

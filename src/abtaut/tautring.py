@@ -157,6 +157,11 @@ class TautRing:
     the mask of a subset a is the sum of 2^(i-1) over i in a.  A row is
     keyed by the monomial's packed key under the ring's one packing, so a
     query looks up its kernel's keys as they are and a hit decodes nothing.
+    A query takes a polynomial of ``ring``, whose kernel is under that
+    packing, or of a ring equal to it, which has the same one packing: the
+    ring check tests identity before equality, and ``socle_ratio`` checks
+    homogeneity on the smallest and the largest key alone, since integer
+    order on keys is graded order.
     ``_keys`` maps each mask to the packed key of l_a, and ``_basis``
     holds those keys by degree, in the ring's order; the product
     NF(l_a * l_k) of a basis element and a generator is the row of the key
@@ -211,17 +216,17 @@ class TautRing:
         return {d: rel.homogeneous_part(d) for d in range(2, 2 * self.genus + 1, 2)}
 
     def _times(self, row: Mapping[int, int], k: int, out: dict[int, int] | None = None) -> dict[int, int]:
-        """NF(row * l_k), added into ``out`` if given."""
+        """NF(row * l_k), added into ``out`` if given; the entries that sum
+        to zero are swept once, at the end."""
         out = {} if out is None else out
         rows, keys, gen = self._rows, self._keys, self._packing.gens[k - 1]
+        get = out.get
         for a, c in row.items():
             p = rows.get(keys[a] + gen)
             for b, v in (self._product(a, k) if p is None else p).items():
-                w = out.get(b, 0) + c * v
-                if w:
-                    out[b] = w
-                else:
-                    del out[b]
+                out[b] = get(b, 0) + c * v
+        for b in [b for b, v in out.items() if not v]:
+            del out[b]
         return out
 
     def _product(self, a: int, k: int) -> dict[int, int]:
@@ -243,10 +248,10 @@ class TautRing:
 
     def _row(self, key: int) -> dict[int, int]:
         """The integer normal form of the monomial of a packed key.  A
-        missing row is its parent's row times l_k, for any parent
-        key - key(l_k) already known; failing that, for the parent that
-        drops one factor of the last generator present, whose row is found
-        the same way.  The recursion is at most as deep as the monomial has
+        missing row is its parent's row times l_k, for the first parent
+        key - key(l_k) found known, with one memo lookup per generator
+        present; failing that, for the parent that drops one factor of the
+        last generator present, whose row is found the same way.  The recursion is at most as deep as the monomial has
         factors, and a monomial of the ring has at most the ring's bound of
         them: 36 at g = 8, 55 at g = 10.  Construction enumerates 2^g
         subsets, so no ring can be built at a genus where this nears
@@ -254,10 +259,15 @@ class TautRing:
         once."""
         row = self._rows.get(key)
         if row is None:
-            gens = self._packing.gens
-            present = [k for k, e in enumerate(self._packing.exponents(key), start=1) if e]
-            k = next((k for k in present if key - gens[k - 1] in self._rows), present[-1])
-            row = self._rows[key] = self._times(self._row(key - gens[k - 1]), k)
+            rows, gens = self._rows, self._packing.gens
+            for k in [k for k, e in enumerate(self._packing.exponents(key), start=1) if e]:
+                parent = rows.get(key - gens[k - 1])
+                if parent is not None:
+                    break
+            else:
+                # no parent is known: k is the last generator present
+                parent = self._row(key - gens[k - 1])
+            row = rows[key] = self._times(parent, k)
         return row
 
     # -- queries ---------------------------------------------------------
@@ -278,7 +288,7 @@ class TautRing:
             raise ValueError(f"degree must lie in 0..{self.socle_degree}, got {d}")
 
     def _check_polynomial(self, p: GradedPolynomial) -> None:
-        if p.ring != self.ring:
+        if p.ring is not self.ring and p.ring != self.ring:
             raise ValueError(f"polynomial ring {p.ring!r} is not the ring {self.ring!r} of genus {self.genus}")
 
     def normal_form(self, p: GradedPolynomial) -> TautRingElement:
@@ -306,10 +316,16 @@ class TautRing:
         of the socle degree.  Such a p has no other coordinate, so only the
         socle entry of each row is read."""
         self._check_polynomial(p)
-        if not p.is_homogeneous_of(self.socle_degree):
-            raise ValueError(f"socle_ratio requires a homogeneous polynomial of degree {self.socle_degree}")
-        kernel, full = p._kernel, (1 << self.genus) - 1
-        return Fraction(sum(n * self._row(key).get(full, 0) for key, n in kernel.terms.items()), kernel.den)
+        kernel, shift, top = p._kernel, self._packing.shift, self.socle_degree
+        # integer order on keys is graded order, so the smallest and the
+        # largest key bound the degrees of all of them
+        if kernel.terms and not min(kernel.terms) >> shift == top == max(kernel.terms) >> shift:
+            raise ValueError(f"socle_ratio requires a homogeneous polynomial of degree {top}")
+        rows, full, total = self._rows, (1 << self.genus) - 1, 0
+        for key, n in kernel.terms.items():
+            row = rows.get(key)
+            total += n * (self._row(key) if row is None else row).get(full, 0)
+        return Fraction(total, kernel.den)
 
     def pairing_matrix(self, d: int) -> list[list[int]]:
         """Socle ratios of basis products between degrees d and socle_degree - d.

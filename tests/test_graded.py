@@ -405,6 +405,33 @@ def test_products_widen_the_packing_of_an_unbounded_ring():
     assert (low + high) - high == low and hash((low + high) - high) == hash(low)
 
 
+def _bounded_polynomials(R):
+    """A polynomial of the bounded ring R, or of a ring made from it, from
+    every constructor and operation."""
+    p = R.parse("x^2*y - 3/2*z + 1")
+    q = R.from_terms({(1, 0, 0): Fraction(2, 3), (0, 0, 1): 1, (R.bound + 1, 0, 0): 5})
+    yield from (R.zero, R.one, R.constant(Fraction(2, 3)), R.gen(2), *R.gens(), R.monomial((1, 2, 0), 5), p, q)
+    yield from (p + q, 1 + p, p + Fraction(1, 2), p - q, 2 - p, -p, p * q, q * p, p * 3, 3 * p, p / 4, p**3, p**0)
+    yield from (p.homogeneous_part(2), p.truncate(R.bound), p.truncate(None).truncate(R.bound), p.truncate(1))
+    yield from (graded_exp(p - 1), graded_log(p), sum(R.gens(), R.one))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 6, 255, 256, 300])
+def test_a_bounded_ring_has_one_packing(bound):
+    # a bounded product multiplies its operands' kernels as they are, so
+    # every polynomial of a bounded ring carries the ring's one packing,
+    # however it was made, whatever its own top degree
+    R = GradedRing(("x", "y", "z"), (1, 2, 3), bound)
+    # an equal ring that is another object has the same packing
+    twin = GradedRing(R.names, R.weights, bound)
+    made = [*_bounded_polynomials(R), *_bounded_polynomials(twin), twin.gen(0) * R.gen(1)]
+    b = BundleClasses.generators(3)
+    made += [*newton_power_sums(b, 6), charclass.chern_character(b), charclass.todd(b), charclass.todd_dual(b)]
+    for p in made:
+        assert p.ring.bound is not None
+        assert p._packing is graded._packing(p.ring), (p, p.ring)
+
+
 def test_threads_decode_a_shared_product_alike():
     R = GradedRing(tuple(f"l{i}" for i in range(1, 9)), tuple(range(1, 9)), 36)
     rng = random.Random(31)
