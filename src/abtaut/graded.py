@@ -498,7 +498,6 @@ class GradedPolynomial:
         self._check_ring(other)
         ring = self.ring
         if ring.bound is not None:
-            # a bounded ring has one packing, which both operands carry
             packing = self._packing
             return GradedPolynomial(ring, packing, self._kernel.mul(other._kernel, ring.bound + 1 << packing.shift))
         # in an unbounded ring the top degrees add: Q[x] has no zero divisors

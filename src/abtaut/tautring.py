@@ -251,12 +251,12 @@ class TautRing:
         missing row is its parent's row times l_k, for the first parent
         key - key(l_k) found known, with one memo lookup per generator
         present; failing that, for the parent that drops one factor of the
-        last generator present, whose row is found the same way.  The recursion is at most as deep as the monomial has
-        factors, and a monomial of the ring has at most the ring's bound of
-        them: 36 at g = 8, 55 at g = 10.  Construction enumerates 2^g
-        subsets, so no ring can be built at a genus where this nears
-        Python's recursion limit of 1000.  Only a miss decodes the key,
-        once."""
+        last generator present, whose row is found the same way.  The
+        recursion is at most as deep as the monomial has factors, and a
+        monomial of the ring has at most the ring's bound of them: 36 at
+        g = 8, 55 at g = 10.  Construction enumerates 2^g subsets, so no
+        ring can be built at a genus where this nears Python's recursion
+        limit of 1000.  Only a miss decodes the key, once."""
         row = self._rows.get(key)
         if row is None:
             rows, gens = self._rows, self._packing.gens
