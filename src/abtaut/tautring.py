@@ -348,19 +348,57 @@ def determinant(matrix: Sequence[Sequence[int]]) -> Fraction:
     matrix has determinant 1.
 
     Entries are ints, as ``pairing_matrix`` returns them; any other entry,
-    a bool or a Fraction included, is a TypeError.  One fraction-free
-    elimination (Bareiss, Math. Comp. 22, 1968) moves each pivot row to the
-    top: every division by the previous pivot is exact, and the last pivot,
-    signed by the row moves, is the determinant.
+    a bool or a Fraction included, is a TypeError.  One pass checks the
+    entries and keeps each row's nonzero ones by column.  Then, while some
+    row has at most one nonzero entry, the determinant is expanded along it
+    (Laplace): an empty row makes the determinant 0; otherwise the entry,
+    signed by (-1)^(i+j) at row i and column j of the minor left so far,
+    joins a running product, and its row and column leave the minor.
+    Whatever is left is eliminated fraction-free (Bareiss, Math. Comp. 22,
+    1968), each pivot row moved to the top: every division by the previous
+    pivot is exact, and the last pivot, signed by the row moves, is the
+    minor's determinant.
+
+    A pairing matrix of R_g needs no elimination.  Its rows and columns are
+    the square-free monomials l_a and l_b of complementary degrees; the
+    socle coordinate of l_a l_b is +-1 if b is the complement of a, and 0
+    unless b, as a strict partition, is dominated by that complement (the
+    tests check both up to g = 10).  Rows ordered by their complements and
+    columns by any order that extends dominance make the matrix triangular
+    with +-1 on its diagonal, so the expansion takes every row.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant requires a square matrix")
-    for row in matrix:
-        for x in row:
+    rows, short = [], []
+    for i, row in enumerate(matrix):
+        nonzero = {}
+        for j, x in enumerate(row):
             if type(x) is not int:
                 raise TypeError(f"determinant requires int entries, got {x!r}")
-    m = list(matrix)
+            if x:
+                nonzero[j] = x
+        rows.append(nonzero)
+        if len(nonzero) < 2:
+            short.append(i)
+    live_rows, live_cols, product = [*range(n)], [*range(n)], 1
+    while short:
+        i = short.pop()
+        if not rows[i]:
+            return Fraction(0)
+        ((j, x),) = rows[i].items()
+        a, b = live_rows.index(i), live_cols.index(j)
+        del live_rows[a], live_cols[b]
+        product *= -x if (a + b) & 1 else x
+        for k in live_rows:
+            nonzero = rows[k]
+            if j in nonzero:
+                del nonzero[j]
+                if len(nonzero) == 1:
+                    short.append(k)
+    if not live_rows:  # as for every pairing matrix
+        return Fraction(product)
+    m = [[matrix[i][j] for j in live_cols] for i in live_rows]
     sign, prev = 1, 1
     while m:
         pivot = next((r for r, row in enumerate(m) if row[0]), None)
@@ -371,7 +409,7 @@ def determinant(matrix: Sequence[Sequence[int]]) -> Fraction:
         sign *= (-1) ** pivot
         m = [[(p * x - f * y) // prev for x, y in zip(row, top)] for f, *row in m]
         prev = p
-    return Fraction(sign * prev)
+    return Fraction(sign * product * prev)
 
 
 def build_ring(g: int) -> TautRing:

@@ -1,9 +1,11 @@
 """Reference determinant by Gaussian elimination over ``Fraction``.
 
-``tautring.determinant`` runs Bareiss's fraction-free elimination on an
-integer matrix.  This module is its former body, unchanged: a pivot
-search, row swaps and division by the pivot, all in ``Fraction``.  It
-shares no code with the package, and tests compare the two routes.
+``tautring.determinant`` expands an integer matrix along its rows with at
+most one nonzero entry, then runs Bareiss's fraction-free elimination on
+the minor that is left.  This module is an earlier body of it, unchanged:
+a pivot search, row swaps and division by the pivot, all in ``Fraction``,
+with no expansion.  It shares no code with the package, and tests compare
+the two routes.
 """
 
 from __future__ import annotations

@@ -14,8 +14,13 @@ The queries of all kinds are shuffled together and run once on a fresh
 ring, whose memo they fill (cold), then three more times in the same order
 (warm).  Each row is the median time of one query in microseconds; a warm
 query is timed by the median of its three runs.  Only the library calls are
-timed: the operands are built before the timer starts.  Run from the
-repository root::
+timed: the operands are built before the timer starts.
+
+Two more kinds time ``determinant`` alone, warm, by the median of three
+runs: ``det all K``, per genus, the total over the K pairing matrices of
+R_g, one per degree; and ``det 14x14``, once after the genera, one dense
+14 x 14 matrix of entries in -9..9 from a fixed seed, the median over
+20 such matrices.  Run from the repository root::
 
     python tests/query_cost.py [N]
 
@@ -39,6 +44,7 @@ from abtaut import TautRing, determinant  # noqa: E402
 GENERA = range(4, 9)
 KINDS = ("nf", "product", "socle", "pairing+det")
 WARM_RUNS = 3
+DENSE_SIZE, DENSE_COUNT = 14, 20
 
 
 def _polynomial(rng: random.Random, g: int, terms: int) -> dict:
@@ -91,6 +97,18 @@ def _timed(r: TautRing, kind: str, arg) -> float:
     return perf() - started
 
 
+def _warm_determinants(matrices: list) -> float:
+    """Median seconds, over the warm runs, of the determinants of all of
+    ``matrices`` one after another."""
+    perf, runs = time.perf_counter, []
+    for _ in range(WARM_RUNS):
+        started = perf()
+        for m in matrices:
+            determinant(m)
+        runs.append(perf() - started)
+    return statistics.median(runs)
+
+
 def main(argv: list[str]) -> None:
     n = int(argv[0]) if argv else 40
     rng = random.Random("query_cost")
@@ -106,6 +124,12 @@ def main(argv: list[str]) -> None:
             picked = [i for i, (k, _) in enumerate(queries) if k == kind]
             c, w = (statistics.median(times[i] for i in picked) * 1e6 for times in (cold, warm))
             print(f"{g:2d}  {kind:11s} {c:8.1f} {w:8.1f}")
+        pairings = [r.pairing_matrix(d) for d in range(r.socle_degree + 1)]
+        print(f"{g:2d}  {f'det all {len(pairings)}':11s} {'-':>8s} {_warm_determinants(pairings) * 1e6:8.1f}")
+    dense = random.Random("query_cost dense")
+    matrices = [[[dense.randint(-9, 9) for _ in range(DENSE_SIZE)] for _ in range(DENSE_SIZE)] for _ in range(DENSE_COUNT)]
+    w = statistics.median(_warm_determinants([m]) for m in matrices)
+    print(f" -  {f'det {DENSE_SIZE}x{DENSE_SIZE}':11s} {'-':>8s} {w * 1e6:8.1f}")
 
 
 if __name__ == "__main__":

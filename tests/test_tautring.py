@@ -899,6 +899,56 @@ def test_pairing_nonsingular_everywhere(g, ring_cache):
     _assert_unimodular_pairing(ring_cache(g))
 
 
+def _peel(matrix: list[list[int]]) -> list[int]:
+    """While some row left has exactly one nonzero entry in the columns left,
+    remove the first such row and that entry's column; the entries removed,
+    in order."""
+    rows, cols, removed = list(range(len(matrix))), list(range(len(matrix))), []
+    while True:
+        for i in rows:
+            support = [j for j in cols if matrix[i][j]]
+            if len(support) == 1:
+                break
+        else:
+            return removed
+        rows.remove(i)
+        cols.remove(support[0])
+        removed.append(matrix[i][support[0]])
+
+
+def _strict_partition(p) -> tuple[int, ...]:
+    """The subset a of a basis monomial l_a as a strict partition: its
+    elements in decreasing order."""
+    (exps,) = p.terms
+    return tuple(i for i in range(len(exps), 0, -1) if exps[i - 1])
+
+
+def _dominated(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """Whether the strict partition x is dominated by y, of the same size:
+    each partial sum of x is at most y's."""
+    return all(a <= b for a, b in zip(itertools.accumulate(x), itertools.accumulate(y + (0,) * len(x))))
+
+
+@pytest.mark.parametrize("g", list(range(1, 11)))
+def test_pairing_matrices_peel_to_nothing(g, ring_cache):
+    # removing a row with one nonzero entry, and that entry's column, always
+    # leaves such a row until the pairing matrix is empty, and every entry
+    # removed is +-1: determinant expands each pairing matrix to the end.
+    # The reason is checked too: the socle coordinate of l_a l_b is +-1 when
+    # b is the complement of a, and 0 unless b is dominated by it
+    r = ring_cache(g) if g <= MAX_RING_GENUS else TautRing(g)
+    for d in range(r.socle_degree + 1):
+        matrix = r.pairing_matrix(d)
+        removed = _peel(matrix)
+        assert len(removed) == len(matrix) and all(abs(x) == 1 for x in removed), (g, d)
+        columns = [_strict_partition(p) for p in r.basis_monomials(r.socle_degree - d)]
+        for p, row in zip(r.basis_monomials(d), matrix):
+            a = _strict_partition(p)
+            complement = tuple(k for k in range(g, 0, -1) if k not in a)
+            for b, x in zip(columns, row):
+                assert abs(x) == 1 if b == complement else not x or _dominated(b, complement), (g, d, a, b)
+
+
 @pytest.mark.parametrize("g", list(range(1, 9)))
 def test_pairing_matrix_returns_independent_copies(g):
     r, fresh = TautRing(g), TautRing(g)
@@ -926,7 +976,11 @@ def test_determinant_utility():
     assert all(type(determinant(m)) is Fraction for m in ([], [[3]], [[0]], [[1, 2], [2, 4]]))
 
 
-@pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2, 3]], [[1, 2], [3]], [[]]])
+# the shape is checked before the entries, also entries the expansion skips
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1, 2]], [[1], [2, 3]], [[1, 2], [3]], [[]], [[1, 0.5], [1]], [[False], [1, 2]], [[1, 2], [Fraction(0)]], [[0.0, 1, 0], [1, 0], [0, 0, 1]]],
+)
 def test_determinant_rejects_non_square(matrix):
     with pytest.raises(ValueError, match="^determinant requires a square matrix$"):
         determinant(matrix)
@@ -965,17 +1019,87 @@ def test_determinant_matches_gaussian_elimination(matrix):
     assert det == gauss_oracle.determinant(matrix)
 
 
+def _permuted_triangular(rng: random.Random, n: int, block: int = 0) -> list[list[int]]:
+    """A lower triangular n x n matrix with a nonzero diagonal whose last
+    ``block`` rows and columns are replaced by a block of nonzero entries,
+    its rows and then its columns shuffled.  A row of the block never has
+    fewer than ``block`` nonzero entries left, so the expansion takes the
+    n - block other rows and stops."""
+    m = [[rng.randint(-3, 3) if j < i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        m[i][i] = rng.choice([-1, 1]) * rng.randint(1, 5)
+    for i in range(n - block, n):
+        m[i][n - block :] = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(block)]
+    rng.shuffle(m)
+    order = rng.sample(range(n), n)
+    return [[row[j] for j in order] for row in m]
+
+
+def _with_zero_row(rng: random.Random, m: list[list[int]]) -> list[list[int]]:
+    i = rng.randrange(len(m))
+    return [[0] * len(row) if k == i else row for k, row in enumerate(m)]
+
+
+def _with_zero_column(rng: random.Random, m: list[list[int]]) -> list[list[int]]:
+    j = rng.randrange(len(m))
+    return [[0 if k == j else x for k, x in enumerate(row)] for row in m]
+
+
+def _expansion_corpus(kind: str, seed: int) -> list[list[list[int]]]:
+    rng = random.Random(f"{kind}{seed}")
+    sizes = range(1, 13)
+    if kind == "triangular":
+        return [_permuted_triangular(rng, n) for n in sizes]
+    if kind == "planted":
+        return [_permuted_triangular(rng, n, block) for n in sizes for block in range(2, min(n - 1, 5) + 1)]
+    if kind == "zero row":
+        return [_with_zero_row(rng, _permuted_triangular(rng, n, rng.randint(0, n // 2))) for n in sizes]
+    if kind == "zero column":
+        return [_with_zero_column(rng, _permuted_triangular(rng, n, rng.randint(0, n // 2))) for n in sizes]
+    return [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["triangular", "planted", "zero row", "zero column", "dense"])
+def test_determinant_expands_then_eliminates(kind, seed):
+    # expansion alone, expansion stopped by a dense block that elimination
+    # finishes, a zero row or column met in either phase, elimination alone;
+    # each against the oracle, on list and on tuple rows, the input unchanged
+    for matrix in _expansion_corpus(kind, seed):
+        if kind == "planted":
+            assert 0 < len(_peel(matrix)) < len(matrix)
+        snapshot = [row[:] for row in matrix]
+        det = determinant(matrix)
+        assert type(det) is Fraction and det == gauss_oracle.determinant(matrix), (kind, matrix)
+        assert matrix == snapshot
+        assert determinant(tuple(map(tuple, matrix))) == det
+        if kind.startswith("zero"):
+            assert det == 0
+
+
+@pytest.mark.parametrize("entry", [False, 0.0, Fraction(0)])
+def test_determinant_refuses_a_zero_valued_entry_the_expansion_would_skip(entry):
+    # the bad entry sits in a row with one nonzero entry or none: the row
+    # the expansion takes first, or the zero row that ends it
+    message = r"^determinant requires int entries, got [^\n]+\Z"
+    for matrix in ([[entry]], [[1, 2, 3], [4, 5, 6], [7, entry, 0]], [[1, 2], [entry, 0]], [[0, 1, 0], [0, 0, 1], [1, entry, 0]]):
+        with pytest.raises(TypeError, match=message):
+            determinant(matrix)
+
+
 def _no_determinant(*args, **kwargs):
     raise AssertionError("the library determinant was called")
 
 
 def test_gauss_oracle_shares_no_code_with_determinant(ring_cache, monkeypatch):
-    # the library's determinants of every pairing matrix up to the cap and
-    # of some dense matrices, then the second route with the library's raising
+    # the library's determinants of every pairing matrix up to g = 10, of
+    # some dense matrices and of matrices whose expansion a dense block
+    # stops, then the second route with the library's raising
     rng = random.Random(35)
-    rings = [ring_cache(g) for g in range(1, MAX_RING_GENUS + 1)]
+    rings = [ring_cache(g) for g in range(1, MAX_RING_GENUS + 1)] + [TautRing(9), TautRing(10)]
     pairings = [r.pairing_matrix(d) for r in rings for d in range(r.socle_degree + 1)]
     dense = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for n in range(1, 8) for _ in range(5)]
+    dense += [_permuted_triangular(rng, n, block) for n in range(3, 13) for block in (2, n // 2 + 1)]
     answers = [determinant(m) for m in pairings + dense]
     assert {abs(a) for a in answers[: len(pairings)]} == {1}
     with monkeypatch.context() as m:
