@@ -30,7 +30,7 @@ anywhere.  The two routes share no code.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import comb, factorial, lcm, prod
@@ -166,26 +166,20 @@ def todd_dual(b: BundleClasses) -> GradedPolynomial:
     return _multiplicative_class(b, "log_todd_dual_gen")
 
 
-def _partitions(d: int, g: int) -> list[tuple[int, ...]]:
-    """The partitions of d into at most g parts, as nonincreasing g-tuples
-    padded with zeros, in descending lex order."""
-    out: list[tuple[int, ...]] = []
-    part = [0] * g
-
-    def rec(i: int, remaining: int, largest: int) -> None:
-        if i == g:
-            if remaining == 0:
-                out.append(tuple(part))
-            return
-        for v in range(min(remaining, largest), -1, -1):
-            if v * (g - i) < remaining:
-                break
-            part[i] = v
-            rec(i + 1, remaining - v, v)
-        part[i] = 0
-
-    rec(0, d, d)
-    return out
+def _partitions(d: int, g: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions of d into at most g parts of at most ``largest``,
+    as nonincreasing g-tuples padded with zeros, in descending lex order:
+    the order of their exponent vectors' keys, from the largest down, which
+    is the order in which leading-partition subtraction meets them.  The
+    first part runs from min(d, largest) down to the ceiling of d / g; the
+    rest are the partitions of what is left into at most g - 1 parts of at
+    most that first part."""
+    if d == 0:
+        yield (0,) * g
+        return
+    for first in range(min(d, largest), (d - 1) // g, -1):
+        for rest in _partitions(d - first, g - 1, first):
+            yield (first, *rest)
 
 
 def _add_row(state: int, r: int, packing: _Packing) -> list[tuple[int, int]]:
@@ -228,7 +222,9 @@ def _elementary_expansions(packing: _Packing, top: int):
     times e_r, one forward step over sorted column sums.  The prefix is lam
     minus one from each of its r parts, whose key is lam's minus the sum of
     the first r generator keys, r degrees down, so an expansion is kept only
-    while some later one can still be built from it.
+    while some later one can still be built from it.  Degree 0 is the empty
+    product e_() = m_(), yielded and put in the window before the loop, so
+    every lam the loop meets has r >= 1 nonzero parts.
     """
     g = len(packing.gens)
     ones = list(accumulate(packing.gens, initial=0))
@@ -236,25 +232,25 @@ def _elementary_expansions(packing: _Packing, top: int):
     # one int object per key, so that the dicts below find a key by identity
     # instead of comparing the digits of an equal int
     keys: dict[int, int] = {}
-    for d in range(top + 1):
+    empty = {0: 1}
+    yield 0, empty
+    window.append(({0: empty}, [{} for _ in range(g + 1)]))
+    for d in range(1, top + 1):
         level: dict[int, dict[int, int]] = {}
-        for lam in _partitions(d, g):
+        for lam in _partitions(d, g, d):
             key = packing.key(lam)
             r = g - lam.count(0)
-            if d == 0:
-                expansion = {key: 1}
-            else:
-                below, steps = window[-r]
-                steps = steps[r]
-                expansion = {}
-                get = expansion.get
-                for state, count in below[key - ones[r]].items():
-                    step = steps.get(state)
-                    if step is None:
-                        step = steps[state] = [(keys.setdefault(t, t), w) for t, w in _add_row(state, r, packing)]
-                    for t, ways in step:
-                        expansion[t] = get(t, 0) + count * ways
-            if d + max(r, 1) <= top:
+            below, steps = window[-r]
+            steps = steps[r]
+            expansion = {}
+            get = expansion.get
+            for state, count in below[key - ones[r]].items():
+                step = steps.get(state)
+                if step is None:
+                    step = steps[state] = [(keys.setdefault(t, t), w) for t, w in _add_row(state, r, packing)]
+                for t, ways in step:
+                    expansion[t] = get(t, 0) + count * ways
+            if d + r <= top:
                 level[key] = expansion
             yield key, expansion
         window.append((level, [{} for _ in range(g + 1)]))
@@ -325,7 +321,7 @@ def exterior_alternating_sum_dual(g: int) -> GradedPolynomial:
     den = factorial(bound)
     coefficients: dict[tuple[int, ...], int] = {}
     for d in range(bound - g + 1):
-        for nu in _partitions(d, g):
+        for nu in _partitions(d, g, d):
             value = den
             for v in nu:
                 value //= factorial(v + 1)

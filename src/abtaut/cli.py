@@ -56,11 +56,11 @@ __all__ = [
 # test of satake --p is trial division.  The ring cap is
 # tautring.MAX_RING_GENUS, checked by build_ring.  Times on a 2-CPU x86-64
 # machine with Python 3.11: B_2000 about 35 ms; verify --check borel-serre
-# --g 8 8.3-9.0 s and 94 MB peak RSS as a fresh process; grr about 0.02 s
-# and recursion about 0.15 s at genus 100, against 0.15-0.2 s and 3.5 s at
-# genus 200; verify --gmax 100 takes about 0.065 s for grr and 2.6 s for
-# recursion.  The grr times include the Bernoulli numbers and the boundary
-# quotients of a cold process, pinned to one CPU.
+# --g 8 a median of 7.8 s (7.2-9.5 s) and 94 MB peak RSS as a fresh process;
+# grr about 0.02 s and recursion about 0.15 s at genus 100, against 0.15-0.2 s
+# and 3.5 s at genus 200; verify --gmax 100 takes about 0.065 s for grr and
+# 2.6 s for recursion.  The grr times include the Bernoulli numbers and the
+# boundary quotients of a cold process, pinned to one CPU.
 MAX_PRINTED_DIGITS = 4300
 MAX_BERNOULLI_N = 2000
 MAX_ZETA_GENUS = 1000
@@ -299,7 +299,7 @@ def _option(word: str, names) -> tuple | None:
     if word != "--":  # argparse's end of options, which names no option here
         matches = [n for n in names if n == name] or [n for n in names if name[:2] == "--" and n.startswith(name)]
         if len(matches) > 1:
-            raise ValueError(f"ambiguous option: {name} could match {', '.join(matches)}")
+            raise ValueError(f"ambiguous option: {word} could match {', '.join(matches)}")
         if matches:
             return matches[0], value if sep else None
     if _NEGATIVE_NUMBER.match(word) or " " in word:
@@ -322,7 +322,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
     if command not in _COMMANDS:
         raise ValueError(f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
     handler, _, options = _COMMANDS[command]
-    names = [*options, *_HELP]
+    names = [*_HELP, *options]
     values = {name[2:]: None for name in options}
     values["format"] = "json"
     extras = []

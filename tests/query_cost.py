@@ -20,7 +20,16 @@ Two more kinds time ``determinant`` alone, warm, by the median of three
 runs: ``det all K``, per genus, the total over the K pairing matrices of
 R_g, one per degree; and ``det 14x14``, once after the genera, one dense
 14 x 14 matrix of entries in -9..9 from a fixed seed, the median over
-20 such matrices.  Run from the repository root::
+20 such matrices.
+
+Two last lines split the set-up that a library session pays before its
+first query: ``import abtaut`` in a fresh interpreter that has already
+imported ``fractions``, ``json``, ``re`` and ``random``, as the benchmark
+driver has, the median of 5 runs after one untimed run; and the median of
+5 builds of R_4..R_8 in this process.  The untimed run writes the bytecode
+unless PYTHONDONTWRITEBYTECODE is set; where it is set, every run compiles
+each module whose bytecode is missing or stale, and the import time shows
+it.  Run from the repository root::
 
     python tests/query_cost.py [N]
 
@@ -29,22 +38,28 @@ N defaults to 40.  The script only reports; it never fails on a time.
 
 from __future__ import annotations
 
+import gc
+import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
-from abtaut import TautRing, determinant  # noqa: E402
+from abtaut import TautRing, build_ring, determinant  # noqa: E402
 
 GENERA = range(4, 9)
 KINDS = ("nf", "product", "socle", "pairing+det")
 WARM_RUNS = 3
 DENSE_SIZE, DENSE_COUNT = 14, 20
+SETUP_RUNS = 5
+_IMPORT = "import fractions, json, re, random, time; t = time.perf_counter(); import abtaut; print(time.perf_counter() - t)"
 
 
 def _polynomial(rng: random.Random, g: int, terms: int) -> dict:
@@ -109,6 +124,26 @@ def _warm_determinants(matrices: list) -> float:
     return statistics.median(runs)
 
 
+def _import_ms() -> float:
+    """Median milliseconds of ``import abtaut`` in a fresh interpreter,
+    after one untimed run."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    runs = [subprocess.run([sys.executable, "-c", _IMPORT], env=env, capture_output=True, text=True, check=True).stdout for _ in range(SETUP_RUNS + 1)]
+    return statistics.median(map(float, runs[1:])) * 1e3
+
+
+def _build_ms() -> float:
+    """Median milliseconds to build R_g for every genus in GENERA."""
+    runs = []
+    for _ in range(SETUP_RUNS):
+        gc.collect()
+        started = time.perf_counter()
+        rings = [build_ring(g) for g in GENERA]
+        runs.append(time.perf_counter() - started)
+        del rings
+    return statistics.median(runs) * 1e3
+
+
 def main(argv: list[str]) -> None:
     n = int(argv[0]) if argv else 40
     rng = random.Random("query_cost")
@@ -130,6 +165,8 @@ def main(argv: list[str]) -> None:
     matrices = [[[dense.randint(-9, 9) for _ in range(DENSE_SIZE)] for _ in range(DENSE_SIZE)] for _ in range(DENSE_COUNT)]
     w = statistics.median(_warm_determinants([m]) for m in matrices)
     print(f" -  {f'det {DENSE_SIZE}x{DENSE_SIZE}':11s} {'-':>8s} {w * 1e6:8.1f}")
+    print(f"set-up: import abtaut {_import_ms():.2f} ms, fresh interpreter, median of {SETUP_RUNS}")
+    print(f"set-up: build R_{GENERA[0]}..R_{GENERA[-1]} {_build_ms():.2f} ms, median of {SETUP_RUNS}")
 
 
 if __name__ == "__main__":

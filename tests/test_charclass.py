@@ -141,6 +141,36 @@ def test_classes_require_a_bounded_ring():
         BundleClasses(1, (R.gen(0),), R)
 
 
+def test_classes_require_one_chern_class_per_rank():
+    R = GradedRing(("x", "y"), (1, 1), 4)
+    x, y = R.gens()
+    for rank, chern in ((2, (x + y,)), (1, (x + y, x * y)), (0, (x,))):
+        with pytest.raises(ValueError, match=r"^exactly one Chern class per rank is required\Z"):
+            BundleClasses(rank, chern, R)
+
+
+def test_classes_require_the_bundle_ring():
+    R = GradedRing(("x", "y"), (1, 1), 4)
+    for other in (GradedRing(("x", "y"), (1, 1), 5), GradedRing(("x", "z"), (1, 1), 4), GradedRing(("x", "y"), (1, 2), 4)):
+        with pytest.raises(ValueError, match=r"^all Chern classes must live in the bundle ring\Z"):
+            BundleClasses(2, (R.gen(0), other.gen(0) * other.gen(1)), R)
+
+
+def test_classes_require_homogeneous_chern_classes_of_their_degree():
+    R = GradedRing(("x", "y"), (1, 1), 4)
+    x, y = R.gens()
+    for chern, i in (((x * y, x * y), 1), ((x + 1, x * y), 1), ((x, y), 2), ((x, x * y + y), 2), ((x, R.one), 2)):
+        with pytest.raises(ValueError, match=rf"^c_{i} must be homogeneous of weighted degree {i}\Z"):
+            BundleClasses(2, chern, R)
+
+
+def test_classes_repr():
+    R = GradedRing(("x", "y"), (1, 1), 4)
+    x, y = R.gens()
+    assert repr(BundleClasses(2, (x + y, x * y), R)) == "BundleClasses(rank=2, ring=GradedRing(x:1, y:1; bound=4))"
+    assert repr(BundleClasses.generators(2)) == "BundleClasses(rank=2, ring=GradedRing(c1:1, c2:2; bound=3))"
+
+
 # -- Chern character -------------------------------------------------------
 
 
@@ -331,6 +361,14 @@ def conjugate(lam):
     return tuple(sum(1 for v in lam if v > i) for i in range(max(lam, default=0)))
 
 
+def test_partitions_match_the_oracle_enumeration():
+    # every degree up to the socle degree N_g = g(g+1)/2 of each genus the
+    # roots route runs at; the oracle tries every first part down to 0
+    for g in range(1, 9):
+        for d in range(g * (g + 1) // 2 + 1):
+            assert list(_partitions(d, g, d)) == list(roots_oracle._partitions(d, g, d)), (g, d)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_zero_one_matrix_counts(g):
     # every e_mu with |mu| <= 6 and parts <= g, on every partition nu with at most g parts
@@ -340,7 +378,7 @@ def test_zero_one_matrix_counts(g):
     for key, expansion in _elementary_expansions(packing, top):
         lam = packing.exponents(key)
         brute = brute_force_counts(conjugate(lam), g)
-        partitions = _partitions(sum(lam), g)
+        partitions = list(_partitions(sum(lam), g, sum(lam)))
         sorted_vectors = {tuple(sorted(c, reverse=True)) for c in product(range(top + 1), repeat=g) if sum(c) == sum(lam)}
         assert partitions == sorted(sorted_vectors, reverse=True)
         assert set(expansion) <= {packing.key(nu) for nu in partitions}
@@ -348,7 +386,7 @@ def test_zero_one_matrix_counts(g):
             orbit = len(set(permutations(nu)))
             assert expansion.get(packing.key(nu), 0) == orbit * brute[nu], (lam, nu)
         seen += 1
-    assert seen == sum(len(_partitions(d, g)) for d in range(top + 1))
+    assert seen == sum(len(list(_partitions(d, g, d))) for d in range(top + 1))
 
 
 @pytest.mark.parametrize("a", [255, 256, 300])

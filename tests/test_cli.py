@@ -359,6 +359,23 @@ def test_argparse_errors_are_one_line(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("abtaut: error: ")
 
 
+_VERIFY_MATCHES = "--help, --check, --g, --gmax, --format"
+_AMBIGUOUS_CASES = [
+    (["verify", "--=x"], _VERIFY_MATCHES),
+    (["verify", "--check", "--=x"], _VERIFY_MATCHES),
+    (["ring", "--g", "3", "--show", "dims", "--=x"], "--help, --g, --show, --degree, --format"),
+]
+
+
+@pytest.mark.parametrize("argv, matches", _AMBIGUOUS_CASES, ids=[" ".join(argv) for argv, _ in _AMBIGUOUS_CASES])
+def test_ambiguous_option_names_the_whole_word(capsys, argv, matches):
+    # argparse's message: the word as given, "=" and all, then every option
+    # it prefixes in the parser's order, help first
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"abtaut: error: ambiguous option: --=x could match {matches}\n"
+
+
 # -- output contracts ----------------------------------------------------------
 
 

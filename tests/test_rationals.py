@@ -161,6 +161,31 @@ def cold_bernoulli_memo():
     rationals._bernoulli_cache.update(saved)
 
 
+def test_settle_retries_at_a_higher_precision_when_the_bounds_miss(monkeypatch, cold_bernoulli_memo):
+    # the first precision always meets, so widen the first interval by one
+    # and the loop must add bits and ask again
+    interval, calls = rationals._interval, []
+
+    def widened_once(scale, n, precision):
+        lo, hi = interval(scale, n, precision)
+        calls.append(precision)
+        return (lo, hi + 1) if len(calls) == 1 else (lo, hi)
+
+    n = 36
+    scale = 2 * factorial(n) * rationals._staudt_denominator(n)
+    expected, first = rationals._settle(scale, n)
+    monkeypatch.setattr(rationals, "_interval", widened_once)
+    settled, precision = rationals._settle(scale, n)
+    assert settled == expected
+    assert precision > first
+    assert calls == [first, precision]
+    oracle = bernoulli_table(40)
+    for n in (2, 12, 40):
+        calls.clear()
+        assert bernoulli(n) == oracle[n], n
+        assert len(calls) == 2, n
+
+
 def test_bernoulli_memo_order_and_threads(cold_bernoulli_memo):
     ns = (800, 10, 799, 11, 2)
     forward = [bernoulli(n) for n in ns]

@@ -635,6 +635,13 @@ def test_element_keeps_exact_coordinates():
     assert all(type(c) is Fraction for c in element.coordinates.values())
 
 
+def test_element_repr_names_the_genus_and_the_polynomial(ring_cache):
+    assert repr(TautRingElement(2, {(1,): 3, (2,): Fraction(1, 3)})) == "TautRingElement(g=2, 3*l1 + 1/3*l2)"
+    assert repr(TautRingElement(3, {})) == "TautRingElement(g=3, 0)"
+    r = ring_cache(3)
+    assert repr(r.normal_form(r.ring.parse("l1^3"))) == "TautRingElement(g=3, 2*l1*l2)"
+
+
 # -- the stored row -----------------------------------------------------------
 
 
