@@ -13,18 +13,25 @@ is the degree-k part of the Chern character, and times (-1)^(k-1) k s_k it
 is the logarithm of the multiplicative class exp(sum_k s_k p_k) of a series
 s.  The cross-check ``borel_serre_check`` compares the alternating Chern
 character of exterior powers of the dual against c_g * Td^{-1}.  The first
-route is the root product prod_i (1 - e^{-x_i}), read off on partitions and
-rewritten in the Chern classes by ``symmetric_to_elementary`` through the
-monomial expansions of products of elementary symmetrics, which count 0-1
-matrices with given row and column sums (Macdonald, Symmetric Functions and
-Hall Polynomials, I.6).  A partition there is keyed as the exponent vector
-of a monomial in g roots of weight 1, under the graded engine's packing up
-to the top degree: raising column j of a matrix adds generator j's key,
-taking one from each of the first r parts subtracts the sum of the first r
-generator keys, and the rewrite writes integer numerators over one
-denominator straight into the Chern ring's kernel.  The second is the
-multiplicative class of log((1 - e^{-t})/t) over log c(E), with no roots
-anywhere.  The two routes share no code.
+route is the root product prod_i h(x_i), with h(t) = (1 - e^{-t})/t, read
+off by the dual Cauchy identity prod_{i,j} (1 + x_i b_j) = sum_mu e_mu(x)
+m_mu(b) (Macdonald, Symmetric Functions and Hall Polynomials, I.4.3'): with
+h(t) = prod_j (1 + b_j t), the coefficient of each Chern monomial c_mu is
+the one number m_mu(b).  These numbers come from the power sums p_k(b) by
+a recursion on partitions, run on the integers (2|mu|)! m_mu(b) with exact
+divisions, and are written straight into the Chern ring's kernel.
+``symmetric_to_elementary``
+rewrites any sum of monomial symmetric functions in the Chern classes
+through the monomial expansions of products of elementary symmetrics, which
+count 0-1 matrices with given row and column sums (Macdonald, I.6).  A
+partition there is keyed as the exponent vector of a monomial in g roots of
+weight 1, under the graded engine's packing up to the top degree: raising
+column j of a matrix adds generator j's key, taking one from each of the
+first r parts subtracts the sum of the first r generator keys, and the
+rewrite writes integer numerators over one denominator straight into the
+Chern ring's kernel.  The second route is the multiplicative class of
+log((1 - e^{-t})/t) over log c(E), with no roots anywhere.  The two routes
+share no code.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from math import comb, factorial, lcm, prod
 from operator import sub
 
@@ -305,29 +312,78 @@ def symmetric_to_elementary(g: int, coefficients: Mapping[tuple[int, ...], int |
     return GradedPolynomial(ring, chern, _Kernel.reduced(den, out))
 
 
+def _power_sums(a: Sequence[int]) -> list[int]:
+    """P_k = (2k)! p_k(b) for 0 < k < len(a), with P_0 = 0, from the
+    integers a[k] = (2k)! e_k(b), by Newton's identities
+    p_k = sum_{0<i<k} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k; scaled by
+    (2k)!, the product e_i p_{k-i} is C(2k, 2i) a[i] P_{k-i}."""
+    p = [0]
+    for k in range(1, len(a)):
+        p.append(sum((-1) ** (i - 1) * comb(2 * k, 2 * i) * a[i] * p[k - i] for i in range(1, k)) - (-1) ** k * k * a[k])
+    return p
+
+
+def _dual_cauchy(g: int, a: Sequence[int], lead: int) -> GradedPolynomial:
+    """c_g^lead prod_i f(x_i) in the rank-g Chern ring truncated at N_g =
+    g(g+1)/2, for f(t) = sum_k a[k] t^k / (2k)! with integers a[k], a[0] = 1,
+    given for k <= top = N_g - lead g.
+
+    With f(t) = prod_j (1 + b_j t), the dual Cauchy identity makes the
+    coefficient of c_g^lead c_mu the number m_mu(b), for each mu with parts
+    <= g and |mu| <= top.  Peeling the smallest part k of mu, with
+    nu = mu minus k, m_nu p_k = n_k(mu) m_mu + sum_j n_{j+k}(rho_j) m_{rho_j},
+    where j runs over the distinct parts of nu, rho_j is nu with one part j
+    raised to j + k and n_v counts the parts equal to v; each rho_j has a
+    part fewer than mu, but its parts are not bounded by g, so every
+    partition of each n <= top is met.  Scaled by (2n)!, m_mu is the integer
+    M_mu, since it is an integer polynomial of weight n in the e_k(b) =
+    a[k] / (2k)! and (2n)! / prod (2k_i)! is a multinomial coefficient; so
+    M_mu = (C(2n, 2k) M_nu P_k - sum_j n_{j+k}(rho_j) M_{rho_j}) / n_k(mu)
+    divides exactly.  The result is written over (2 top)!."""
+    bound = g * (g + 1) // 2
+    top = bound - lead * g
+    p = _power_sums(a[: top + 1])
+    m: dict[tuple[int, ...], int] = {(): 1}
+    # tails[n][k]: the partitions of n, as nonincreasing tuples, whose
+    # smallest part is k; the empty partition is tails[0][0]
+    tails = [[[()]]]
+    for n in range(1, top + 1):
+        level: list[list[tuple[int, ...]]] = [[]]
+        for k in range(1, n + 1):
+            rests = [()] if k == n else [nu for j in range(k, n - k + 1) for nu in tails[n - k][j]]
+            level.append([nu + (k,) for nu in rests])
+        tails.append(level)
+        # each rho_j has a part fewer than mu, so it is met first
+        for mu in sorted(chain.from_iterable(level), key=len):
+            nu, k = mu[:-1], mu[-1]
+            value = comb(2 * n, 2 * k) * m[nu] * p[k] if p[k] else 0
+            for i, j in enumerate(nu):
+                if not i or nu[i - 1] != j:
+                    rho = tuple(sorted(nu[:i] + (j + k,) + nu[i + 1 :], reverse=True))
+                    value -= rho.count(j + k) * m[rho]
+            m[mu] = value // mu.count(k)
+    packing = _packing(ring := _chern_ring(g, bound))
+    gens, den = (0, *packing.gens), factorial(2 * top)
+    scale = [den // factorial(2 * n) for n in range(top + 1)]
+    out = {lead * gens[g] + sum(map(gens.__getitem__, mu)): value * scale[sum(mu)] for mu, value in m.items() if not mu or mu[0] <= g}
+    return GradedPolynomial(ring, packing, _Kernel.reduced(den, out))
+
+
 def exterior_alternating_sum_dual(g: int) -> GradedPolynomial:
     """sum_{i=0}^{g} (-1)^i ch(Lambda^i E-dual), computed from formal roots.
 
     The Chern roots of Lambda^i E-dual are the negated i-fold subset sums of
-    the roots x_1..x_g of E, so the sum is prod_i (1 - e^{-x_i}).  Its
-    coefficient on m_lam is prod_i (-1)^{lam_i + 1} / lam_i! when lam has
-    exactly g positive parts, and 0 otherwise.  Such a lam is nu + (1^g) with
-    m_lam = e_g m_nu, so the product is c_g times the rewrite of
-    sum_nu prod_i (-1)^{nu_i} / (nu_i + 1)! m_nu up to the socle degree
-    N = g(g+1)/2, rewritten on integer numerators over N! and divided once.
+    the roots x_1..x_g of E, so the sum is prod_i (1 - e^{-x_i}) =
+    c_g prod_i h(x_i), with h(t) = (1 - e^{-t})/t = sum_k (-1)^k t^k / (k+1)!.
+    Up to the socle degree N = g(g+1)/2 that is the dual Cauchy route
+    ``_dual_cauchy`` with a[k] = (-1)^k (2k)! / (k+1)!: one exact number per
+    Chern monomial, with no polynomial multiplied or rewritten.  As
+    log h(t) + t/2 is even, p_k(b) vanishes for every odd k >= 3, and those
+    power sums drop out of the recursion.
     """
     _require_int("exterior_alternating_sum_dual", "g", g, 1)
-    bound = g * (g + 1) // 2
-    den = factorial(bound)
-    coefficients: dict[tuple[int, ...], int] = {}
-    for d in range(bound - g + 1):
-        for nu in _partitions(d, g, d):
-            value = den
-            for v in nu:
-                value //= factorial(v + 1)
-            coefficients[nu] = -value if d % 2 else value
-    out = symmetric_to_elementary(g, coefficients) / den
-    return _chern_ring(g, bound).gen(g - 1) * out.truncate(bound)
+    top = g * (g - 1) // 2
+    return _dual_cauchy(g, [(-1) ** k * (factorial(2 * k) // factorial(k + 1)) for k in range(top + 1)], 1)
 
 
 class BorelSerreReport(namedtuple("BorelSerreReport", "genus ok difference")):

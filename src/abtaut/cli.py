@@ -54,17 +54,19 @@ __all__ = [
 # and a normal form printed by reduce can outgrow its input, so both are
 # checked against the limit itself, before they are printed; the primality
 # test of satake --p is trial division.  The ring cap is
-# tautring.MAX_RING_GENUS, checked by build_ring.  Times on a 2-CPU x86-64
-# machine with Python 3.11: B_2000 about 35 ms; verify --check borel-serre
-# --g 8 a median of 7.8 s (7.2-9.5 s) and 94 MB peak RSS as a fresh process;
-# grr about 0.02 s and recursion about 0.15 s at genus 100, against 0.15-0.2 s
+# tautring.MAX_RING_GENUS, checked by build_ring, so verify --check all stops
+# at genus 8, below the borel-serre cap.  Times on a 2-CPU x86-64 machine
+# with Python 3.11: B_2000 about 35 ms; verify --check borel-serre as a
+# fresh process a median of 0.4 s and 24 MB peak RSS at --g 8, and 2.8-3.3 s
+# and 59 MB at --g 9 (at --g 10 its log route alone takes about 16 s); grr
+# about 0.02 s and recursion about 0.15 s at genus 100, against 0.15-0.2 s
 # and 3.5 s at genus 200; verify --gmax 100 takes about 0.065 s for grr and
 # 2.6 s for recursion.  The grr times include the Bernoulli numbers and the
 # boundary quotients of a cold process, pinned to one CPU.
 MAX_PRINTED_DIGITS = 4300
 MAX_BERNOULLI_N = 2000
 MAX_ZETA_GENUS = 1000
-MAX_BOREL_SERRE_GENUS = 8
+MAX_BOREL_SERRE_GENUS = 9
 MAX_GRR_GENUS = 100
 MAX_RECURSION_GENUS = 100
 MAX_SATAKE_GENUS = 74
@@ -307,6 +309,14 @@ def _option(word: str, names) -> tuple | None:
     return None, None
 
 
+def _asks_help(name: str | None, value: str | None) -> bool:
+    """Whether the option read as (name, value) asks for help; a value after
+    "=" is a usage error, as argparse's help takes none."""
+    if name in _HELP and value is not None:
+        raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
+    return name in _HELP
+
+
 def _parse(argv: list[str]) -> SimpleNamespace | str:
     """The command, its handler and its option values, as argparse's
     namespace held them, read by argparse's rules: --opt value or
@@ -316,8 +326,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
     if not argv:
         raise ValueError("the following arguments are required: command")
     command = argv[0]
-    name, _ = _option(command, _HELP) or (None, None)
-    if name:
+    if _asks_help(*(_option(command, _HELP) or (None, None))):
         return _help(list(_COMMANDS))
     if command not in _COMMANDS:
         raise ValueError(f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
@@ -326,17 +335,19 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
     values = {name[2:]: None for name in options}
     values["format"] = "json"
     extras = []
-    words = iter(argv[1:])
-    for word in words:
-        name, value = _option(word, names) or (None, None)
+    # argparse reads every word before it takes any option, so an ambiguous
+    # prefix is a usage error even after -h
+    words = iter([(word, _option(word, names)) for word in argv[1:]])
+    for word, reading in words:
+        name, value = reading or (None, None)
         if name is None:
             extras.append(word)
             continue
-        if name in _HELP:
+        if _asks_help(name, value):
             return _help([command])
         if value is None:
-            value = next(words, None)
-            if value is None or _option(value, names) is not None:
+            value, reading = next(words, (None, None))
+            if value is None or reading is not None:
                 raise ValueError(f"argument {name}: expected one argument")
         elif value == "--":
             raise ValueError(f"argument {name}: expected a value, got '--'")

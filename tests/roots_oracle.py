@@ -1,8 +1,8 @@
 """Reference routes over formal roots, and the root alphabet itself.
 
 ``charclass.exterior_alternating_sum_dual`` reads the product
-prod_i (1 - e^{-x_i}) off on partitions and converts it through counts of
-0-1 matrices.  This module keeps its former body: it sums the 2^g
+prod_i (1 - e^{-x_i}) off by the dual Cauchy identity, one number per
+Chern monomial.  This module keeps an earlier body of it: it sums the 2^g
 exponentials e^{-(x_S)} of the negated subset sums with sign (-1)^{|S|} and
 rewrites the symmetric total in the elementary symmetrics by
 leading-monomial subtraction on full root monomials, each product of

@@ -8,6 +8,7 @@ import graded_oracle
 import newton_oracle
 import pytest
 import roots_oracle
+import series_oracle
 from argument_contract import rejects
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +27,13 @@ from abtaut import (
     todd,
     todd_dual,
 )
-from abtaut import charclass, graded
+from abtaut import charclass, cli, graded
 from abtaut.charclass import (
+    _dual_cauchy,
     _elementary_expansions,
     _multiplicative_class,
     _partitions,
+    _power_sums,
 )
 
 
@@ -332,9 +335,14 @@ def test_exterior_sum_lowest_term_is_top_chern(g):
     assert value.homogeneous_part(g) == value.ring.monomial(top_gen_exps)
 
 
+# the oracle's 2^g exponentials take seconds at g = 5, and its values are
+# immutable, so the tests that compare the route with it share them
+_subset_sums = functools.cache(roots_oracle.exterior_alternating_sum_dual)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_exterior_sum_matches_subset_sum_oracle(g):
-    assert exterior_alternating_sum_dual(g).terms == roots_oracle.exterior_alternating_sum_dual(g).terms
+    assert exterior_alternating_sum_dual(g).terms == _subset_sums(g).terms
 
 
 def test_exterior_sum_matches_oracle_below_the_socle():
@@ -441,20 +449,49 @@ def test_symmetric_to_elementary_round_trip_mixed_denominators():
     assert q == roots_oracle.to_elementary(p)
 
 
-def test_roots_route_calls_the_rewrite_once(monkeypatch):
-    # the roots route reaches the rewrite through its module-level name,
-    # where bench/tracing.py wraps it as the span charclass.sym_to_elem
-    rewrite = charclass.symmetric_to_elementary
-    calls = []
+def test_roots_route_never_reaches_the_rewrite(monkeypatch):
+    # the dual Cauchy route writes one number per Chern monomial, so the
+    # m -> e rewrite and its 0-1 matrix counts are never called
+    for name in ("symmetric_to_elementary", "_elementary_expansions", "_add_row"):
+        monkeypatch.setattr(charclass, name, _raises)
+    for g in range(1, 6):
+        assert exterior_alternating_sum_dual(g).terms == _subset_sums(g).terms, g
 
-    def counted(g, coefficients):
-        calls.append(g)
-        return rewrite(g, coefficients)
 
-    monkeypatch.setattr(charclass, "symmetric_to_elementary", counted)
-    for g in range(1, 7):
-        exterior_alternating_sum_dual(g)
-        assert calls == list(range(1, g + 1)), g
+def test_power_sums_of_the_roots_of_h():
+    # h(t) = (1 - e^{-t})/t = prod_j (1 + b_j t) fixes e_k(b) = (-1)^k / (k+1)!;
+    # p_k(b) by Newton's identities on Fractions, and log h(t) + t/2 is even
+    top = 45
+    e = [Fraction((-1) ** k, factorial(k + 1)) for k in range(top + 1)]
+    p = [Fraction(0)]
+    for k in range(1, top + 1):
+        p.append(sum((-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, k)) + (-1) ** (k - 1) * k * e[k])
+    scaled = _power_sums([(-1) ** k * factorial(2 * k) // factorial(k + 1) for k in range(top + 1)])
+    assert len(scaled) == top + 1
+    for k in range(1, top + 1):
+        assert Fraction(scaled[k], factorial(2 * k)) == p[k], k
+        if k % 2 and k >= 3:
+            assert scaled[k] == 0, k
+    assert p[1] == Fraction(-1, 2)
+
+
+def _scaled(series):
+    """(2k)! times each coefficient, which must be an integer."""
+    scaled = [c * factorial(2 * k) for k, c in enumerate(series)]
+    assert all(c.denominator == 1 for c in scaled)
+    return [c.numerator for c in scaled]
+
+
+@pytest.mark.parametrize("g", range(1, 8))
+def test_dual_cauchy_route_gives_the_todd_classes(g):
+    # x/(1 - e^{-x}) and x/(e^x - 1), from the series oracle's Fraction
+    # recurrences, fed through the roots route's dual Cauchy identity
+    b = BundleClasses.generators(g)
+    order = g * (g + 1) // 2
+    td = series_oracle.reciprocal(series_oracle.one_minus_exp_neg_over_t(order))
+    td_dual = series_oracle.reciprocal(series_oracle.exp_minus_one_over_t(order))
+    assert _dual_cauchy(g, _scaled(td), 0) == todd(b)
+    assert _dual_cauchy(g, _scaled(td_dual), 0) == todd_dual(b)
 
 
 @functools.cache
@@ -491,12 +528,20 @@ def test_symmetric_to_elementary_rejects_a_key_that_is_not_a_partition(key):
     assert "\n" not in str(info.value)
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_borel_serre_check(g):
     report = borel_serre_check(g)
     assert report.ok
     assert not report.difference
     assert report.genus == g
+
+
+def test_borel_serre_check_at_the_cap():
+    # g = 9 is MAX_BOREL_SERRE_GENUS, about 3 s
+    report = borel_serre_check(cli.MAX_BOREL_SERRE_GENUS)
+    assert report.genus == 9
+    assert report.ok
+    assert not report.difference
 
 
 def test_borel_serre_report_payload():
@@ -513,9 +558,9 @@ def test_two_routes_share_no_code(monkeypatch):
         for name in ("graded_exp", "graded_log", "named_series", "_log_chern", "newton_power_sums"):
             m.setattr(charclass, name, _raises)
         for g in range(1, 6):
-            assert exterior_alternating_sum_dual(g).terms == roots_oracle.exterior_alternating_sum_dual(g).terms, g
+            assert exterior_alternating_sum_dual(g).terms == _subset_sums(g).terms, g
     with monkeypatch.context() as m:
-        for name in ("symmetric_to_elementary", "_elementary_expansions", "_add_row", "_partitions", "_packing"):
+        for name in ("symmetric_to_elementary", "_elementary_expansions", "_add_row", "_partitions", "_packing", "_dual_cauchy", "_power_sums"):
             m.setattr(charclass, name, _raises)
         for g in range(1, 6):
             b = BundleClasses.generators(g)

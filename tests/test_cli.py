@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import functools
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -813,33 +815,55 @@ def test_every_argument_vector_succeeds_or_is_a_usage_error(argv):
 
 
 def _parsed(parse, argv, rejection):
-    """parse(argv) with its stderr discarded, or None where it rejects argv
-    by raising the exception rejection."""
-    with contextlib.redirect_stderr(io.StringIO()):
+    """What parse(argv) reads, with its stdout and stderr discarded: "help",
+    "usage error" where it rejects argv by raising the exception rejection
+    (argparse's SystemExit with code 2), or the namespace's values.
+    argparse's help exits with code 0, and the CLI's parser returns the
+    help text."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return parse(argv)
-        except rejection:
-            return None
+            parsed = parse(argv)
+        except rejection as exc:
+            return "help" if getattr(exc, "code", 2) == 0 else "usage error"
+    return "help" if isinstance(parsed, str) else vars(parsed)
+
+
+# one oracle parser serves every comparison: parse_args leaves it unchanged
+_oracle_parser = functools.cache(argparse_oracle.build_parser)
 
 
 def _parsers_agree(argv) -> bool:
-    """Assert that the CLI's parser and argparse both reject argv or both
-    read the same command, handler and values; return whether they accepted
-    it."""
-    namespace = _parsed(argparse_oracle.build_parser().parse_args, argv, SystemExit)
-    parsed = _parsed(cli._parse, argv, ValueError)
-    if namespace is None:
-        assert parsed is None
-        return False
-    assert vars(parsed) == vars(namespace)
-    return True
+    """Assert that the CLI's parser and argparse read argv alike: both as
+    help, both as a usage error, or both as the same command, handler and
+    values; return whether they read a namespace."""
+    expected = _parsed(_oracle_parser().parse_args, argv, SystemExit)
+    assert _parsed(cli._parse, argv, ValueError) == expected, argv
+    return isinstance(expected, dict)
+
+
+def _has_dashdash(argv) -> bool:
+    return any("--" in (word, word.partition("=")[2]) for word in argv)
 
 
 # argparse's reading of "--" changed in Python 3.13; test_dashdash... covers it
 @settings(max_examples=500, deadline=None)
-@given(_argv().filter(lambda argv: not any("--" in (word, word.partition("=")[2]) for word in argv)))
+@given(_argv().filter(lambda argv: not _has_dashdash(argv)))
 def test_parser_agrees_with_argparse(argv):
     _parsers_agree(argv)
+
+
+_VERIFY_TOKENS = ["-h", "--help", "--help=x", "--he=1", "--=x", "--g", "--g=3", "3", "x", "--check", "--check=grr", "grr",
+                  "--gmax", "--format=json", "--bogus", "--"]
+
+
+def test_parser_agrees_with_argparse_on_every_short_verify_vector():
+    # every verify argument vector of at most two of the tokens, help options
+    # with "=" and ambiguous prefixes among them; "--" as above
+    vectors = [["verify", *words] for k in range(3) for words in product(_VERIFY_TOKENS, repeat=k)]
+    assert len(vectors) == 273
+    for argv in vectors:
+        if not _has_dashdash(argv):
+            _parsers_agree(argv)
 
 
 _RULE_CASES = [
@@ -856,6 +880,11 @@ _RULE_CASES = [
     (["constant", "--g", "2", "x"], False),
     (["constant", "--g"], False),
     (["constant", "--g="], False),
+    (["--help=x"], False),
+    (["--=x"], False),
+    (["verify", "--help=x"], False),
+    (["verify", "--he=1"], False),
+    (["verify", "-h", "--=x"], False),
 ]
 
 
