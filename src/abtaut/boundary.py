@@ -15,13 +15,12 @@ is applied as a rewrite rule on monomials, never re-derived.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from .graded import GradedPolynomial, GradedRing, _Kernel, _packing
-from .rationals import _require_int, bernoulli, boundary_constant, zeta_negative_odd
+from .rationals import _Record, _require_int, bernoulli, boundary_constant, zeta_negative_odd
 
 __all__ = [
     "BoundaryClass",
@@ -43,7 +42,7 @@ def boundary_ring() -> GradedRing:
     return _PI_T
 
 
-class BoundaryClass(namedtuple("BoundaryClass", "genus poly")):
+class BoundaryClass(_Record, fields="genus poly"):
     """A polynomial in Pi and T together with the genus whose pushforward
     rule is meant to consume it."""
 
@@ -53,7 +52,7 @@ class BoundaryClass(namedtuple("BoundaryClass", "genus poly")):
         return str(self.poly)
 
 
-class PushforwardResult(namedtuple("PushforwardResult", "delta_coefficient")):
+class PushforwardResult(_Record, fields="delta_coefficient"):
     """The multiple of the boundary cycle class produced by a pushforward."""
 
     __slots__ = ()
@@ -117,7 +116,7 @@ def grr_coefficient(g: int) -> Fraction:
     return factor * pushforward(g, sum_powers_quotient(g)).delta_coefficient
 
 
-class GrrReport(namedtuple("GrrReport", "genus q magnitude_ok sign_matches_theorem sign_matches_zeta")):
+class GrrReport(_Record, fields="genus q magnitude_ok sign_matches_theorem sign_matches_zeta"):
     """Sign ledger for the pipeline output q at one genus.
 
     Only the magnitude is asserted anywhere; the two sign flags report

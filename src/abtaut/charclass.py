@@ -36,7 +36,7 @@ share no code.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import deque
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, groupby
@@ -54,7 +54,7 @@ from .graded import (
     graded_log,
     named_series,
 )
-from .rationals import _require_int
+from .rationals import _Record, _require_int
 
 __all__ = [
     "BundleClasses",
@@ -386,7 +386,7 @@ def exterior_alternating_sum_dual(g: int) -> GradedPolynomial:
     return _dual_cauchy(g, [(-1) ** k * (factorial(2 * k) // factorial(k + 1)) for k in range(top + 1)], 1)
 
 
-class BorelSerreReport(namedtuple("BorelSerreReport", "genus ok difference")):
+class BorelSerreReport(_Record, fields="genus ok difference"):
     """Outcome of the dual-route exterior-power identity check."""
 
     __slots__ = ()

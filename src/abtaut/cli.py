@@ -16,17 +16,17 @@ as soon as ``main`` returns, without the interpreter's shutdown.
 The options are read from the command table ``_COMMANDS`` by ``_parse``,
 which follows argparse's rules without importing it: argparse and the
 gettext and locale modules it loads cost a fresh request more than abtaut's
-own modules do.
+own modules do.  For the same reason ``_json`` writes the JSON lines, byte
+for byte as ``json.dumps(..., ensure_ascii=False)`` would, without importing
+json: a payload holds only str, int, bool, None, dicts, lists and tuples.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
 import time
-from collections import namedtuple
 from types import SimpleNamespace
 
 from . import boundary, charclass, satake, tautring
@@ -183,17 +183,46 @@ def _cmd_satake(args) -> list[dict]:
     return envelopes
 
 
+# json.dumps' escapes with ensure_ascii=False: the quote, the backslash, five
+# short forms and \u00XX for every other control character
+_ESCAPES = str.maketrans(
+    {chr(c): f"\\u{c:04x}" for c in range(32)}
+    | {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
+
+
+def _json(value) -> str:
+    """``json.dumps(value, ensure_ascii=False)`` for the values a payload
+    holds: str, int, bool, None, and dicts with str keys, lists and tuples of
+    them.  Any other value, a float too, is a TypeError."""
+    if isinstance(value, str):
+        return '"' + value.translate(_ESCAPES) + '"'
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if not isinstance(value, dict):
+        raise TypeError(f"a payload holds no value of type {type(value).__name__}")
+    if not all(isinstance(key, str) for key in value):
+        raise TypeError("a payload's keys are str")
+    return "{" + ", ".join(f"{_json(key)}: {_json(item)}" for key, item in value.items()) + "}"
+
+
 def _render(envelopes: list[dict], fmt: str) -> str:
     """The text of the envelopes in one output format.  In text format a
     value prints as is if it is a str and as JSON otherwise."""
     if fmt == "json":
-        return "".join(json.dumps(env, ensure_ascii=False) + "\n" for env in envelopes)
+        return "".join(_json(env) + "\n" for env in envelopes)
     if fmt == "text":
         lines = []
         for env in envelopes:
             lines += [f"command: {env['command']}", f"status: {env['status']}"]
             for key, value in env["payload"].items():
-                lines.append(f"{key}: {value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)}")
+                lines.append(f"{key}: {value if isinstance(value, str) else _json(value)}")
         return "".join(line + "\n" for line in lines)
     # the parser's choices leave the satake table as the only csv output
     import csv  # only this path needs it; the other requests skip its import
@@ -214,7 +243,17 @@ def _render(envelopes: list[dict], fmt: str) -> str:
 # command: (handler, help, options).  An option that is not given is None,
 # --format "json"; main checks a given int against its least value and its
 # cap, where the option has them, before the handler runs.
-_Option = namedtuple("_Option", "kind choices required help least cap", defaults=(None, None))
+class _Option:
+    """One option of a command: its type, its choices or None, whether it is
+    required, its help line, and its least value and cap or None."""
+
+    __slots__ = ("kind", "choices", "required", "help", "least", "cap")
+
+    def __init__(self, kind, choices, required, help, least=None, cap=None):
+        self.kind, self.choices, self.required = kind, choices, required
+        self.help, self.least, self.cap = help, least, cap
+
+
 _FORMAT = _Option(str, ("json", "text"), False, "output format")
 
 
@@ -304,14 +343,19 @@ def _option(word: str, names) -> tuple | None:
             raise ValueError(f"ambiguous option: {word} could match {', '.join(matches)}")
         if matches:
             return matches[0], value if sep else None
+        if word[:2] == "-h":
+            # a run of short flags: argparse reads "-hh" as -h -h, and the
+            # rest of the run from a letter other than h as -h's value
+            return "-h", word[2:].lstrip("h") or None
     if _NEGATIVE_NUMBER.match(word) or " " in word:
         return None
     return None, None
 
 
 def _asks_help(name: str | None, value: str | None) -> bool:
-    """Whether the option read as (name, value) asks for help; a value after
-    "=" is a usage error, as argparse's help takes none."""
+    """Whether the option read as (name, value) asks for help; a value, after
+    "=" or in a run of short flags, is a usage error, as argparse's help
+    takes none."""
     if name in _HELP and value is not None:
         raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
     return name in _HELP

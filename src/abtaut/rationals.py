@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, isqrt
+from operator import itemgetter
 
 __all__ = ["bernoulli", "zeta_negative_odd", "boundary_constant"]
 
@@ -37,6 +38,35 @@ def _require_int(function: str, name: str, value, low: int | None = None) -> Non
         raise TypeError(f"{function} requires an int {name}, got {type(value).__name__}")
     if low is not None and value < low:
         raise ValueError(f"{function} requires {name} >= {low}, got {value}")
+
+
+class _Record(tuple):
+    """The base of the package's report records: a tuple whose items are also
+    read by name.  A record is immutable, equals the plain tuple of its
+    values and pickles by them.  A subclass names its fields in its class
+    statement, ``class R(_Record, fields="a b")``, and is built from each
+    field once, by position or by keyword."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, *, fields: str, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(fields.split())
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(index), doc=f"Field {index} of the record"))
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        values = [*args, *(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)]
+        if kwargs or len(values) != len(fields):
+            raise TypeError(f"{cls.__name__} takes each of its fields once: {', '.join(fields)}")
+        return tuple.__new__(cls, values)
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in zip(self._fields, self))})"
 
 
 def _pi_bounds(precision: int) -> tuple[int, int]:

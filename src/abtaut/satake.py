@@ -9,10 +9,9 @@ silently.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
-from .rationals import _is_prime, _require_int, zeta_negative_odd
+from .rationals import _is_prime, _Record, _require_int, zeta_negative_odd
 
 __all__ = [
     "SatakeClassExpression",
@@ -28,7 +27,7 @@ __all__ = [
 ]
 
 
-class SatakeClassExpression(namedtuple("SatakeClassExpression", "stratum_index coefficient label")):
+class SatakeClassExpression(_Record, fields="stratum_index coefficient label"):
     """A rational multiple of one pushed-down class l_a."""
 
     __slots__ = ()
@@ -85,13 +84,13 @@ def leading_stratum_constants(g: int) -> tuple[SatakeClassExpression, ...]:
     return (first, second)
 
 
-class StratumComparison(namedtuple("StratumComparison", "stratum_index closed_form divisor_route equal factor")):
+class StratumComparison(_Record, fields="stratum_index closed_form divisor_route equal factor"):
     """One stratum constant by both routes, with factor = closed_form / divisor_route."""
 
     __slots__ = ()
 
 
-class ConsistencyReport(namedtuple("ConsistencyReport", "genus comparisons")):
+class ConsistencyReport(_Record, fields="genus comparisons"):
     """Exact comparison of the closed-form family against the divisor-route
     pair; at i = 1 the two routes' signs disagree exactly when g is even."""
 
@@ -116,7 +115,7 @@ def consistency_report(g: int) -> ConsistencyReport:
     return ConsistencyReport(genus=g, comparisons=tuple(comparisons))
 
 
-class RecursionReport(namedtuple("RecursionReport", "genus ok steps")):
+class RecursionReport(_Record, fields="genus ok steps"):
     """One-step descent check: each stratum constant is the previous one
     times -1 / zeta(2i-1-2g)."""
 

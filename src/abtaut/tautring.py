@@ -35,14 +35,13 @@ polynomials of its own ring, ``TautRing.ring``.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from .graded import GradedPolynomial, GradedRing, _as_fraction, _Kernel, _packing
-from .rationals import _require_int
+from .rationals import _Record, _require_int
 
 __all__ = [
     "MAX_RING_GENUS",
@@ -420,7 +419,7 @@ def build_ring(g: int) -> TautRing:
     return TautRing(g)
 
 
-class RingReport(namedtuple("RingReport", "genus ok dims checks")):
+class RingReport(_Record, fields="genus ok dims checks"):
     """Structural checks of R_g: the dimension profile and six named verdicts."""
 
     __slots__ = ()

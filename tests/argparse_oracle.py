@@ -6,6 +6,9 @@ of ``abtaut.cli``.
 namespace whose option values the hand parser must reproduce.  argparse's
 reading of ``--`` changed in Python 3.13 (``--opt=--`` used to give ``[]``),
 so the oracle is silent on argument vectors that hold a ``--`` word or value.
+So it is on two readings of short flag runs that changed in 3.13, where the
+hand parser gives a usage error: 3.13 prints the help for a run with another
+character after its h's, such as ``-hx``, and 3.10-3.12 for ``-h=h``.
 """
 
 import argparse

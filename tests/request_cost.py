@@ -1,19 +1,24 @@
 """Print what a fresh CLI request costs: the interpreter, the import of
-``abtaut.cli``, the request above the import, and the interpreter's shutdown
-that ``abtaut.cli.run`` skips.
+``abtaut.cli`` in three parts, the request above the import, and the
+interpreter's shutdown that ``abtaut.cli.run`` skips.
 
 Each row is the median wall time, from spawn to exit, of N fresh processes
 pinned to one CPU:
 
 * ``python -c pass``, the floor: the interpreter's start and exit;
-* ``python -c "import abtaut.cli"``, the floor and the import;
-* both again, ended by ``os._exit`` as ``run`` ends a request;
+* ``python -c "import fractions"``, the floor and most of what abtaut
+  imports from the standard library;
+* ``python -c "import abtaut"``, the floor and the library, the import that
+  the ring_session benchmark's ``setup_s`` times;
+* ``python -c "import abtaut.cli"``, the floor and the whole import;
+* each of these again, ended by ``os._exit`` as ``run`` ends a request;
 * a ``constant``, a ``reduce`` and a ``verify --check grr`` request, served
   as the ``abtaut`` console script serves them, through ``run``;
 * the same requests through ``main`` and then the normal exit.
 
-The start, the import, the shutdown and the request above the import are
-differences of these medians; a trace of the functions inside the process
+The start, the three parts of the import (standard library, library and
+CLI), the shutdown and the request above the import are differences of
+these medians; a trace of the functions inside the process
 cannot see the shutdown.  Run from the repository root::
 
     python tests/request_cost.py [N]
@@ -69,9 +74,10 @@ def main(argv: list[str]) -> None:
     rows = {
         "python -c pass": ["-c", "pass"],
         "python -c pass, os._exit": ["-c", "import os; os._exit(0)"],
-        "import abtaut.cli": ["-c", "import abtaut.cli"],
-        "import abtaut.cli, os._exit": ["-c", "import os, abtaut.cli; os._exit(0)"],
     }
+    for module in ("fractions", "abtaut", "abtaut.cli"):
+        rows[f"import {module}"] = ["-c", f"import {module}"]
+        rows[f"import {module}, os._exit"] = ["-c", f"import os, {module}; os._exit(0)"]
     for request in REQUESTS:
         rows[" ".join(request)] = ["-c", "import abtaut.cli; abtaut.cli.run()", *request]
         rows[f"{' '.join(request)}, normal exit"] = ["-c", _NORMAL_EXIT, *request]
@@ -89,9 +95,13 @@ def main(argv: list[str]) -> None:
     for name, value in median.items():
         print(f"{value:10.2f}  {name}")
     start, imported = median["python -c pass, os._exit"], median["import abtaut.cli, os._exit"]
+    stdlib, library = median["import fractions, os._exit"], median["import abtaut, os._exit"]
     print("\n    ms  derived")
     print(f"{start:6.2f}  interpreter start")
-    print(f"{imported - start:6.2f}  import of abtaut.cli")
+    print(f"{imported - start:6.2f}  import of abtaut.cli, of which")
+    print(f"{stdlib - start:6.2f}    fractions, most of what abtaut imports from the standard library")
+    print(f"{library - stdlib:6.2f}    the library above it (import abtaut)")
+    print(f"{imported - library:6.2f}    the CLI above the library (import abtaut.cli)")
     print(f"{median['python -c pass'] - start:6.2f}  shutdown of the bare interpreter")
     print(f"{median['import abtaut.cli'] - imported:6.2f}  shutdown after the import")
     print("\nms above the import  served  normal exit  shutdown skipped")

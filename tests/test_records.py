@@ -1,7 +1,10 @@
-"""The report records: keyword construction, immutability, a repr that names
-the class and its fields in order, and the payloads the CLI prints.  Only
-the records the CLI prints have a payload."""
+"""The report records: construction from each field once, by position or
+keyword, immutability, a repr that names the class and its fields in order,
+pickle and deepcopy round trips, and the payloads the CLI prints.  Only the
+records the CLI prints have a payload."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -62,7 +65,23 @@ _RECORDS = [
 @pytest.mark.parametrize("cls,fields,payload", _RECORDS, ids=[cls.__name__ for cls, _, _ in _RECORDS])
 def test_report_record_contract(cls, fields, payload):
     record = cls(**fields)
-    assert [getattr(record, name) for name in fields] == list(fields.values())
+    names, values = list(fields), list(fields.values())
+    assert [getattr(record, name) for name in fields] == values
+    assert cls(*values) == record
+    assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == record
+    for wrong in (
+        lambda: cls(*values[:-1]),  # a field missing
+        lambda: cls(**dict(zip(names[1:], values[1:]))),
+        lambda: cls(*values, None),  # a field too many
+        lambda: cls(**fields, bogus=None),
+        lambda: cls(values[0], **fields),  # a field twice
+    ):
+        with pytest.raises(TypeError):
+            wrong()
+    # a GradedPolynomial does not pickle, so the pickled record holds ints
+    numbered = cls(*range(len(fields)))
+    for original, twin in ((numbered, pickle.loads(pickle.dumps(numbered))), (record, copy.deepcopy(record))):
+        assert type(twin) is cls and twin == original
     for name, value in fields.items():
         with pytest.raises(AttributeError):
             setattr(record, name, value)
